@@ -28,7 +28,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from .cosheaf import INFINITE, CosheafGraph, fmt_extended
-from .grid import Cell, basic_open, cell_sort_key, cell_to_wire, faces, thicken
+from .grid import Cell, cell_sort_key, cell_to_wire, faces, star_box, thicken
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
 
@@ -131,33 +131,45 @@ def _require_shared_grid(F: CosheafGraph, G: CosheafGraph) -> None:
         raise AssignmentError("both cosheaves must live on the same grid")
 
 
+def _ptr_idx(src: CosheafGraph, dst: CosheafGraph, ptr: dict[str, str]) -> list[int | None]:
+    """The node index in dst of each source node's pointer target, in node
+    order; None where the pointer is missing or names no node of dst."""
+    get = dst.index.get
+    return [get(ptr.get(nid)) for nid in src.ids]
+
+
 def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> list[str]:
     """Empty iff the pointer maps are total on occupied cells and respect the
     level-n radius constraint.  Raises on grid mismatch."""
+    return _violations(F, G, a, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
+
+
+def _violations(F: CosheafGraph, G: CosheafGraph, a: Assignment,
+                phi: list[int | None], psi: list[int | None]) -> list[str]:
+    """validate_assignment's messages, from pointer maps resolved by _ptr_idx."""
     _require_shared_grid(F, G)
-    grid = F.grid
     out: list[str] = []
-    reach: dict[Cell, frozenset[Cell]] = {}
-
-    def allowed(c: Cell) -> frozenset[Cell]:
-        hit = reach.get(c)
-        if hit is None:
-            hit = thicken(grid, basic_open(grid, c), a.n)
-            reach[c] = hit
-        return hit
-
-    for side, src, dst, ptr in (("phi", F, G, a.phi), ("psi", G, F, a.psi)):
-        for nid in src.ids:
-            tgt = ptr.get(nid)
-            if tgt is None:
-                out.append(f"{side} is missing node {nid}")
-                continue
-            if tgt not in dst.index:
-                out.append(f"{side}({nid}) = {tgt} is not a node of the target")
-                continue
-            if dst.cell_of(tgt) not in allowed(src.cell_of(nid)):
-                out.append(
-                    f"{side}({nid}) = {tgt} lies outside the level-{a.n} radius")
+    for side, src, dst, ptr, idx in (("phi", F, G, a.phi, phi), ("psi", G, F, a.psi, psi)):
+        for c, block in src.nodes_at.items():
+            # one box per carrier cell, one membership test per target cell
+            box = star_box(F.grid, c, a.n)
+            fits: dict[Cell, bool] = {}
+            for i in block:
+                j = idx[i]
+                if j is None:
+                    nid = src.ids[i]
+                    tgt = ptr.get(nid)
+                    out.append(f"{side} is missing node {nid}" if tgt is None
+                               else f"{side}({nid}) = {tgt} is not a node of the target")
+                    continue
+                t = dst.cells[j]
+                ok = fits.get(t)
+                if ok is None:
+                    ok = fits[t] = all(m in span for m, span in zip(t.coords, box))
+                if not ok:
+                    nid = src.ids[i]
+                    out.append(
+                        f"{side}({nid}) = {ptr[nid]} lies outside the level-{a.n} radius")
     return out
 
 
@@ -170,16 +182,6 @@ def promote(a: Assignment, k: int) -> Assignment:
 
 
 # -- diagram checks -------------------------------------------------------------
-
-
-def _ptr_idx(src: CosheafGraph, dst: CosheafGraph, ptr: dict[str, str]) -> list[int]:
-    out = []
-    for nid in src.ids:
-        tgt = ptr.get(nid)
-        if tgt is None or tgt not in dst.index:
-            raise AssignmentError(f"assignment is not total at node {nid!r}")
-        out.append(dst.index[tgt])
-    return out
 
 
 def check_parallelogram_left(
@@ -260,10 +262,14 @@ class _Instance:
     tri_up: set[Cell] = field(default_factory=set)
 
 
-def _prepare(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> _Instance:
+def _prepare(F: CosheafGraph, G: CosheafGraph,
+             phi: list[int | None], psi: list[int | None]) -> _Instance:
+    """The instance for pointer maps resolved by _ptr_idx; raises unless total."""
     _require_shared_grid(F, G)
-    phi = _ptr_idx(F, G, a.phi)
-    psi = _ptr_idx(G, F, a.psi)
+    for src, idx in ((F, phi), (G, psi)):
+        if None in idx:
+            raise AssignmentError(
+                f"assignment is not total at node {src.ids[idx.index(None)]!r}")
     left: dict[Cell, list[Cell]] = {}
     right: dict[Cell, list[Cell]] = {}
     for tau in F.occupied_cells():
@@ -291,8 +297,7 @@ def _center_report(
     if taus:
         lab = G.slice(sigma, n + k)._lab
         for tau in taus:
-            for xi in F.nodes_at[tau]:
-                xf = F._face_image_idx(xi, sigma)
+            for xi, xf in zip(F.nodes_at[tau], F._face_images(tau, sigma)):
                 if xf is None:
                     raise AssignmentError(
                         f"cosheaf is missing the face image of {F.ids[xi]!r} at {sigma!r}")
@@ -304,8 +309,7 @@ def _center_report(
     if taus:
         lab = F.slice(sigma, n + k)._lab
         for tau in taus:
-            for yi in G.nodes_at[tau]:
-                yf = G._face_image_idx(yi, sigma)
+            for yi, yf in zip(G.nodes_at[tau], G._face_images(tau, sigma)):
                 if yf is None:
                     raise AssignmentError(
                         f"cosheaf is missing the face image of {G.ids[yi]!r} at {sigma!r}")
@@ -353,7 +357,7 @@ def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int, jobs: int =
     for every occupied cell."""
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
-    inst = _prepare(F, G, a)
+    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
     return not _loss_at(inst, a, k, collect=False, jobs=jobs)
 
 
@@ -363,20 +367,21 @@ def loss_report(
     """loss_at with the full witness listing (all failing diagrams at k)."""
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
-    inst = _prepare(F, G, a)
+    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
     bad = sorted(_loss_at(inst, a, k, collect=True, jobs=jobs), key=Witness.sort_key)
     return (not bad, bad)
+
+
+def _cap(inst: _Instance) -> int:
+    cap = max((inst.F.saturation(sigma) for sigma in inst.centers), default=0)
+    assert cap <= 2 * inst.F.grid.L, "saturation exceeded the 2L search range"
+    return cap
 
 
 def saturation_cap(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> int:
     """Largest slack worth probing: past the saturation of every slice center
     thickening is a fixed point, so no check outcome can change."""
-    inst = _prepare(F, G, a)
-    cap = 0
-    for sigma in inst.centers:
-        cap = max(cap, F.saturation(sigma))
-    assert cap <= 2 * F.grid.L, "saturation exceeded the 2L search range"
-    return cap
+    return _cap(_prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)))
 
 
 def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment, jobs: int = 1) -> LossResult:
@@ -386,15 +391,12 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment, jobs: int = 1) -
     slice center; if the checks still fail at K the loss is infinite, since
     every slice is globally saturated there.
     """
-    problems = validate_assignment(F, G, a)
+    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
+    problems = _violations(F, G, a, phi, psi)
     if problems:
         raise AssignmentError("invalid assignment: " + "; ".join(problems))
-    inst = _prepare(F, G, a)
-    cap = 0
-    for sigma in inst.centers:
-        cap = max(cap, F.saturation(sigma))
-    assert cap <= 2 * F.grid.L
-
+    inst = _prepare(F, G, phi, psi)
+    cap = _cap(inst)
     grid = F.grid
 
     def failing(k: int, collect: bool = False) -> list[Witness]:

@@ -20,6 +20,7 @@ element; arithmetic saturates automatically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
@@ -30,7 +31,6 @@ from typing import Iterable
 from .grid import (
     Cell,
     GridSpec,
-    basic_open,
     cell_from_wire,
     cell_sort_key,
     cell_to_wire,
@@ -38,6 +38,8 @@ from .grid import (
     is_face,
     is_open,
     saturation_steps,
+    star_box,
+    star_saturation,
     thicken,
 )
 
@@ -74,17 +76,21 @@ class CosheafGraph:
         self.cells: list[Cell] = [p[1] for p in pairs]
         if len(set(self.ids)) != len(self.ids):
             raise CosheafError("duplicate node ids")
-        for c in self.cells:
-            grid.check_cell(c)
         self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
 
+        # nodes sharing a cell form one block of consecutive indices; they also
+        # share one Cell object, so per-node cell reads hit a few hot objects
         self.nodes_at: dict[Cell, list[int]] = {}
         for i, c in enumerate(self.cells):
             self.nodes_at.setdefault(c, []).append(i)
+        for c in self.nodes_at:
+            grid.check_cell(c)
+        self.cells = [c for c, block in self.nodes_at.items() for _ in block]
 
         self.adj: list[list[int]] = [[] for _ in self.ids]
-        # stored face images: (child index, face cell) -> parent index
-        self.face_link: dict[tuple[int, Cell], int] = {}
+        # stored face images, one row per (cell, face cell) pair: the first linked
+        # parent of each node over the cell, by position in its block, else None
+        self._links: dict[tuple[Cell, Cell], list[int | None]] = {}
         self._raw_links: list[tuple[int, int]] = []
         for child, parent in links:
             if child not in self.index or parent not in self.index:
@@ -93,16 +99,19 @@ class CosheafGraph:
             self._raw_links.append((ci, pi))
             self.adj[ci].append(pi)
             self.adj[pi].append(ci)
-            key = (ci, self.cells[pi])
-            if key not in self.face_link:
-                self.face_link[key] = pi
+            key = (self.cells[ci], self.cells[pi])
+            block = self.nodes_at[key[0]]
+            row = self._links.get(key)
+            if row is None:
+                row = self._links[key] = [None] * len(block)
+            if row[ci - block[0]] is None:
+                row[ci - block[0]] = pi
         self._raw_links.sort()
         for a in self.adj:
             a.sort()
 
         self._slice_cache: OrderedDict[tuple[Cell, int], "SliceLabeling"] = OrderedDict()
         self._cache_lock = threading.Lock()
-        self._sat_cache: dict[Cell, int] = {}
         self._full: tuple[list[int], list[int], int] | None = None
 
     # -- basic queries ------------------------------------------------------
@@ -137,8 +146,20 @@ class CosheafGraph:
             raise CosheafError(f"no face image of {node_id!r} at {face!r}")
         return self.ids[i]
 
+    def _link(self, i: int, face: Cell) -> int | None:
+        """The stored face image of node i at `face`, if any."""
+        row = self._links.get((self.cells[i], face))
+        return None if row is None else row[i - self.nodes_at[self.cells[i]][0]]
+
+    def _face_images(self, c: Cell, face: Cell) -> list[int | None]:
+        """_face_image_idx of each node over c; a codimension-1 face is its stored row."""
+        row = self._links.get((c, face))
+        if row is None or face.dim != c.dim - 1:
+            row = [self._face_image_idx(i, face) for i in self.nodes_at[c]]
+        return row
+
     def _face_image_idx(self, i: int, face: Cell) -> int | None:
-        hit = self.face_link.get((i, face))
+        hit = self._link(i, face)
         if hit is not None:
             return hit
         c = self.cells[i]
@@ -159,31 +180,24 @@ class CosheafGraph:
         out = []
         for f in faces(c):
             if f.dim == c.dim - 1:
-                j = self.face_link.get((i, f))
+                j = self._link(i, f)
                 if j is not None:
                     out.append((f, j))
         return out
 
     def saturation(self, center: Cell) -> int:
-        hit = self._sat_cache.get(center)
-        if hit is None:
-            hit = saturation_steps(self.grid, basic_open(self.grid, center))
-            self._sat_cache[center] = hit
-        return hit
+        return star_saturation(self.grid, self.grid.check_cell(center))
 
     # -- connectivity labelings ----------------------------------------------
 
-    def _label(self, cells: frozenset[Cell]) -> tuple[list[int], list[int], int]:
+    def _label(self, cells: Iterable[Cell]) -> tuple[list[int], list[int], int]:
         total = len(self.ids)
-        if len(cells) == self.grid.cell_count():
-            members = list(range(total))
-        else:
-            members = []
-            for c in cells:
-                got = self.nodes_at.get(c)
-                if got:
-                    members.extend(got)
-            members.sort()
+        members: list[int] = []
+        for c in cells:
+            got = self.nodes_at.get(c)
+            if got:
+                members.extend(got)
+        members.sort()
         # flat label array: -2 non-member, -1 unvisited member, >= 0 component
         if len(members) == total:
             lab = [-1] * total
@@ -219,26 +233,27 @@ class CosheafGraph:
         self.grid.check_cell(center)
         if radius < 0:
             raise ValueError("radius must be a natural number")
-        radius = min(radius, self.saturation(center))
+        sat = self.saturation(center)
+        radius = min(radius, sat)
         key = (center, radius)
         with self._cache_lock:
             hit = self._slice_cache.get(key)
             if hit is not None:
                 self._slice_cache.move_to_end(key)
                 return hit
-        cells = thicken(self.grid, basic_open(self.grid, center), radius)
-        if len(cells) == self.grid.cell_count():
+        if radius == sat:
             # a saturated slice is the whole complex: label it once, share it
             with self._cache_lock:
                 full = self._full
             if full is None:
-                full = self._label(cells)
+                full = self._label(self.nodes_at)
                 with self._cache_lock:
                     self._full = full
             lab, members, count = full
         else:
-            lab, members, count = self._label(cells)
-        sl = SliceLabeling(graph=self, cells=cells, center=center, radius=radius,
+            box = star_box(self.grid, center, radius)
+            lab, members, count = self._label(Cell(t) for t in itertools.product(*box))
+        sl = SliceLabeling(graph=self, center=center, radius=radius,
                            component_count=count, _lab=lab, _members=members)
         if len(members) <= _CACHE_MEMBER_LIMIT:
             with self._cache_lock:
@@ -254,7 +269,7 @@ class CosheafGraph:
         if not is_open(self.grid, s):
             raise CosheafError("set_at requires a coface-closed cell set")
         lab, members, count = self._label(s)
-        return SliceLabeling(graph=self, cells=s, center=None, radius=None,
+        return SliceLabeling(graph=self, center=None, radius=None,
                              component_count=count, _lab=lab, _members=members)
 
 
@@ -268,7 +283,6 @@ class SliceLabeling:
     """
 
     graph: CosheafGraph
-    cells: frozenset[Cell]
     center: Cell | None
     radius: int | None
     component_count: int
@@ -334,7 +348,7 @@ def validate(F: CosheafGraph) -> list[str]:
                 continue
             images = set()
             if f.dim == c.dim - 1:
-                j = F.face_link.get((i, f))
+                j = F._link(i, f)
                 if j is not None:
                     images.add(j)
             else:

@@ -12,6 +12,10 @@ cell is in the set, every cell having it as a face is too.  The star of a cell
 one-step thickening of an open set adds all faces of members and then all
 cofaces of members.  Everything here is a pure function on immutable values.
 
+The hot paths use the closed forms star_box and star_saturation (a thickened
+star is a box); the set algebra is their tested reference, still imported where
+the benchmark's tracer wraps it.
+
 Interval encoding: each axis entry of a cell is a single integer m, where
 m = 2l encodes the grid point l*delta and m = 2l+1 encodes the open interval
 (l*delta, (l+1)*delta).  Face relations then reduce to |difference| == 1
@@ -251,3 +255,18 @@ def saturation_steps(grid: GridSpec, cells: frozenset[Cell]) -> int:
         cur = nxt
         m += 1
     return m
+
+
+def star_box(grid: GridSpec, c: Cell, r: int) -> list[range]:
+    """thicken(basic_open(c), r) as one range of doubled coordinates per axis:
+    a point's star spans [m-1, m+1], an interval's [m, m], and each round
+    widens both ends by 2, clipped to the box."""
+    top = 2 * grid.L
+    return [range(max(m - 2 * r - (m % 2 == 0), -top), min(m + 2 * r + (m % 2 == 0), top) + 1)
+            for m in c.coords]
+
+
+def star_saturation(grid: GridSpec, c: Cell) -> int:
+    """saturation_steps(basic_open(c)): the least r whose star_box spans
+    [-2L, 2L] on every axis."""
+    return max(grid.L + (abs(m) + 1) // 2 for m in c.coords)

@@ -16,13 +16,14 @@ with exact rational arithmetic so carrier classification is bit-stable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .cosheaf import CosheafGraph
-from .grid import Cell, GridSpec, cell_sort_key, faces, star
+from .grid import Cell, GridSpec, cell_sort_key, faces, star, star_box
 
 
 class IngestError(ValueError):
@@ -135,7 +136,8 @@ class MapperBuild:
     grid: GridSpec
     _piece_node: dict[tuple[Cell, int], str] = field(repr=False, default_factory=dict)
     _vertex_piece: dict[str, int] = field(repr=False, default_factory=dict)
-    _edge_chain: dict[int, list[tuple[Fraction, Fraction, int]]] = field(repr=False, default_factory=dict)
+    _edge_chain: dict[tuple[str, str], list[tuple[Fraction, Fraction, int]]] = field(
+        repr=False, default_factory=dict)
 
     def node_of_vertex(self, c: Cell, vertex_id: str) -> str:
         """The element over basic_open(c) whose component contains the vertex."""
@@ -150,17 +152,17 @@ class MapperBuild:
     def node_on_edge(self, c: Cell, edge: tuple[str, str], t) -> str:
         """The element over basic_open(c) containing the edge point at parameter t."""
         t = _as_fraction(t)
-        for eidx, (u, v) in enumerate(self.source.edges):
-            if (u, v) == edge or (v, u) == edge:
-                for lo, hi, p in self._edge_chain[eidx]:
-                    if lo <= t <= hi:
-                        nid = self._piece_node.get((c, p))
-                        if nid is None:
-                            raise IngestError(
-                                f"edge point t={t} does not lie over basic_open({c!r})")
-                        return nid
-                raise IngestError(f"parameter {t} outside [0, 1]")
-        raise IngestError(f"unknown edge {edge!r}")
+        spans = self._edge_chain.get(edge)
+        if spans is None:
+            raise IngestError(f"unknown edge {edge!r}")
+        for lo, hi, p in spans:
+            if lo <= t <= hi:
+                nid = self._piece_node.get((c, p))
+                if nid is None:
+                    raise IngestError(
+                        f"edge point t={t} does not lie over basic_open({c!r})")
+                return nid
+        raise IngestError(f"parameter {t} outside [0, 1]")
 
 
 class _UnionFind:
@@ -208,7 +210,7 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
 
     # chains[eidx] = piece ids in order along the edge, endpoints included
     chains: list[list[int]] = []
-    edge_chain: dict[int, list[tuple[Fraction, Fraction, int]]] = {}
+    edge_chain: dict[tuple[str, str], list[tuple[Fraction, Fraction, int]]] = {}
     for eidx, (u, v) in enumerate(g.edges):
         uval, vval = values[u], values[v]
         cuts: set[Fraction] = set()
@@ -247,7 +249,8 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
         chain.append(vertex_piece[v])
         spans.append((Fraction(1), Fraction(1), vertex_piece[v]))
         chains.append(chain)
-        edge_chain[eidx] = spans
+        edge_chain.setdefault((u, v), spans)
+        edge_chain.setdefault((v, u), spans)
 
     by_carrier: dict[Cell, list[int]] = {}
     for pid, p in enumerate(pieces):
@@ -275,8 +278,8 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
 
     for c in occupied_sorted:
         member: set[int] = set()
-        for sc in star(grid, [c]):
-            member.update(by_carrier.get(sc, ()))
+        for t in itertools.product(*star_box(grid, c, 0)):
+            member.update(by_carrier.get(Cell(t), ()))
         if not member:
             continue
         uf = _UnionFind()

@@ -1,10 +1,11 @@
-"""Slow, independent verifiers for desk-scale cross-checking.
+"""Slow verifiers for desk-scale cross-checking.
 
-Nothing here shares component-labeling code with the cosheaf module: the
-geometric recomputation works on segment arithmetic over realized open sets,
-the full loss walks every open set of the Alexandroff topology, and the
-exhaustive search enumerates basis assignments at the component level.  All
-enumerations enforce hard caps; exceeding a cap raises, never truncates.
+Only the geometric recomputation (segment arithmetic over realized open sets)
+shares no code with the cosheaf module.  The full loss, over every open set of
+the Alexandroff topology, labels through CosheafGraph.set_at, and the exhaustive
+search over component-level basis assignments through CosheafGraph.slice; both
+run the CosheafGraph._label walk that basis_loss runs.  All enumerations
+enforce hard caps; exceeding a cap raises, never truncates.
 """
 
 from __future__ import annotations

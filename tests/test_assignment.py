@@ -26,7 +26,7 @@ from mapperbound import (
     vertex_cell,
 )
 from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json, saturation_cap
-from mapperbound.grid import faces
+from mapperbound.grid import basic_open, faces, thicken
 from mapperbound.ingest import build
 
 from conftest import (
@@ -75,14 +75,61 @@ def test_totality_violation_reported(chase):
     F, G, a = chase
     phi = dict(a.phi)
     del phi["b"]
-    msgs = validate_assignment(F, G, Assignment(n=1, phi=phi, psi=dict(a.psi)))
+    partial = Assignment(n=1, phi=phi, psi=dict(a.psi))
+    msgs = validate_assignment(F, G, partial)
     assert len(msgs) == 1 and "missing node b" in msgs[0]
+    # the diagram checks refuse a partial map instead of chasing a missing pointer
+    for check in (lambda: loss_at(F, G, partial, 0), lambda: loss_report(F, G, partial, 0),
+                  lambda: saturation_cap(F, G, partial)):
+        with pytest.raises(AssignmentError, match="not total at node 'b'"):
+            check()
+    with pytest.raises(AssignmentError, match="missing node b"):
+        basis_loss(F, G, partial)
 
 
 def test_grid_mismatch_raises(chase, fork):
     F, G, a = chase
     with pytest.raises(AssignmentError):
         validate_assignment(F, fork.graph, a)
+
+
+def reference_violations(F, G, a) -> list[str]:
+    # the set-algebra formulation: membership in thicken(basic_open(cell), n)
+    grid = F.grid
+    out = []
+    for side, src, dst, ptr in (("phi", F, G, a.phi), ("psi", G, F, a.psi)):
+        for nid in src.ids:
+            tgt = ptr.get(nid)
+            if tgt is None:
+                out.append(f"{side} is missing node {nid}")
+            elif tgt not in dst.index:
+                out.append(f"{side}({nid}) = {tgt} is not a node of the target")
+            elif dst.cell_of(tgt) not in thicken(grid, basic_open(grid, src.cell_of(nid)), a.n):
+                out.append(f"{side}({nid}) = {tgt} lies outside the level-{a.n} radius")
+    return out
+
+
+def test_validate_assignment_matches_the_set_algebra_reference():
+    rng = random.Random(67)
+    outside = 0
+    for _ in range(30):
+        d = rng.choice([1, 2])
+        gA = random_geometric(rng, "a", rng.randint(2, 5), d=d)
+        gB = random_geometric(rng, "b", rng.randint(2, 5), d=d)
+        grid = fit_grid([gA, gB], 1.0)
+        F, G = build(gA, grid).graph, build(gB, grid).graph
+        # any target at all: many land outside the radius
+        phi = {i: rng.choice(G.ids) for i in F.ids}
+        psi = {j: rng.choice(F.ids) for j in G.ids}
+        if rng.random() < 0.3:
+            del phi[rng.choice(F.ids)]
+        if rng.random() < 0.3:
+            psi[rng.choice(G.ids)] = "nowhere"
+        a = Assignment(n=rng.randint(0, 2), phi=phi, psi=psi)
+        want = reference_violations(F, G, a)
+        assert validate_assignment(F, G, a) == want
+        outside += sum("radius" in m for m in want)
+    assert outside > 0
 
 
 # -- the pointer chases of the narrative example --------------------------------------

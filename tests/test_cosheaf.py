@@ -9,15 +9,18 @@ import random
 import pytest
 
 from mapperbound import (
+    Assignment,
     CosheafGraph,
     GridSpec,
     diameter,
     distance,
     edge_cell,
     fit_grid,
+    loss_report,
     validate,
     vertex_cell,
 )
+from mapperbound.assignment import AssignmentError
 from mapperbound.cosheaf import CosheafError, from_json, to_dot, to_json
 from mapperbound.grid import all_cells, basic_open, cell, thicken
 from mapperbound.ingest import build
@@ -81,6 +84,26 @@ def test_validate_incompatible_square_routes():
     )
     assert validate(good) == []
     assert good.face_image("s", corner) == "c1"
+
+
+def test_face_images_follow_the_first_listed_link():
+    # three elements over one edge: e0 lists q0 before p0 at V(0), g0 has no link there
+    grid = GridSpec(1, 1.0, 2)
+    nodes = [("p0", V(0)), ("q0", V(0)), ("p1", V(1)), ("e0", E(0)), ("f0", E(0)), ("g0", E(0))]
+    links = [("g0", "p1"), ("f0", "q0"), ("e0", "q0"), ("e0", "p0"), ("f0", "p1"), ("e0", "p1")]
+    F = CosheafGraph(grid, nodes, links)
+
+    def names(idx):
+        return [None if j is None else F.ids[j] for j in idx]
+
+    assert names(F._face_images(E(0), V(0))) == ["q0", "q0", None]
+    assert names(F._face_images(E(0), V(1))) == ["p1", "p1", "p1"]
+    assert F.face_image("e0", V(0)) == "q0"
+    with pytest.raises(CosheafError):
+        F.face_image("g0", V(0))
+    a = Assignment(n=0, phi={i: i for i in F.ids}, psi={i: i for i in F.ids})
+    with pytest.raises(AssignmentError, match="missing the face image of 'g0'"):
+        loss_report(F, F, a, 0)
 
 
 def test_unknown_link_target_rejected():

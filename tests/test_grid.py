@@ -27,6 +27,8 @@ from mapperbound.grid import (
     faces,
     is_open,
     saturation_steps,
+    star_box,
+    star_saturation,
     thicken,
     vertex_cell,
 )
@@ -179,6 +181,67 @@ def test_saturation_bounded_by_2L_everywhere():
     for grid in (G3, G2):
         for c in all_cells(grid):
             assert saturation_steps(grid, basic_open(grid, c)) <= 2 * grid.L
+
+
+# -- the closed forms against the set algebra ---------------------------------------
+
+
+def box_set(grid: GridSpec, c: Cell, r: int) -> frozenset[Cell]:
+    return frozenset(Cell(t) for t in itertools.product(*star_box(grid, c, r)))
+
+
+def assert_box_chain(grid: GridSpec, c: Cell) -> int:
+    """Every r up to saturation + 1: star_box(c, r) == thicken(basic_open(c), r).
+    Returns the first r at which the thickening fills the grid."""
+    sat = star_saturation(grid, c)
+    cur = basic_open(grid, c)
+    first_full = None
+    for r in range(sat + 2):
+        # thickening the whole grid gives the whole grid: skip that round
+        if r and len(cur) < grid.cell_count():
+            cur = thicken(grid, cur, 1)
+        assert box_set(grid, c, r) == cur, (grid, c, r)
+        if first_full is None and len(cur) == grid.cell_count():
+            first_full = r
+    assert first_full == sat, (grid, c)
+    return first_full
+
+
+def symmetry_representatives(grid: GridSpec) -> list[Cell]:
+    # faces and cofaces act per axis, symmetrically under m -> -m, so the set
+    # algebra commutes with sign flips and axis permutations
+    return [Cell(t) for t in itertools.combinations_with_replacement(
+        range(0, 2 * grid.L + 1), grid.d)]
+
+
+def test_star_box_and_saturation_match_the_set_algebra_exhaustively():
+    # every cell for d <= 2 and L <= 3, and d = 3 at L = 1; saturation_steps
+    # is called directly on each
+    for d, L in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)]:
+        grid = GridSpec(d, 1.0, L)
+        for c in all_cells(grid):
+            sat = assert_box_chain(grid, c)
+            assert saturation_steps(grid, basic_open(grid, c)) == sat
+    # d = 3 at L = 2 and 3: one cell per symmetry class (all 2197 cells at
+    # L = 3 take minutes of set algebra); the chain fixes saturation_steps,
+    # whose definition is the first r at which it fills the grid
+    for L in (2, 3):
+        grid = GridSpec(3, 1.0, L)
+        for c in symmetry_representatives(grid):
+            assert_box_chain(grid, c)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=30, deadline=None)
+def test_star_box_matches_thicken_on_larger_grids(seed):
+    rng = random.Random(seed)
+    d = rng.choice([1, 1, 2])
+    grid = GridSpec(d, 1.0, rng.randint(4, 24 if d == 1 else 6))
+    c = Cell(tuple(rng.randint(-2 * grid.L, 2 * grid.L) for _ in range(d)))
+    sat = star_saturation(grid, c)
+    assert saturation_steps(grid, basic_open(grid, c)) == sat
+    r = rng.randint(0, sat + 1)
+    assert box_set(grid, c, r) == thicken(grid, basic_open(grid, c), r)
 
 
 # -- thickening algebra ----------------------------------------------------------

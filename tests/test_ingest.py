@@ -97,6 +97,23 @@ def test_parallel_edges_accepted():
     assert len(F.elements_of(E(1))) == 2
 
 
+def test_node_on_edge_takes_the_first_listing_either_way_round():
+    # one segment listed twice, opposite ways round: t = 1/4 is f = 1 along
+    # the first listing and f = 2 along the second
+    g = GeometricGraph(d=1,
+                       vertices={"a": (Fraction(1, 2),), "b": (Fraction(5, 2),)},
+                       edges=[("a", "b"), ("b", "a")])
+    bd = build(g, GridSpec(1, 1.0, 3))
+    t = Fraction(1, 4)
+    assert bd.node_on_edge(V(1), ("b", "a"), t) == bd.node_on_edge(V(1), ("a", "b"), t)
+    with pytest.raises(IngestError, match="does not lie over"):
+        bd.node_on_edge(V(2), ("b", "a"), t)
+    with pytest.raises(IngestError, match="unknown edge"):
+        bd.node_on_edge(V(1), ("a", "c"), t)
+    with pytest.raises(IngestError, match=r"outside \[0, 1\]"):
+        bd.node_on_edge(V(1), ("b", "a"), 2)
+
+
 def test_self_loop_rejected():
     with pytest.raises(IngestError):
         GeometricGraph(d=1, vertices={"a": (1,)}, edges=[("a", "a")])
