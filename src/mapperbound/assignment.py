@@ -34,7 +34,12 @@ KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "tri
 
 
 class AssignmentError(ValueError):
-    pass
+    """Refused input.  When the pointer maps themselves are invalid,
+    `violations` holds validate_assignment's messages."""
+
+    def __init__(self, message: str, violations: list[str] | None = None) -> None:
+        super().__init__(message)
+        self.violations = violations or []
 
 
 @dataclass
@@ -394,7 +399,7 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment, jobs: int = 1) -
     phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
     problems = _violations(F, G, a, phi, psi)
     if problems:
-        raise AssignmentError("invalid assignment: " + "; ".join(problems))
+        raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
     inst = _prepare(F, G, phi, psi)
     cap = _cap(inst)
     grid = F.grid

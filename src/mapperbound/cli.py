@@ -5,7 +5,9 @@ key-sorted and newline-terminated so fixtures diff cleanly; identical inputs
 produce byte-identical output regardless of --jobs.
 
 Exit codes: 0 success or passing check, 1 failing check or oracle
-disagreement, 2 invalid input, 3 infinite bound.
+disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
+validated on load; an invalid cosheaf or assignment exits 2 with one stdout
+JSON line holding "error" and "violations".
 """
 
 from __future__ import annotations
@@ -21,6 +23,14 @@ from . import cosheaf, ingest, oracle
 from .grid import GridSpec, basic_open, thicken
 
 
+class _Invalid(Exception):
+    """Input that failed validation: exit 2 with its violations on stdout."""
+
+    def __init__(self, error: str, violations: list[str]) -> None:
+        super().__init__(error)
+        self.body = {"error": error, "violations": violations}
+
+
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
@@ -31,7 +41,11 @@ def _load_json(path: str) -> dict:
 
 
 def _load_cosheaf(path: str) -> cosheaf.CosheafGraph:
-    return cosheaf.from_json_obj(_load_json(path))
+    F = cosheaf.from_json_obj(_load_json(path))
+    problems = cosheaf.validate(F)
+    if problems:
+        raise _Invalid(f"invalid cosheaf {path}", problems)
+    return F
 
 
 def _load_grid(path: str) -> GridSpec:
@@ -64,11 +78,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
     F = _load_cosheaf(args.f)
     G = _load_cosheaf(args.g)
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
-    problems = asg.validate_assignment(F, G, a)
-    if problems:
-        _emit({"error": "invalid assignment", "violations": problems})
-        return 2
-    result = asg.basis_loss(F, G, a, jobs=args.jobs)
+    try:
+        result = asg.basis_loss(F, G, a, jobs=args.jobs)
+    except asg.AssignmentError as exc:
+        if not exc.violations:
+            raise
+        raise _Invalid("invalid assignment", exc.violations) from None
     sys.stdout.write(asg.result_to_json(result))
     return 3 if math.isinf(result.L_B) else 0
 
@@ -79,8 +94,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
     problems = asg.validate_assignment(F, G, a)
     if problems:
-        _emit({"error": "invalid assignment", "violations": problems})
-        return 2
+        raise _Invalid("invalid assignment", problems)
     ok, witnesses = asg.loss_report(F, G, a, args.k, jobs=args.jobs)
     _emit({"k": args.k, "pass": ok, "witnesses": [w.to_json_obj() for w in witnesses]})
     return 0 if ok else 1
@@ -197,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Invalid as exc:
+        _emit(exc.body)
+        return 2
     except (ingest.IngestError, cosheaf.CosheafError, asg.AssignmentError,
             oracle.OracleCapError, ValueError, KeyError, OSError,
             json.JSONDecodeError) as exc:

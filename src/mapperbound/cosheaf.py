@@ -71,21 +71,23 @@ class CosheafGraph:
         links: Iterable[tuple[str, str]],
     ) -> None:
         self.grid = grid
-        pairs = sorted(nodes, key=lambda p: (cell_sort_key(p[1]), p[0]))
-        self.ids: list[str] = [p[0] for p in pairs]
-        self.cells: list[Cell] = [p[1] for p in pairs]
+        # nodes sharing a cell form one block of consecutive indices, ordered
+        # by (cell, id); they also share one Cell object, so per-node cell
+        # reads hit a few hot objects
+        by_cell: dict[Cell, list[str]] = {}
+        for nid, c in nodes:
+            by_cell.setdefault(c, []).append(nid)
+        order = sorted(by_cell, key=cell_sort_key)
+        self.ids: list[str] = [nid for c in order for nid in sorted(by_cell[c])]
+        self.cells: list[Cell] = [c for c in order for _ in by_cell[c]]
         if len(set(self.ids)) != len(self.ids):
             raise CosheafError("duplicate node ids")
         self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
-
-        # nodes sharing a cell form one block of consecutive indices; they also
-        # share one Cell object, so per-node cell reads hit a few hot objects
         self.nodes_at: dict[Cell, list[int]] = {}
         for i, c in enumerate(self.cells):
             self.nodes_at.setdefault(c, []).append(i)
-        for c in self.nodes_at:
+        for c in order:
             grid.check_cell(c)
-        self.cells = [c for c, block in self.nodes_at.items() for _ in block]
 
         self.adj: list[list[int]] = [[] for _ in self.ids]
         # stored face images, one row per (cell, face cell) pair: the first linked
@@ -93,9 +95,9 @@ class CosheafGraph:
         self._links: dict[tuple[Cell, Cell], list[int | None]] = {}
         self._raw_links: list[tuple[int, int]] = []
         for child, parent in links:
-            if child not in self.index or parent not in self.index:
+            ci, pi = self.index.get(child), self.index.get(parent)
+            if ci is None or pi is None:
                 raise CosheafError(f"link ({child!r}, {parent!r}) names unknown node")
-            ci, pi = self.index[child], self.index[parent]
             self._raw_links.append((ci, pi))
             self.adj[ci].append(pi)
             self.adj[pi].append(ci)
@@ -322,46 +324,77 @@ def validate(F: CosheafGraph) -> list[str]:
     Rules: links point from a cell to a proper codimension-1 face of it; one
     link per (node, face cell); a node must have a face image at every
     occupied proper face of its cell; derived images along different
-    descent orders must agree.
+    descent orders must agree.  Link violations are reported alone.
+
+    The checks run per block of nodes sharing a cell, on whole face rows
+    from _links.  Links are checked one by one only when the rows of proper
+    codimension-1 faces do not hold every link, i.e. some link goes
+    elsewhere or repeats a (node, face cell) pair.  Messages come in link
+    order, then node order, as a per-node pass would give them.
     """
     out: list[str] = []
+    filled = 0  # slots of proper codimension-1 rows that hold a link
+    for c, block in F.nodes_at.items():
+        co = c.coords
+        # codimension-1 faces: one open interval closed down to either end
+        mids = [Cell(co[:a] + (m + e,) + co[a + 1:])
+                for a, m in enumerate(co) if m % 2 for e in (-1, 1)]
+        failed: dict[Cell, list[set[int]]] = {}
+        for f in mids:
+            if f not in F.nodes_at:
+                continue
+            row = F._links.get((c, f))
+            if row is None:
+                failed[f] = [set() for _ in block]
+                continue
+            missing = row.count(None)
+            filled += len(row) - missing
+            if missing:
+                failed[f] = [set() if j is None else {j} for j in row]
+        # deeper faces, from cells of dimension 2 up
+        for f in faces(c).difference(mids) if len(mids) > 2 else ():
+            if f not in F.nodes_at:
+                continue
+            images: list[set[int]] = [set() for _ in block]
+            for mid in mids:
+                row = F._links.get((c, mid))
+                if row is None or not is_face(f, mid):
+                    continue
+                img = F._face_images(mid, f)
+                m0 = F.nodes_at[mid][0]
+                for s, j in enumerate(row):
+                    if j is not None and img[j - m0] is not None:
+                        images[s].add(img[j - m0])
+            if any(len(x) != 1 for x in images):
+                failed[f] = images
+        if not failed:
+            continue
+        order = sorted(failed, key=cell_sort_key)
+        for s, i in enumerate(block):
+            for f in order:
+                images = failed[f]
+                if not images[s]:
+                    out.append(f"missing face image: node {F.ids[i]} has no image at occupied face {f!r}")
+                elif len(images[s]) > 1:
+                    names = sorted(F.ids[k] for k in images[s])
+                    out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")
+    if filled == len(F._raw_links):
+        return out
+
+    # some link is not to a proper codimension-1 face, or repeats a (node, face cell) pair
+    out = []
     seen: set[tuple[int, Cell]] = set()
     for ci, pi in F._raw_links:
         child, parent = F.ids[ci], F.ids[pi]
         cc, pc = F.cells[ci], F.cells[pi]
         if not (is_face(pc, cc) and pc != cc):
             out.append(f"wrong direction: link ({child}, {parent}) does not go to a proper face")
-            continue
-        if pc.dim != cc.dim - 1:
+        elif pc.dim != cc.dim - 1:
             out.append(f"link skips dimensions: ({child}, {parent}) is not codimension-1")
-            continue
-        key = (ci, pc)
-        if key in seen:
+        elif (ci, pc) in seen:
             out.append(f"duplicate face image: node {child} has several links at {pc!r}")
-        seen.add(key)
-    if out:
-        return out
-
-    for i, c in enumerate(F.cells):
-        for f in sorted(faces(c), key=cell_sort_key):
-            if not F.nodes_at.get(f):
-                continue
-            images = set()
-            if f.dim == c.dim - 1:
-                j = F._link(i, f)
-                if j is not None:
-                    images.add(j)
-            else:
-                for mid, j in F._codim1_links(i):
-                    if is_face(f, mid):
-                        k = F._face_image_idx(j, f)
-                        if k is not None:
-                            images.add(k)
-            if not images:
-                out.append(f"missing face image: node {F.ids[i]} has no image at occupied face {f!r}")
-            elif len(images) > 1:
-                names = sorted(F.ids[k] for k in images)
-                out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")
+        else:
+            seen.add((ci, pc))
     return out
 
 
@@ -437,9 +470,15 @@ def to_json(F: CosheafGraph) -> str:
 
 def from_json_obj(obj: dict) -> CosheafGraph:
     grid = GridSpec.from_wire(obj["grid"])
-    nodes = [(n["id"], cell_from_wire(n["cell"], grid)) for n in obj["nodes"]]
-    links = [(a, b) for a, b in obj.get("links", [])]
-    return CosheafGraph(grid, nodes, links)
+    # files list nodes cell by cell, so a run of equal wire cells is parsed
+    # once; the constructor checks each distinct cell against the grid
+    nodes: list[tuple[str, Cell]] = []
+    wire = c = None
+    for n in obj["nodes"]:
+        if c is None or n["cell"] != wire:
+            wire, c = n["cell"], cell_from_wire(n["cell"])
+        nodes.append((n["id"], c))
+    return CosheafGraph(grid, nodes, obj.get("links", []))
 
 
 def from_json(text: str) -> CosheafGraph:

@@ -105,9 +105,8 @@ class GridSpec:
             raise ValueError("delta must be positive")
 
     def contains(self, c: Cell) -> bool:
-        if len(c.coords) != self.d:
-            return False
-        return all(-2 * self.L <= m <= 2 * self.L for m in c.coords)
+        co = c.coords
+        return len(co) == self.d and -2 * self.L <= min(co) and max(co) <= 2 * self.L
 
     def check_cell(self, c: Cell) -> Cell:
         if not self.contains(c):

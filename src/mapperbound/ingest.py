@@ -1,12 +1,17 @@
 """Build a cosheaf graph from piecewise-linear input data f: X -> R^d.
 
 The input is a geometric graph: vertices carrying d-vectors, edges mapped by
-linear interpolation of their endpoint values.  Construction: every edge is
-subdivided at each crossing of a grid hyperplane {x_a = l*delta}; each
-resulting piece (open subsegment or point) is assigned the unique cell
-containing its interior; then for each cell sigma a disjoint-set union over
-the pieces carried inside the star of sigma yields the elements, and the
-inclusion-induced maps fall out of component containment.
+linear interpolation of their endpoint values.  Construction takes one pass
+per edge and one per cell.  Each edge is cut at every crossing of a grid
+hyperplane {x_a = l*delta}, and a walk over its cuts in order of the edge
+parameter gives every piece (open subsegment or point) its carrier, the
+unique cell containing it: a cut on axis a at level l is a point with
+doubled coordinate 2l on that axis, the segment after it gets 2l +- 1 by
+direction, and cuts on several axes at one parameter are one point.  Then
+for each cell sigma a disjoint-set union over the pieces carried inside the
+star of sigma, joined only by the chain adjacencies bucketed under sigma,
+yields the elements, and the inclusion-induced maps fall out of component
+containment.
 
 Generic position is not assumed.  Values sitting exactly on grid hyperplanes
 get degenerate carrier coordinates, and an edge lying inside a hyperplane is
@@ -23,7 +28,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cosheaf import CosheafGraph
-from .grid import Cell, GridSpec, cell_sort_key, faces, star, star_box
+# star is unused here but stays importable: the benchmark's tracer wraps it
+from .grid import Cell, GridSpec, cell_sort_key, star  # noqa: F401
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class IngestError(ValueError):
@@ -111,22 +119,6 @@ def fit_grid(graphs: Sequence[GeometricGraph], delta: float) -> GridSpec:
     return GridSpec(d=dims.pop(), delta=float(delta), L=max(1, L))
 
 
-def _carrier(val: tuple[Fraction, ...], dfrac: Fraction) -> Cell:
-    coords = []
-    for x in val:
-        q = x / dfrac
-        fl = q.numerator // q.denominator
-        coords.append(2 * fl if q == fl else 2 * fl + 1)
-    return Cell(tuple(coords))
-
-
-@dataclass
-class _Piece:
-    carrier: Cell
-    kind: str  # "vertex" | "point" | "segment"
-    where: tuple
-
-
 @dataclass
 class MapperBuild:
     """A built cosheaf plus enough provenance to locate elements by geometry."""
@@ -165,30 +157,14 @@ class MapperBuild:
         raise IngestError(f"parameter {t} outside [0, 1]")
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _root(up: dict[int, int], x: int) -> int:
+    """The root of x in a union-find forest where pieces absent from `up` are
+    roots; halves the path on the way."""
+    while x in up:
+        p = up[x]
+        up[x] = p = up.get(p, p)
+        x = p
+    return x
 
 
 def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
@@ -202,117 +178,99 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
         if any(abs(x) > bound for x in val):
             raise IngestError(f"vertex {vid!r} has a value outside the grid box")
 
-    pieces: list[_Piece] = []
+    # pieces are the vertices by id, then each edge's segments and cut points
+    # in order along it; carrier[p] is the doubled coordinates of p's cell
+    carrier: list[tuple[int, ...]] = []
+    scaled: dict[str, tuple[Fraction, ...]] = {}
     vertex_piece: dict[str, int] = {}
     for vid in sorted(values):
-        vertex_piece[vid] = len(pieces)
-        pieces.append(_Piece(_carrier(values[vid], dfrac), "vertex", (vid,)))
+        q = scaled[vid] = tuple(x / dfrac for x in values[vid])
+        vertex_piece[vid] = len(carrier)
+        carrier.append(tuple(2 * (x.numerator // x.denominator) + (x.denominator != 1)
+                             for x in q))
 
-    # chains[eidx] = piece ids in order along the edge, endpoints included
-    chains: list[list[int]] = []
+    # each chain adjacency joins a segment and its end point, so both lie over
+    # the star of exactly the faces of the point's carrier: bucket it there
+    joins: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     edge_chain: dict[tuple[str, str], list[tuple[Fraction, Fraction, int]]] = {}
-    for eidx, (u, v) in enumerate(g.edges):
-        uval, vval = values[u], values[v]
-        cuts: set[Fraction] = set()
-        for a in range(g.d):
-            lo, hi = uval[a], vval[a]
-            if lo == hi:
+    for u, v in g.edges:
+        pu, pv = vertex_piece[u], vertex_piece[v]
+        cur = list(carrier[pu])  # the carrier of the segment being walked
+        step = [0] * g.d
+        cuts: dict[Fraction, list[tuple[int, int]]] = {}
+        for a, (x, y) in enumerate(zip(scaled[u], scaled[v])):
+            nx, dx, ny, dy = x.numerator, x.denominator, y.numerator, y.denominator
+            den = ny * dx - nx * dy  # the level l is crossed at t = (l*dx - nx)*dy / den
+            if den == 0:
                 continue
-            step = hi - lo
-            l_lo = min(lo, hi) / dfrac
-            l_hi = max(lo, hi) / dfrac
-            first = l_lo.numerator // l_lo.denominator
-            last = l_hi.numerator // l_hi.denominator
-            for l in range(first, last + 1):
-                t = (l * dfrac - lo) / step
-                if 0 < t < 1:
-                    cuts.add(t)
-        ts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
-        chain = [vertex_piece[u]]
-        spans: list[tuple[Fraction, Fraction, int]] = [(Fraction(0), Fraction(0), vertex_piece[u])]
-        for i in range(len(ts) - 1):
-            t0, t1 = ts[i], ts[i + 1]
-            if t0 == t1:
-                continue
-            mid = (t0 + t1) / 2
-            mval = tuple(uval[a] + mid * (vval[a] - uval[a]) for a in range(g.d))
-            pid = len(pieces)
-            pieces.append(_Piece(_carrier(mval, dfrac), "segment", (eidx, t0, t1)))
-            chain.append(pid)
-            spans.append((t0, t1, pid))
-            if t1 != 1:
-                pval = tuple(uval[a] + t1 * (vval[a] - uval[a]) for a in range(g.d))
-                qid = len(pieces)
-                pieces.append(_Piece(_carrier(pval, dfrac), "point", (eidx, t1)))
-                chain.append(qid)
-                spans.append((t1, t1, qid))
-        chain.append(vertex_piece[v])
-        spans.append((Fraction(1), Fraction(1), vertex_piece[v]))
-        chains.append(chain)
+            s = step[a] = 1 if den > 0 else -1
+            if cur[a] % 2 == 0:
+                cur[a] += s  # a vertex on a hyperplane steps off it at t = 0
+            if s > 0:
+                levels = range(nx // dx + 1, -(-ny // dy))
+            else:
+                levels = range(-(-nx // dx) - 1, ny // dy, -1)
+            for l in levels:
+                cuts.setdefault(Fraction((l * dx - nx) * dy, den), []).append((a, l))
+        seg, t0 = len(carrier), _ZERO
+        carrier.append(tuple(cur))
+        spans = [(_ZERO, _ZERO, pu)]
+        joins.setdefault(carrier[pu], []).append((pu, seg))
+        for t in sorted(cuts):
+            # cuts on several axes at one t are one point piece
+            point = cur[:]
+            for a, l in cuts[t]:
+                point[a] = 2 * l
+                cur[a] = 2 * l + step[a]
+            carrier += (tuple(point), tuple(cur))
+            spans += ((t0, t, seg), (t, t, seg + 1))
+            joins.setdefault(carrier[seg + 1], []).extend(((seg, seg + 1), (seg + 1, seg + 2)))
+            seg, t0 = seg + 2, t
+        spans += ((t0, _ONE, seg), (_ONE, _ONE, pv))
+        joins.setdefault(carrier[pv], []).append((seg, pv))
         edge_chain.setdefault((u, v), spans)
         edge_chain.setdefault((v, u), spans)
 
-    by_carrier: dict[Cell, list[int]] = {}
-    for pid, p in enumerate(pieces):
-        by_carrier.setdefault(p.carrier, []).append(pid)
+    # the members over basic_open(c) are the pieces whose carrier has c as a face
+    by_carrier: dict[tuple[int, ...], list[int]] = {}
+    for p, c in enumerate(carrier):
+        by_carrier.setdefault(c, []).append(p)
+    members: dict[Cell, list[int]] = {}
+    pairs: dict[Cell, list[tuple[int, int]]] = {}
+    for c, ps in by_carrier.items():
+        js = joins.get(c)
+        for f in itertools.product(*((m,) if m % 2 == 0 else (m - 1, m, m + 1) for m in c)):
+            f = Cell(f)
+            members.setdefault(f, []).extend(ps)
+            if js:
+                pairs.setdefault(f, []).extend(js)
 
-    # every cell with a piece anywhere in its star gets elements
-    occupied: set[Cell] = set()
-    for c in by_carrier:
-        occupied.add(c)
-        occupied.update(faces(c))
-    occupied_sorted = sorted(occupied, key=cell_sort_key)
-
-    adjacency: list[tuple[int, int]] = []
-    for chain in chains:
-        for a, b in zip(chain, chain[1:]):
-            adjacency.append((a, b))
-
+    # faces sort before their cofaces, so each cell's faces are numbered first
     nodes: list[tuple[str, Cell]] = []
     links: list[tuple[str, str]] = []
     piece_node: dict[tuple[Cell, int], str] = {}
-    root_node: dict[tuple[Cell, int], str] = {}
-
-    def _token(c: Cell) -> str:
-        return ",".join(str(l) if k == "deg" else f"{l}+" for k, l in c.intervals())
-
-    for c in occupied_sorted:
-        member: set[int] = set()
-        for t in itertools.product(*star_box(grid, c, 0)):
-            member.update(by_carrier.get(Cell(t), ()))
-        if not member:
-            continue
-        uf = _UnionFind()
-        for pid in member:
-            uf.add(pid)
-        for a, b in adjacency:
-            if a in member and b in member:
-                uf.union(a, b)
-        comp_min: dict[int, int] = {}
-        for pid in sorted(member):
-            r = uf.find(pid)
-            comp_min.setdefault(r, pid)
-        ordered_roots = sorted(comp_min, key=lambda r: comp_min[r])
-        for k, r in enumerate(ordered_roots):
-            nid = f"{_token(c)}#{k}"
-            nodes.append((nid, c))
-            root_node[(c, r)] = nid
-        for pid in member:
-            piece_node[(c, pid)] = root_node[(c, uf.find(pid))]
-
-    # codimension-1 links follow component containment: every piece of a node
-    # at c is also a member over each face of c, so one lookup per node suffices
-    rep_piece: dict[str, int] = {}
-    for (c, pid), nid in sorted(piece_node.items(), key=lambda kv: (cell_sort_key(kv[0][0]), kv[0][1])):
-        rep_piece.setdefault(nid, pid)
-    for nid, c in nodes:
-        pid = rep_piece[nid]
-        for f in faces(c):
-            if f.dim != c.dim - 1:
-                continue
-            target = piece_node.get((f, pid))
-            if target is not None:
-                links.append((nid, target))
+    for c in sorted(members, key=cell_sort_key):
+        up: dict[int, int] = {}
+        for a, b in pairs.get(c, ()):
+            a, b = _root(up, a), _root(up, b)
+            if a != b:
+                up[max(a, b)] = min(a, b)  # a component's root stays its least piece
+        token = ",".join(str(m >> 1) if m % 2 == 0 else f"{m >> 1}+" for m in c.coords)
+        node_of: dict[int, str] = {}
+        for p in sorted(members[c]):
+            r = _root(up, p)
+            nid = node_of.get(r)
+            if nid is None:
+                nid = node_of[r] = f"{token}#{len(node_of)}"
+                nodes.append((nid, c))
+            piece_node[(c, p)] = nid
+        # every piece of a node lies over each face too: its least piece finds the image
+        co = c.coords
+        for a, m in enumerate(co):
+            if m % 2:
+                for e in (m - 1, m + 1):
+                    f = Cell(co[:a] + (e,) + co[a + 1:])
+                    links += ((nid, piece_node[(f, r)]) for r, nid in node_of.items())
 
     graph = CosheafGraph(grid, nodes, links)
     return MapperBuild(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,40 @@ def test_bound_invalid_assignment_exits_2(bound_bundle, workdir, capsys):
     rc, stdout, _ = run(capsys, ["bound", "--f", f, "--g", g, "--assignment", m])
     assert rc == 2
     assert json.loads(stdout)["violations"]
+
+
+@pytest.fixture()
+def doubled_link(bound_bundle, workdir):
+    """A copy of F.json in which one node has a second link at a face cell."""
+    f, _, _ = bound_bundle
+    obj = json.loads(Path(f).read_text())
+    cell_of = {n["id"]: n["cell"] for n in obj["nodes"]}
+    child, parent = next(
+        (c, p) for c, p in obj["links"]
+        if sum(cell == cell_of[p] for cell in cell_of.values()) > 1)
+    other = next(n for n, cell in cell_of.items() if cell == cell_of[parent] and n != parent)
+    obj["links"].append([child, other])
+    return write(workdir / "bad.json", json.dumps(obj)), child
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--f", "BAD", "--g", "G", "--assignment", "A"],
+    ["check", "--f", "G", "--g", "BAD", "--assignment", "A", "--k", "1"],
+    ["oracle", "--mode", "exact", "--f", "BAD", "--g", "G", "--cap", "20", "--n-max", "3"],
+    ["oracle", "--mode", "full-loss", "--f", "G", "--g", "BAD", "--assignment", "A"],
+    ["export-dot", "--f", "BAD"],
+], ids=["bound", "check", "oracle-exact", "oracle-full-loss", "export-dot"])
+def test_invalid_cosheaf_exits_2_with_violations(argv, bound_bundle, doubled_link, capsys):
+    _, g, m = bound_bundle
+    bad, child = doubled_link
+    files = {"BAD": bad, "G": g, "A": m}
+    rc, stdout, err = run(capsys, [files.get(x, x) for x in argv])
+    assert rc == 2 and err == ""
+    assert stdout.count("\n") == 1
+    got = json.loads(stdout)
+    assert got["error"] == f"invalid cosheaf {bad}"
+    assert len(got["violations"]) == 1
+    assert got["violations"][0].startswith(f"duplicate face image: node {child} ")
 
 
 # -- check ----------------------------------------------------------------------------

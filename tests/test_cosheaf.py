@@ -22,7 +22,7 @@ from mapperbound import (
 )
 from mapperbound.assignment import AssignmentError
 from mapperbound.cosheaf import CosheafError, from_json, to_dot, to_json
-from mapperbound.grid import all_cells, basic_open, cell, thicken
+from mapperbound.grid import all_cells, basic_open, cell, cell_sort_key, faces, is_face, thicken
 from mapperbound.ingest import build
 
 from conftest import random_geometric
@@ -352,3 +352,83 @@ def test_connected_input_gives_connected_cosheaf():
         F = build(g, grid).graph
         lab = F.set_at(frozenset(all_cells(grid)))
         assert lab.component_count == 1
+
+
+def _per_node_validate(F: CosheafGraph) -> list[str]:
+    """The reference formulation of validate: one verdict per link, then
+    every occupied face of every node, one descent at a time."""
+    out: list[str] = []
+    seen = set()
+    for ci, pi in F._raw_links:
+        child, parent = F.ids[ci], F.ids[pi]
+        cc, pc = F.cells[ci], F.cells[pi]
+        if not (is_face(pc, cc) and pc != cc):
+            out.append(f"wrong direction: link ({child}, {parent}) does not go to a proper face")
+            continue
+        if pc.dim != cc.dim - 1:
+            out.append(f"link skips dimensions: ({child}, {parent}) is not codimension-1")
+            continue
+        if (ci, pc) in seen:
+            out.append(f"duplicate face image: node {child} has several links at {pc!r}")
+        seen.add((ci, pc))
+    if out:
+        return out
+    for i, c in enumerate(F.cells):
+        for f in sorted(faces(c), key=cell_sort_key):
+            if not F.nodes_at.get(f):
+                continue
+            images = set()
+            if f.dim == c.dim - 1:
+                j = F._link(i, f)
+                if j is not None:
+                    images.add(j)
+            else:
+                for mid, j in F._codim1_links(i):
+                    if is_face(f, mid):
+                        k = F._face_image_idx(j, f)
+                        if k is not None:
+                            images.add(k)
+            if not images:
+                out.append(f"missing face image: node {F.ids[i]} has no image at occupied face {f!r}")
+            elif len(images) > 1:
+                names = sorted(F.ids[k] for k in images)
+                out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")
+    return out
+
+
+def test_validate_matches_the_per_node_formulation_on_corrupted_cosheaves():
+    rng = random.Random(53)
+    kinds = {"missing": 0, "incompatible": 0, "duplicate": 0, "wrong": 0, "link": 0}
+    for trial in range(120):
+        d = rng.choice([1, 2, 2, 3])
+        g = random_geometric(rng, "k", rng.randint(2, 4), d=d, denom=rng.choice([2, 10]),
+                             spread=6, extra_edges=rng.randint(0, 1))
+        F = build(g, fit_grid([g], 1.0)).graph
+        nodes = list(zip(F.ids, F.cells))
+        links = [[F.ids[a], F.ids[b]] for a, b in F._raw_links]
+        for _ in range(rng.randint(1, 3)):
+            move = rng.random()
+            if move < 0.3 and links:
+                links.pop(rng.randrange(len(links)))
+            elif move < 0.7 and links:
+                # point a link at another node of the same face cell
+                link = rng.choice(links)
+                link[1] = rng.choice(F.elements_of(F.cell_of(link[1])))
+            elif move < 0.85 and links:
+                links.append(list(rng.choice(links)))
+            elif move < 0.93:
+                links.append([rng.choice(F.ids), rng.choice(F.ids)])
+            else:
+                # a link two dimensions down, where the graph has one
+                deep = [(x, y) for x in F.ids for y in F.ids
+                        if F.cell_of(y).dim < F.cell_of(x).dim - 1
+                        and is_face(F.cell_of(y), F.cell_of(x))]
+                if deep:
+                    links.append(list(rng.choice(deep)))
+        rng.shuffle(links)
+        bad = CosheafGraph(F.grid, nodes, [tuple(x) for x in links])
+        want = _per_node_validate(bad)
+        assert validate(bad) == want, trial
+        for m in want:
+            kinds[m.split()[0].rstrip(":")] += 1
+    assert all(kinds.values()), kinds

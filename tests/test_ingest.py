@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from mapperbound import GeometricGraph, GridSpec, fit_grid, validate, vertex_cell, edge_cell
-from mapperbound.grid import basic_open, thicken
-from mapperbound.ingest import IngestError, build, build_cosheaf, graph_to_json
+from mapperbound import (
+    CosheafGraph, GeometricGraph, GridSpec, fit_grid, validate, vertex_cell, edge_cell)
+from mapperbound.cosheaf import _cell_token, to_json
+from mapperbound.grid import Cell, basic_open, cell_sort_key, closure, faces, is_face, thicken
+from mapperbound.ingest import IngestError, MapperBuild, build, build_cosheaf, graph_to_json
 from mapperbound.oracle import geometric_pi0
 
 from conftest import LISTING_EDGES, LISTING_HEIGHTS, listing_graph, random_geometric
@@ -231,3 +234,136 @@ def test_build_rejects_dimension_mismatch():
     g = one_vertex(0)
     with pytest.raises(IngestError):
         build(g, GridSpec(2, 1.0, 1))
+
+
+# -- the walk over each edge's cuts against midpoint subdivision ---------------------------
+
+
+def _midpoint_build(g: GeometricGraph, grid: GridSpec):
+    """The reference construction: each piece's carrier from an exact point
+    inside it (a segment's midpoint), members from a scan of every piece and
+    gluing from a scan of every chain adjacency, per occupied cell.  Returns
+    (nodes, links, piece_node, vertex_piece, edge_chain)."""
+    dfrac = Fraction(str(grid.delta))
+
+    def carrier(val) -> Cell:
+        return Cell(tuple(2 * math.floor(x / dfrac) + (x / dfrac != math.floor(x / dfrac))
+                          for x in val))
+
+    values = g.vertices
+    pieces: list[Cell] = []
+    vertex_piece: dict[str, int] = {}
+    for vid in sorted(values):
+        vertex_piece[vid] = len(pieces)
+        pieces.append(carrier(values[vid]))
+    adjacency, edge_chain = [], {}
+    for u, v in g.edges:
+        uval, vval = values[u], values[v]
+
+        def at(t):
+            return tuple(x + t * (y - x) for x, y in zip(uval, vval))
+
+        cuts = set()
+        for x, y in zip(uval, vval):
+            if x != y:
+                for l in range(math.floor(min(x, y) / dfrac), math.floor(max(x, y) / dfrac) + 1):
+                    t = (l * dfrac - x) / (y - x)
+                    if 0 < t < 1:
+                        cuts.add(t)
+        ts = [Fraction(0)] + sorted(cuts) + [Fraction(1)]
+        chain = [vertex_piece[u]]
+        spans = [(ts[0], ts[0], vertex_piece[u])]
+        for t0, t1 in zip(ts, ts[1:]):
+            chain.append(len(pieces))
+            spans.append((t0, t1, len(pieces)))
+            pieces.append(carrier(at((t0 + t1) / 2)))
+            if t1 != 1:
+                chain.append(len(pieces))
+                spans.append((t1, t1, len(pieces)))
+                pieces.append(carrier(at(t1)))
+        chain.append(vertex_piece[v])
+        spans.append((ts[-1], ts[-1], vertex_piece[v]))
+        adjacency += zip(chain, chain[1:])
+        edge_chain.setdefault((u, v), spans)
+        edge_chain.setdefault((v, u), spans)
+
+    nodes, links, piece_node = [], [], {}
+    for c in sorted(closure(pieces), key=cell_sort_key):
+        member = [p for p, pc in enumerate(pieces) if is_face(c, pc)]
+        comp = {p: p for p in member}
+        changed = True
+        while changed:  # propagate the least piece id along adjacencies
+            changed = False
+            for a, b in adjacency:
+                if a in comp and b in comp and comp[a] != comp[b]:
+                    comp[a] = comp[b] = min(comp[a], comp[b])
+                    changed = True
+        for k, root in enumerate(sorted(set(comp.values()))):
+            nid = f"{_cell_token(c)}#{k}"
+            nodes.append((nid, c))
+            for p in member:
+                if comp[p] == root:
+                    piece_node[(c, p)] = nid
+            for f in faces(c):
+                if f.dim == c.dim - 1:
+                    links.append((nid, piece_node[(f, root)]))
+    return nodes, links, piece_node, vertex_piece, edge_chain
+
+
+def _degenerate_extras(rng: random.Random, g: GeometricGraph) -> GeometricGraph:
+    """g plus a zero-length edge, a parallel edge and a reversed duplicate."""
+    verts = dict(g.vertices)
+    edges = list(g.edges)
+    src = rng.choice(sorted(verts))
+    verts["twin"] = verts[src]
+    edges.append((src, "twin"))
+    u, v = rng.choice(g.edges)
+    edges += [(u, v), (v, u)]
+    rng.shuffle(edges)
+    return GeometricGraph(d=g.d, vertices=verts, edges=edges)
+
+
+def _lookup(fn, *args):
+    try:
+        return fn(*args)
+    except IngestError as exc:
+        return f"IngestError: {exc}"
+
+
+def test_walk_matches_midpoint_subdivision():
+    rng = random.Random(41)
+    for trial, d in enumerate([1] * 30 + [2] * 20 + [3] * 8):
+        # denominators of 1 and 2 put values, and whole edges, on hyperplanes
+        denom = rng.choice([1, 2, 3, 10])
+        g = random_geometric(rng, "w", rng.randint(2, 7 if d < 3 else 4), d=d, denom=denom,
+                             spread=3 * denom, extra_edges=rng.randint(0, 2))
+        g = _degenerate_extras(rng, g)
+        grid = fit_grid([g], rng.choice([1.0, 0.5]))
+        peak = max(abs(x) for val in g.vertices.values() for x in val)
+        if grid.L > 1 and peak == (grid.L - 1) * Fraction(str(grid.delta)) and rng.random() < 0.5:
+            # a vertex on the boundary of the box
+            grid = GridSpec(d, grid.delta, grid.L - 1)
+        got = build(g, grid)
+        nodes, links, piece_node, vertex_piece, edge_chain = _midpoint_build(g, grid)
+        where = (trial, d, denom)
+        assert to_json(got.graph) == to_json(CosheafGraph(grid, nodes, links)), where
+        assert got._piece_node == piece_node, where
+        assert got._vertex_piece == vertex_piece, where
+        assert got._edge_chain == edge_chain, where
+
+        # each piece is queried over every cell it lies over, and over one random cell
+        ref = MapperBuild(graph=got.graph, source=g, grid=grid, _piece_node=piece_node,
+                          _vertex_piece=vertex_piece, _edge_chain=edge_chain)
+        over: dict[int, list[Cell]] = {}
+        for c, p in piece_node:
+            over.setdefault(p, []).append(c)
+        occupied = got.graph.occupied_cells()
+        for vid, p in vertex_piece.items():
+            for c in over[p] + [rng.choice(occupied)]:
+                assert _lookup(got.node_of_vertex, c, vid) == _lookup(ref.node_of_vertex, c, vid)
+        for e, spans in edge_chain.items():
+            for lo, hi, p in spans:
+                t = (lo + hi) / 2
+                for c in over[p] + [rng.choice(occupied)]:
+                    assert _lookup(got.node_on_edge, c, e, t) == \
+                        _lookup(ref.node_on_edge, c, e, t), (where, e, t, c)
