@@ -15,9 +15,11 @@ phrased as "do these two nodes share a component of a given slice":
       of F at sigma;
   triangle up: mirror in G.
 
-The basis loss L_B is the least slack making every family pass; monotone
-merging of slice components makes a binary search over the slack sound.  The
-certified bound is n + L_B, and for d = 1 the scaled quantity
+Each diagram passes from some least slack on: slice components only merge as
+the radius grows, so it is read off the merge radius r of its two chased nodes,
+r - n for a parallelogram and ceil((r - 2n) / 2) for a triangle, floored at 0.
+The basis loss L_B is the largest of these slacks, the least one making every
+family pass.  The certified bound is n + L_B, and for d = 1 the scaled quantity
 delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
 """
 
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from .cosheaf import INFINITE, CosheafGraph, fmt_extended
 from .grid import Cell, cell_sort_key, cell_to_wire, faces, star_box, thicken
@@ -254,7 +255,7 @@ def check_triangle_up(
 
 @dataclass
 class _Instance:
-    """Face-pair enumeration for one (F, G) pair, reused across slack values."""
+    """Face-pair enumeration for one (F, G) pair and its resolved pointer maps."""
 
     F: CosheafGraph
     G: CosheafGraph
@@ -289,141 +290,114 @@ def _prepare(F: CosheafGraph, G: CosheafGraph,
     return _Instance(F, G, phi, psi, centers, left, right, tri_down, tri_up)
 
 
-def _center_report(
-    inst: _Instance, a: Assignment, sigma: Cell, k: int, collect: bool
-) -> list[Witness]:
-    """All failing diagrams centered at sigma for slack k (first one only
-    unless collecting)."""
+def _diagrams(inst: _Instance, sigma: Cell):
+    """The basis diagrams centered at sigma as flat lists, one entry per family
+    and tau in KIND_ORDER: (kind, step, tau, src, xs, dst, us, vs), tau None
+    for a triangle.  The diagram of element xs[i] of src passes at slack k iff
+    nodes us[i] and vs[i] share a component of dst's slice at sigma of radius
+    step * (n + k)."""
     F, G, phi, psi = inst.F, inst.G, inst.phi, inst.psi
-    n = a.n
+    for kind, src, dst, ptr, pairs in (("parallelogram_left", F, G, phi, inst.left_pairs),
+                                       ("parallelogram_right", G, F, psi, inst.right_pairs)):
+        for tau in pairs.get(sigma, ()):
+            xs, fs = src.nodes_at[tau], src._face_images(tau, sigma)
+            if None in fs:
+                raise AssignmentError(f"cosheaf is missing the face image of "
+                                      f"{src.ids[xs[fs.index(None)]]!r} at {sigma!r}")
+            yield kind, 1, tau, src, xs, dst, [ptr[x] for x in xs], [ptr[f] for f in fs]
+    for kind, src, there, back, occupied in (("triangle_down", F, phi, psi, inst.tri_down),
+                                             ("triangle_up", G, psi, phi, inst.tri_up)):
+        if sigma in occupied:
+            xs = src.nodes_at[sigma]
+            yield kind, 2, None, src, xs, src, xs, [back[there[x]] for x in xs]
+
+
+def _slack(r, step: int, n: int):
+    """The least slack k >= 0 with r <= step * (n + k), for a merge radius r."""
+    return r if math.isinf(r) else max(0, -(-r // step) - n)
+
+
+def _loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
+             collect: bool) -> list[Witness]:
+    """The diagrams failing at slack k, center by center (the first one only
+    unless collecting).  Each distinct (graph, radius) slice of a center is
+    labelled once."""
+    if k < 0:
+        raise AssignmentError("slack k must be a natural number")
+    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
     bad: list[Witness] = []
-
-    taus = inst.left_pairs.get(sigma)
-    if taus:
-        lab = G.slice(sigma, n + k)._lab
-        for tau in taus:
-            for xi, xf in zip(F.nodes_at[tau], F._face_images(tau, sigma)):
-                if xf is None:
-                    raise AssignmentError(
-                        f"cosheaf is missing the face image of {F.ids[xi]!r} at {sigma!r}")
-                if lab[phi[xi]] != lab[phi[xf]]:
-                    bad.append(Witness("parallelogram_left", sigma, tau, F.ids[xi]))
+    for sigma in inst.centers:
+        labs: dict[tuple[CosheafGraph, int], list[int]] = {}
+        for kind, step, tau, src, xs, dst, us, vs in _diagrams(inst, sigma):
+            r = step * (a.n + k)
+            if (dst, r) not in labs:
+                labs[dst, r] = dst.slice(sigma, r)._lab
+            lab = labs[dst, r]
+            for x, u, v in zip(xs, us, vs):
+                if lab[u] != lab[v]:
+                    bad.append(Witness(kind, sigma, tau, src.ids[x]))
                     if not collect:
                         return bad
-    taus = inst.right_pairs.get(sigma)
-    if taus:
-        lab = F.slice(sigma, n + k)._lab
-        for tau in taus:
-            for yi, yf in zip(G.nodes_at[tau], G._face_images(tau, sigma)):
-                if yf is None:
-                    raise AssignmentError(
-                        f"cosheaf is missing the face image of {G.ids[yi]!r} at {sigma!r}")
-                if lab[psi[yi]] != lab[psi[yf]]:
-                    bad.append(Witness("parallelogram_right", sigma, tau, G.ids[yi]))
-                    if not collect:
-                        return bad
-    if sigma in inst.tri_down:
-        lab = F.slice(sigma, 2 * (n + k))._lab
-        for xi in F.nodes_at[sigma]:
-            if lab[xi] != lab[psi[phi[xi]]]:
-                bad.append(Witness("triangle_down", sigma, None, F.ids[xi]))
-                if not collect:
-                    return bad
-    if sigma in inst.tri_up:
-        lab = G.slice(sigma, 2 * (n + k))._lab
-        for yi in G.nodes_at[sigma]:
-            if lab[yi] != lab[phi[psi[yi]]]:
-                bad.append(Witness("triangle_up", sigma, None, G.ids[yi]))
-                if not collect:
-                    return bad
     return bad
 
 
-def _loss_at(inst: _Instance, a: Assignment, k: int, collect: bool, jobs: int) -> list[Witness]:
-    if jobs <= 1:
-        bad: list[Witness] = []
-        for sigma in inst.centers:
-            got = _center_report(inst, a, sigma, k, collect)
-            if got:
-                bad.extend(got)
-                if not collect:
-                    return bad
-        return bad
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        reports = pool.map(
-            lambda s: _center_report(inst, a, s, k, collect), inst.centers)
-        bad = [w for rep in reports for w in rep]
-    return bad
-
-
-def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int, jobs: int = 1) -> bool:
+def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int) -> bool:
     """True iff all four diagram families pass at slack k over every basis
     diagram: both parallelograms for every proper face pair, both triangles
     for every occupied cell."""
-    if k < 0:
-        raise AssignmentError("slack k must be a natural number")
-    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
-    return not _loss_at(inst, a, k, collect=False, jobs=jobs)
+    return not _loss_at(F, G, a, k, collect=False)
 
 
 def loss_report(
-    F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int, jobs: int = 1
+    F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int
 ) -> tuple[bool, list[Witness]]:
     """loss_at with the full witness listing (all failing diagrams at k)."""
-    if k < 0:
-        raise AssignmentError("slack k must be a natural number")
-    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
-    bad = sorted(_loss_at(inst, a, k, collect=True, jobs=jobs), key=Witness.sort_key)
+    bad = sorted(_loss_at(F, G, a, k, collect=True), key=Witness.sort_key)
     return (not bad, bad)
-
-
-def _cap(inst: _Instance) -> int:
-    cap = max((inst.F.saturation(sigma) for sigma in inst.centers), default=0)
-    assert cap <= 2 * inst.F.grid.L, "saturation exceeded the 2L search range"
-    return cap
 
 
 def saturation_cap(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> int:
     """Largest slack worth probing: past the saturation of every slice center
     thickening is a fixed point, so no check outcome can change."""
-    return _cap(_prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)))
+    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
+    return max((F.saturation(sigma) for sigma in inst.centers), default=0)
 
 
-def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment, jobs: int = 1) -> LossResult:
-    """L_B by binary search on the slack, the bound n + L_B, and witnesses.
+def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
+    """L_B, the bound n + L_B, and up to ten witnesses: the diagrams whose
+    slack is L_B (those failing at L_B - 1, or at every slack when L_B is
+    infinite), in Witness.sort_key order.
 
-    The search runs over [0, K] with K the maximum saturation step of any
-    slice center; if the checks still fail at K the loss is infinite, since
-    every slice is globally saturated there.
+    Each diagram's slack comes from the merge radius of its chased pair; one
+    merge_radii sweep per graph and center gives every pair at once.
     """
     phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
     problems = _violations(F, G, a, phi, psi)
     if problems:
         raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
     inst = _prepare(F, G, phi, psi)
-    cap = _cap(inst)
     grid = F.grid
-
-    def failing(k: int, collect: bool = False) -> list[Witness]:
-        return _loss_at(inst, a, k, collect=collect, jobs=jobs)
-
-    witnesses: list[Witness]
-    if failing(cap):
-        L_B: float | int = INFINITE
-        witnesses = sorted(failing(cap, collect=True), key=Witness.sort_key)[:10]
-    elif not failing(0):
-        L_B = 0
-        witnesses = []
-    else:
-        lo, hi = 0, cap  # failing(lo) nonempty, failing(hi) empty
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if failing(mid):
-                lo = mid
-            else:
-                hi = mid
-        L_B = hi
-        witnesses = sorted(failing(L_B - 1, collect=True), key=Witness.sort_key)[:10]
+    L_B: float | int = 0
+    worst: list[Witness] = []  # the diagrams whose slack is L_B, when positive
+    for sigma in inst.centers:
+        by_dst: dict[CosheafGraph, list[tuple]] = {}
+        for d in _diagrams(inst, sigma):
+            by_dst.setdefault(d[5], []).append(d)
+        for dst, diagrams in by_dst.items():
+            radii = dst.merge_radii(sigma, [u for d in diagrams for u in d[6]],
+                                    [v for d in diagrams for v in d[7]])
+            end = 0
+            for kind, step, tau, src, xs, *_ in diagrams:
+                seg = radii[end:end + len(xs)]
+                end += len(xs)
+                top = _slack(max(seg), step, a.n)
+                if top == 0 or top < L_B:
+                    continue
+                if top > L_B:
+                    L_B, worst = top, []
+                worst += [Witness(kind, sigma, tau, src.ids[x])
+                          for x, r in zip(xs, seg) if _slack(r, step, a.n) == top]
+    witnesses = sorted(worst, key=Witness.sort_key)[:10]
 
     bound = a.n + L_B
     rb = grid.delta * (a.n + L_B + 1) if grid.d == 1 else None

@@ -2,7 +2,8 @@
 
 Subcommands: ingest, bound, check, oracle, export-dot.  All JSON output is
 key-sorted and newline-terminated so fixtures diff cleanly; identical inputs
-produce byte-identical output regardless of --jobs.
+produce byte-identical output.  The --jobs flag of bound and check is parsed
+and ignored.
 
 Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
@@ -13,6 +14,7 @@ JSON line holding "error" and "violations".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -79,7 +81,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     G = _load_cosheaf(args.g)
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
     try:
-        result = asg.basis_loss(F, G, a, jobs=args.jobs)
+        result = asg.basis_loss(F, G, a)
     except asg.AssignmentError as exc:
         if not exc.violations:
             raise
@@ -95,7 +97,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     problems = asg.validate_assignment(F, G, a)
     if problems:
         raise _Invalid("invalid assignment", problems)
-    ok, witnesses = asg.loss_report(F, G, a, args.k, jobs=args.jobs)
+    ok, witnesses = asg.loss_report(F, G, a, args.k)
     _emit({"k": args.k, "pass": ok, "witnesses": [w.to_json_obj() for w in witnesses]})
     return 0 if ok else 1
 
@@ -164,6 +166,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mapperbound")
     sub = p.add_subparsers(dest="command", required=True)
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--f", required=True)
     q.add_argument("--g", required=True)
     q.add_argument("--assignment", required=True)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=int, default=1, help="ignored")
     q.set_defaults(func=cmd_bound)
 
     q = sub.add_parser("check", help="per-diagram pass/fail report at a fixed slack")
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--g", required=True)
     q.add_argument("--assignment", required=True)
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--jobs", type=int, default=1)
+    q.add_argument("--jobs", type=int, default=1, help="ignored")
     q.set_defaults(func=cmd_check)
 
     q = sub.add_parser("oracle", help="independent desk-scale verifiers")

@@ -14,6 +14,10 @@ slice even when cells of both endpoints would fit a naive index range.  For a
 thickened basic open the component count equals the cardinality of the image
 of the thickened set, which is what every diagram check consumes.
 
+Components only merge as the radius grows, so two nodes have a least radius
+at which they share a component: their merge radius, an ultrametric.  One
+merge_radii sweep gives it for many pairs; distance and diameter read it.
+
 Extended naturals are represented as plain ints with float("inf") as the top
 element; arithmetic saturates automatically.
 """
@@ -23,8 +27,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import threading
-from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -39,15 +41,12 @@ from .grid import (
     is_open,
     saturation_steps,
     star_box,
+    star_ring,
     star_saturation,
     thicken,
 )
 
 INFINITE = float("inf")
-
-# labelings bigger than this are not kept in the per-graph cache
-_CACHE_MEMBER_LIMIT = 5000
-_CACHE_MAX_ENTRIES = 256
 
 
 def fmt_extended(x) -> int | str:
@@ -89,7 +88,7 @@ class CosheafGraph:
         for c in order:
             grid.check_cell(c)
 
-        self.adj: list[list[int]] = [[] for _ in self.ids]
+        adj: list[list[int]] = [[] for _ in self.ids]
         # stored face images, one row per (cell, face cell) pair: the first linked
         # parent of each node over the cell, by position in its block, else None
         self._links: dict[tuple[Cell, Cell], list[int | None]] = {}
@@ -99,8 +98,8 @@ class CosheafGraph:
             if ci is None or pi is None:
                 raise CosheafError(f"link ({child!r}, {parent!r}) names unknown node")
             self._raw_links.append((ci, pi))
-            self.adj[ci].append(pi)
-            self.adj[pi].append(ci)
+            adj[ci].append(pi)
+            adj[pi].append(ci)
             key = (self.cells[ci], self.cells[pi])
             block = self.nodes_at[key[0]]
             row = self._links.get(key)
@@ -109,11 +108,13 @@ class CosheafGraph:
             if row[ci - block[0]] is None:
                 row[ci - block[0]] = pi
         self._raw_links.sort()
-        for a in self.adj:
+        for a in adj:
             a.sort()
+        # a tuple holds its items inline: one pointer hop fewer per row read in
+        # the slice walks, which shows once a graph outgrows the CPU caches
+        self.adj: list[tuple[int, ...]] = list(map(tuple, adj))
 
-        self._slice_cache: OrderedDict[tuple[Cell, int], "SliceLabeling"] = OrderedDict()
-        self._cache_lock = threading.Lock()
+        # the saturated slice: the whole graph, labelled once
         self._full: tuple[list[int], list[int], int] | None = None
 
     # -- basic queries ------------------------------------------------------
@@ -237,32 +238,65 @@ class CosheafGraph:
             raise ValueError("radius must be a natural number")
         sat = self.saturation(center)
         radius = min(radius, sat)
-        key = (center, radius)
-        with self._cache_lock:
-            hit = self._slice_cache.get(key)
-            if hit is not None:
-                self._slice_cache.move_to_end(key)
-                return hit
         if radius == sat:
-            # a saturated slice is the whole complex: label it once, share it
-            with self._cache_lock:
-                full = self._full
-            if full is None:
-                full = self._label(self.nodes_at)
-                with self._cache_lock:
-                    self._full = full
-            lab, members, count = full
+            if self._full is None:
+                self._full = self._label(self.nodes_at)
+            lab, members, count = self._full
         else:
             box = star_box(self.grid, center, radius)
             lab, members, count = self._label(Cell(t) for t in itertools.product(*box))
-        sl = SliceLabeling(graph=self, center=center, radius=radius,
-                           component_count=count, _lab=lab, _members=members)
-        if len(members) <= _CACHE_MEMBER_LIMIT:
-            with self._cache_lock:
-                self._slice_cache[key] = sl
-                while len(self._slice_cache) > _CACHE_MAX_ENTRIES:
-                    self._slice_cache.popitem(last=False)
-        return sl
+        return SliceLabeling(graph=self, center=center, radius=radius,
+                             component_count=count, _lab=lab, _members=members)
+
+    def merge_radii(self, center: Cell, us: list[int], vs: list[int]) -> list:
+        """For each pair of node indices (us[p], vs[p]): the least radius at
+        which both lie in one component of the slice at `center`, INFINITE if
+        they are still apart at saturation.  A node paired with itself merges
+        at 0.
+
+        One sweep adds the slice's nodes ring by ring (ring r holds the cells
+        of star_box(r) that are not in star_box(r - 1)) to a union-find, and
+        stops once every pair has merged."""
+        out: list = [0 if u == v else INFINITE for u, v in zip(us, vs)]
+        pending = [p for p, r in enumerate(out) if r]
+        if not pending:
+            return out
+        rings: list[list[list[int]]] = [[] for _ in range(self.saturation(center) + 1)]
+        for c, block in self.nodes_at.items():
+            rings[star_ring(center, c)].append(block)
+        parent = [-1] * len(self.ids)  # union-find forest; -1 outside the slice
+        adj = self.adj
+        for r, blocks in enumerate(rings):
+            if not blocks:
+                continue
+            for block in blocks:
+                for i in block:
+                    parent[i] = root = i  # root of i's tree, which only this loop links
+                    for w in adj[i]:
+                        if parent[w] < 0:
+                            continue
+                        while parent[w] != w:
+                            parent[w] = w = parent[parent[w]]
+                        if w != root:
+                            parent[root] = root = w
+            still = []
+            for p in pending:
+                a, b = us[p], vs[p]
+                if parent[a] < 0 or parent[b] < 0:
+                    still.append(p)
+                    continue
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a == b:
+                    out[p] = r
+                else:
+                    still.append(p)
+            if not still:
+                break
+            pending = still
+        return out
 
     def set_at(self, cells: Iterable[Cell]) -> "SliceLabeling":
         """Components of the sub-object carried by an arbitrary open cell set;
@@ -313,9 +347,6 @@ class SliceLabeling:
         for i in self._members:
             seen.setdefault(self._lab[i], self.graph.ids[i])
         return [seen[k] for k in sorted(seen)]
-
-    def _component_of_idx(self, i: int) -> int:
-        return self._lab[i]
 
 
 def validate(F: CosheafGraph) -> list[str]:
@@ -404,49 +435,22 @@ def validate(F: CosheafGraph) -> list[str]:
 def distance(F: CosheafGraph, center: Cell, m: int, x: str, y: str):
     """Smallest k >= 0 such that x and y label the same component of the
     (m+k)-slice at `center`; INFINITE if they are still apart at saturation.
-
-    Components only ever merge as the radius grows, so the first merging
-    radius is found by doubling then bisecting.
-    """
-    base = F.slice(center, m)
-    cx, cy = base.component_of(x), base.component_of(y)
-    if cx == cy:
-        return 0
-    sat = F.saturation(center)
-    k_max = max(0, sat - m)
-
-    def same(k: int) -> bool:
-        sl = F.slice(center, m + k)
-        return sl.component_of(x) == sl.component_of(y)
-
-    if k_max == 0 or not same(k_max):
-        return INFINITE
-    lo, hi = 0, 1
-    while hi < k_max and not same(hi):
-        lo, hi = hi, min(2 * hi, k_max)
-    # invariant: same(hi) holds, same(lo) fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if same(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    Both must be members of the m-slice.  This is their merge radius less m."""
+    F.grid.check_cell(center)
+    idx = [F.index.get(x), F.index.get(y)]
+    if None in idx or max(star_ring(center, F.cells[i]) for i in idx) > m:
+        raise CosheafError(f"{x!r} and {y!r} are not both members of this slice")
+    r = F.merge_radii(center, idx[:1], idx[1:])[0]
+    return r if math.isinf(r) else max(0, r - m)
 
 
 def diameter(F: CosheafGraph, center: Cell, m: int):
     """Largest pairwise distance between elements of the m-slice at `center`;
-    zero for an empty or singleton slice."""
-    reps = F.slice(center, m).representatives()
-    best = 0
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            d = distance(F, center, m, reps[i], reps[j])
-            if d > best:
-                best = d
-                if math.isinf(best):
-                    return best
-    return best
+    zero for an empty or singleton slice.  Merge radii are an ultrametric, so
+    the largest is the one from the first component to the farthest."""
+    reps = [F.index[nid] for nid in F.slice(center, m).representatives()]
+    r = max(F.merge_radii(center, reps[:1] * len(reps), reps), default=0)
+    return r if math.isinf(r) else max(0, r - m)
 
 
 # -- file format and DOT export -----------------------------------------------

@@ -12,9 +12,9 @@ cell is in the set, every cell having it as a face is too.  The star of a cell
 one-step thickening of an open set adds all faces of members and then all
 cofaces of members.  Everything here is a pure function on immutable values.
 
-The hot paths use the closed forms star_box and star_saturation (a thickened
-star is a box); the set algebra is their tested reference, still imported where
-the benchmark's tracer wraps it.
+The hot paths use the closed forms star_box, star_ring and star_saturation (a
+thickened star is a box); the set algebra is their tested reference, still
+imported where the benchmark's tracer wraps it.
 
 Interval encoding: each axis entry of a cell is a single integer m, where
 m = 2l encodes the grid point l*delta and m = 2l+1 encodes the open interval
@@ -263,6 +263,11 @@ def star_box(grid: GridSpec, c: Cell, r: int) -> list[range]:
     top = 2 * grid.L
     return [range(max(m - 2 * r - (m % 2 == 0), -top), min(m + 2 * r + (m % 2 == 0), top) + 1)
             for m in c.coords]
+
+
+def star_ring(c: Cell, t: Cell) -> int:
+    """The least r with t in star_box(grid, c, r): the ring of t around c."""
+    return max((abs(u - m) + (m & 1)) >> 1 for u, m in zip(t.coords, c.coords))
 
 
 def star_saturation(grid: GridSpec, c: Cell) -> int:

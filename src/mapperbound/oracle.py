@@ -4,8 +4,9 @@ Only the geometric recomputation (segment arithmetic over realized open sets)
 shares no code with the cosheaf module.  The full loss, over every open set of
 the Alexandroff topology, labels through CosheafGraph.set_at, and the exhaustive
 search over component-level basis assignments through CosheafGraph.slice; both
-run the CosheafGraph._label walk that basis_loss runs.  All enumerations
-enforce hard caps; exceeding a cap raises, never truncates.
+run the CosheafGraph._label walk that loss_at and loss_report run (basis_loss
+sweeps with merge_radii instead).  All enumerations enforce hard caps;
+exceeding a cap raises, never truncates.
 """
 
 from __future__ import annotations
@@ -373,10 +374,16 @@ def _assignment_candidates(
     """All component-level pointer maps src -> dst at level n that pass the
     given parallelogram family at slack 0, via backtracking.  None when some
     node has no target at all (no n-assignment exists)."""
+    slices: dict[Cell, SliceLabeling] = {}  # each dst.slice(c, n) labelled once
+
+    def at(c: Cell) -> SliceLabeling:
+        if c not in slices:
+            slices[c] = dst.slice(c, n)
+        return slices[c]
+
     options: list[list[int]] = []
-    for i, c in enumerate(src.cells):
-        sl = dst.slice(c, n)
-        reps = [dst.index[r] for r in sl.representatives()]
+    for c in src.cells:
+        reps = [dst.index[r] for r in at(c).representatives()]
         if not reps:
             return None
         options.append(reps)
@@ -387,18 +394,15 @@ def _assignment_candidates(
         if count > caps.max_candidates:
             raise OracleCapError("assignment enumeration exceeded the candidate cap")
 
-    # pair_checks[i] = [(j, sigma)] with j < i: check choice[i] vs choice[j]
-    by_later: list[list[tuple[int, Cell]]] = [[] for _ in src.ids]
+    # by_later[i] = [(j, labels of the n-slice at sigma)] with j < i: choice[i]
+    # and choice[j] must share a component there
+    by_later: list[list[tuple[int, list[int]]]] = [[] for _ in src.ids]
     for x, xf, sigma in pair_checks:
         hi, lo = (x, xf) if x > xf else (xf, x)
-        by_later[hi].append((lo, sigma))
+        by_later[hi].append((lo, at(sigma)._lab))
 
     found: list[list[int]] = []
     choice: list[int] = [0] * len(src.ids)
-
-    def ok_pair(i: int, j: int, sigma: Cell) -> bool:
-        sl = dst.slice(sigma, n)
-        return sl._lab[choice[i]] == sl._lab[choice[j]]
 
     def rec(i: int) -> None:
         if i == len(src.ids):
@@ -406,7 +410,7 @@ def _assignment_candidates(
             return
         for pick in options[i]:
             choice[i] = pick
-            if all(ok_pair(i, j, sigma) for j, sigma in by_later[i]):
+            if all(lab[pick] == lab[choice[j]] for j, lab in by_later[i]):
                 rec(i + 1)
 
     rec(0)

@@ -303,12 +303,9 @@ def strand_instance(grid: GridSpec, strands: int) -> CosheafGraph:
     return CosheafGraph(grid, nodes, links)
 
 
-def test_criterion_9_near_linear_scaling(monkeypatch):
+def test_criterion_9_near_linear_scaling():
     import gc
 
-    import mapperbound.cosheaf as cos
-
-    monkeypatch.setattr(cos, "_CACHE_MEMBER_LIMIT", 0)  # time the uncached path
     grid = GridSpec(1, 1.0, 4)
     per_strand = 4 * grid.L + 1
     times = {}

@@ -35,6 +35,7 @@ from conftest import (
     hook_lam_assignment,
     random_assignment,
     random_geometric,
+    split_pair,
 )
 
 V = vertex_cell
@@ -263,20 +264,68 @@ def test_family_minimum_equals_elementwise_distances(hook_lam, hook_lam_asg):
         assert k == worst
 
 
-def test_loss_at_monotone_and_binary_search_agrees():
+def slice_scan_distance(graph, c, m, x, y):
+    """distance by a radius-by-radius scan of slices from m to saturation."""
+    for r in range(m, max(m, graph.saturation(c)) + 1):
+        sl = graph.slice(c, r)
+        if sl.component_of(x) == sl.component_of(y):
+            return r - m
+    return math.inf
+
+
+def differential_pairs():
+    """Seeded random pairs in d = 1, 2 and 3, each with a random assignment at
+    its least feasible level, then split pairs whose loss is infinite."""
     rng = random.Random(53)
     for _ in range(12):
         F, G = small_random_instance(rng)
-        n = feasible_level(F, G)
-        a = random_assignment(F, G, n, rng)
+        yield F, G, random_assignment(F, G, feasible_level(F, G), rng)
+    for d, count, nv, denom, spread, chords in ((1, 6, 9, 4, 12, 2), (2, 6, 4, 2, 4, 1),
+                                                (3, 3, 3, 2, 2, 1)):
+        for _ in range(count):
+            gA, gB = (random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
+                                       extra_edges=chords) for tag in "ab")
+            grid = fit_grid([gA, gB], 1.0)
+            F, G = build(gA, grid).graph, build(gB, grid).graph
+            yield F, G, random_assignment(F, G, feasible_level(F, G), rng)
+    bF, bG = split_pair()
+    for seed in range(3):
+        yield bF.graph, bG.graph, random_assignment(bF.graph, bG.graph, 1, random.Random(seed))
+
+
+def test_loss_at_monotone_and_binary_search_agrees():
+    # the sweep's L_B and witnesses against loss_at and loss_report at every
+    # slack; distance and diameter against a scan of slices
+    dims, infinite = set(), 0
+    for F, G, a in differential_pairs():
+        dims.add(F.grid.d)
         cap = saturation_cap(F, G, a)
         sweep = [loss_at(F, G, a, k) for k in range(cap + 1)]
         assert sweep == sorted(sweep)  # False... then True...
         res = basis_loss(F, G, a)
         if True in sweep:
             assert res.L_B == sweep.index(True)
+            want = loss_report(F, G, a, res.L_B - 1)[1] if res.L_B else []
         else:
             assert math.isinf(res.L_B)
+            infinite += 1
+            want = loss_report(F, G, a, cap)[1]
+        assert res.witnesses == want[:10]
+
+        rng = random.Random(len(F.ids) + len(G.ids))
+        for graph in (F, G):
+            centers = sorted({f for c in graph.occupied_cells() for f in faces(c) | {c}})
+            for c in rng.sample(centers, min(4, len(centers))):
+                for m in (0, 1, 2):
+                    sl = graph.slice(c, m)
+                    reps, members = sl.representatives(), sl.members()
+                    assert diameter(graph, c, m) == max(
+                        (slice_scan_distance(graph, c, m, x, y) for x in reps for y in reps),
+                        default=0)
+                    for _ in range(6 if members else 0):
+                        x, y = rng.choice(members), rng.choice(members)
+                        assert distance(graph, c, m, x, y) == slice_scan_distance(graph, c, m, x, y)
+    assert dims == {1, 2, 3} and infinite >= 3
 
 
 def test_promote_properties(hook_lam, hook_lam_asg):
@@ -330,7 +379,8 @@ def test_loss_bounded_by_slice_diameters():
 def test_witnesses_deterministic_and_capped(hook_lam, hook_lam_asg):
     bF, bG = hook_lam
     res1 = basis_loss(bF.graph, bG.graph, hook_lam_asg)
-    res2 = basis_loss(bF.graph, bG.graph, hook_lam_asg, jobs=4)
+    fF, fG = hook_lam_pair()  # fresh graphs: nothing memoized from the first call
+    res2 = basis_loss(fF.graph, fG.graph, hook_lam_assignment(fF, fG))
     assert result_to_json(res1) == result_to_json(res2)
     assert len(res1.witnesses) <= 10
     kinds = [w.kind for w in res1.witnesses]

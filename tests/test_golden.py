@@ -1,9 +1,11 @@
 """Golden bytes: sha256 digests of CLI output on fixed inputs.
 
-The digests were taken from the midpoint-subdivision ingest that preceded the
-walk over each edge's cuts.  They pin the contract that ingest rewrites keep
-`mapperbound ingest` output and `bound` stdout byte-identical: node numbering,
-link lists and key order included.
+The ingest digests were taken from the midpoint-subdivision ingest that
+preceded the walk over each edge's cuts, and the `bound` and `check` digests of
+random pairs from the bisection over the slack that preceded the ring sweep.
+They pin the contract that rewrites keep `mapperbound ingest` output and
+`bound` and `check` stdout byte-identical: node numbering, link lists, witness
+order and key order included.
 """
 
 from __future__ import annotations
@@ -15,18 +17,21 @@ import pytest
 
 from mapperbound.assignment import assignment_to_json
 from mapperbound.cli import main
-from mapperbound.cosheaf import to_json
-from mapperbound.ingest import GeometricGraph, graph_to_json
+from mapperbound.cosheaf import from_json, to_json
+from mapperbound.ingest import GeometricGraph, build, fit_grid, graph_to_json
 
 from conftest import (
     fork_graph,
     hook_graph,
     hook_lam_assignment,
     hook_lam_pair,
+    feasible_level,
     lam_graph,
     listing_graph,
+    random_assignment,
     random_geometric,
     split_graph,
+    split_pair,
     strand_graph,
 )
 
@@ -96,3 +101,85 @@ def test_bound_hook_lambda_stdout_bytes(tmp_path, capsys):
     f, g, a = map(str, paths)
     assert main(["bound", "--f", f, "--g", g, "--assignment", a]) == 0
     assert _sha(capsys.readouterr().out) == BOUND_HOOK_LAMBDA_SHA256
+
+
+# (seed, d, vertices, denominator, spread) of random pairs with chords; each
+# pair gets a random assignment at its least feasible level
+PAIRS = {
+    "pair-1d-a": (1000, 1, 9, 4, 12),
+    "pair-1d-b": (1005, 1, 9, 4, 12),
+    "pair-2d-a": (2000, 2, 6, 2, 6),
+    "pair-2d-b": (2000, 2, 5, 2, 2),
+    "pair-3d-a": (3004, 3, 3, 2, 2),
+    "pair-3d-b": (3004, 3, 4, 1, 2),
+}
+
+# sha256 of stdout of `bound`, `check --k 0` and `check --k 1`, with exit codes
+PAIR_SHA256 = {
+    "pair-1d-a": [
+        (0, "dad56c8fce3eda59587ff8d03d99fc995f9f9c252b811ba927643ff9cd7bc3ad"),
+        (1, "87d7310a5050be8ac7becaa46b9a7eaa8502f3a8805185fffec46301fd0b64bd"),
+        (1, "5ec9466abc48a6666f671a95bd180d964e0893e867d2fae3dec4e7f74a88346d"),
+    ],
+    "pair-1d-b": [
+        (0, "763ce9d36bedfcad1bd33a77722a9611ee46124897698502e71cf456c9dad898"),
+        (1, "52e6778e7298794ed63f35677fc7da113fa7557ffce06a0ecdcc8026a3ab6232"),
+        (0, "ac56c36d36cdcf5734ce5c929f144a4fddc8452ef12dc3e4379ae787dc46d026"),
+    ],
+    "pair-2d-a": [
+        (0, "46d222fb6971ee680d606923d200ddb36f26aca0588454904b110940c9237a4f"),
+        (1, "6bfb52a9c53e08500e587816427848f0badcd700faf134e6f0e3bc6e34ecd354"),
+        (1, "cb036e1c05b4922c4590c0ce05555273d0e2bd18839438ab7a9bb5b05c90c3d4"),
+    ],
+    "pair-2d-b": [
+        (0, "8a7fc56e56ba7448a95eeec4857db5aeac1ede91a734c695dec6fd974ab5dd9a"),
+        (1, "7b2ed96eeea92945dc23254f43cd162238a4ca2aac62ad225b7d4de61cdb7a5b"),
+        (1, "3658f26d8e68d0725a571391b96835ff68d49b39b8a987e63ba9136a5a1f17dd"),
+    ],
+    "pair-3d-a": [
+        (0, "d6d7863feeebab4ca9701e296f4b96ec8aa4a7a01c878989e85bccf6bb884a8b"),
+        (1, "5e117096e67e60e556d7e5f503ad818d6faca8df5524f297333c331c7e161162"),
+        (0, "ac56c36d36cdcf5734ce5c929f144a4fddc8452ef12dc3e4379ae787dc46d026"),
+    ],
+    "pair-3d-b": [
+        (0, "8d115715ca8767d0b79559a3bd4a39c056d14e14b088e5b9ef5921f7b575fc6f"),
+        (1, "5fc771785625321ab33378ac778a4229227ffa11236511da4c1ee3e9867cb32d"),
+        (1, "255c538758391b5d4ad408773a30440d3bfc4721495e3aa01d2028b1827f63c0"),
+    ],
+    "split": [
+        (3, "2d675d7a4d700ba0a75cd642ba927f72006c53c35576ff77e444b703d1f9554b"),
+        (1, "ae869e010272084b3ffab78880c9e9d35825bb1a1111f0a27a4c8928a9977866"),
+        (1, "d3af0a5df143a5850d69b5d60078d2eabe56c90e78c2fe5714bfa6036204c577"),
+    ],
+}
+
+
+def _pair_texts(name: str) -> tuple[str, str, str]:
+    if name == "split":
+        bF, bG = split_pair()
+        F, G = bF.graph, bG.graph
+        a = random_assignment(F, G, 1, random.Random(3))
+        return to_json(F), to_json(G), assignment_to_json(a)
+    seed, d, nv, denom, spread = PAIRS[name]
+    rng = random.Random(seed)
+    X, Y = (random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
+                             extra_edges=2) for tag in "xy")
+    grid = fit_grid([X, Y], 1.0)
+    texts = [to_json(build(g, grid).graph) for g in (X, Y)]
+    F, G = map(from_json, texts)
+    a = random_assignment(F, G, feasible_level(F, G), rng)
+    return texts[0], texts[1], assignment_to_json(a)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS) + ["split"])
+def test_bound_and_check_stdout_bytes(name, tmp_path, capsys):
+    paths = [tmp_path / "F.json", tmp_path / "G.json", tmp_path / "a.json"]
+    for p, text in zip(paths, _pair_texts(name)):
+        p.write_text(text)
+    common = ["--f", str(paths[0]), "--g", str(paths[1]), "--assignment", str(paths[2])]
+    got = []
+    for argv in (["bound", *common], ["check", *common, "--k", "0"],
+                 ["check", *common, "--k", "1"]):
+        rc = main(argv)
+        got.append((rc, _sha(capsys.readouterr().out)))
+    assert got == PAIR_SHA256[name]

@@ -28,6 +28,7 @@ from mapperbound.grid import (
     is_open,
     saturation_steps,
     star_box,
+    star_ring,
     star_saturation,
     thicken,
     vertex_cell,
@@ -191,19 +192,24 @@ def box_set(grid: GridSpec, c: Cell, r: int) -> frozenset[Cell]:
 
 
 def assert_box_chain(grid: GridSpec, c: Cell) -> int:
-    """Every r up to saturation + 1: star_box(c, r) == thicken(basic_open(c), r).
-    Returns the first r at which the thickening fills the grid."""
+    """Every r up to saturation + 1: star_box(c, r) == thicken(basic_open(c), r),
+    and star_ring(c, t) is the first r whose thickening holds t.  Returns the
+    first r at which the thickening fills the grid."""
     sat = star_saturation(grid, c)
     cur = basic_open(grid, c)
     first_full = None
+    ring: dict[Cell, int] = {}
     for r in range(sat + 2):
         # thickening the whole grid gives the whole grid: skip that round
         if r and len(cur) < grid.cell_count():
             cur = thicken(grid, cur, 1)
         assert box_set(grid, c, r) == cur, (grid, c, r)
+        for t in cur:
+            ring.setdefault(t, r)
         if first_full is None and len(cur) == grid.cell_count():
             first_full = r
     assert first_full == sat, (grid, c)
+    assert all(star_ring(c, t) == r for t, r in ring.items()), (grid, c)
     return first_full
 
 
@@ -241,7 +247,10 @@ def test_star_box_matches_thicken_on_larger_grids(seed):
     sat = star_saturation(grid, c)
     assert saturation_steps(grid, basic_open(grid, c)) == sat
     r = rng.randint(0, sat + 1)
-    assert box_set(grid, c, r) == thicken(grid, basic_open(grid, c), r)
+    box = box_set(grid, c, r)
+    assert box == thicken(grid, basic_open(grid, c), r)
+    t = Cell(tuple(rng.randint(-2 * grid.L, 2 * grid.L) for _ in range(d)))
+    assert (t in box) == (star_ring(c, t) <= r)
 
 
 # -- thickening algebra ----------------------------------------------------------
