@@ -29,6 +29,7 @@ from .oracle import (
     exhaustive_interleaving,
     full_loss,
     geometric_pi0,
+    reference_loss,
 )
 
 __all__ = [
@@ -40,7 +41,7 @@ __all__ = [
     "check_triangle_down", "check_triangle_up",
     "loss_at", "loss_report", "promote", "reeb_bound", "validate_assignment",
     "TinyCaps", "enumerate_opens", "exhaustive_interleaving", "full_loss",
-    "geometric_pi0",
+    "geometric_pi0", "reference_loss",
 ]
 
 __version__ = "0.1.0"

@@ -18,9 +18,13 @@ phrased as "do these two nodes share a component of a given slice":
 Each diagram passes from some least slack on: slice components only merge as
 the radius grows, so it is read off the merge radius r of its two chased nodes,
 r - n for a parallelogram and ceil((r - 2n) / 2) for a triangle, floored at 0.
-The basis loss L_B is the largest of these slacks, the least one making every
-family pass.  The certified bound is n + L_B, and for d = 1 the scaled quantity
-delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
+One core serves every check: per center it makes one merge_radii sweep per
+target graph, and at a fixed slack k it stops the sweep at radius
+step * (n + k) (step 1 for a parallelogram, 2 for a triangle); a diagram fails
+iff its merge radius is larger.  The basis loss L_B is the largest of these
+slacks, the least one making every family pass.  The certified bound is
+n + L_B, and for d = 1 the scaled quantity delta * (n + L_B + 1) bounds the
+Reeb-graph interleaving distance.
 """
 
 from __future__ import annotations
@@ -195,32 +199,14 @@ def check_parallelogram_left(
 ) -> tuple[bool, list[Witness]]:
     """For every element over tau: its pointer image and the pointer image of
     its face image at sigma must share a component of the (n+k)-slice of G."""
-    _require_shared_grid(F, G)
-    if sigma == tau or not any(sigma == f for f in faces(tau)):
-        raise AssignmentError("sigma must be a proper face of tau")
-    sl = G.slice(sigma, a.n + k)
-    bad: list[Witness] = []
-    for x in F.elements_of(tau):
-        xf = F.face_image(x, sigma)
-        if sl.component_of(a.phi[x]) != sl.component_of(a.phi[xf]):
-            bad.append(Witness("parallelogram_left", sigma, tau, x))
-    return (not bad, bad)
+    return _check(F, G, a, k, "parallelogram_left", sigma, tau)
 
 
 def check_parallelogram_right(
     F: CosheafGraph, G: CosheafGraph, a: Assignment, sigma: Cell, tau: Cell, k: int
 ) -> tuple[bool, list[Witness]]:
     """Mirror image: chases elements of G over tau through psi, slices in F."""
-    _require_shared_grid(F, G)
-    if sigma == tau or not any(sigma == f for f in faces(tau)):
-        raise AssignmentError("sigma must be a proper face of tau")
-    sl = F.slice(sigma, a.n + k)
-    bad: list[Witness] = []
-    for y in G.elements_of(tau):
-        yf = G.face_image(y, sigma)
-        if sl.component_of(a.psi[y]) != sl.component_of(a.psi[yf]):
-            bad.append(Witness("parallelogram_right", sigma, tau, y))
-    return (not bad, bad)
+    return _check(F, G, a, k, "parallelogram_right", sigma, tau)
 
 
 def check_triangle_down(
@@ -228,25 +214,22 @@ def check_triangle_down(
 ) -> tuple[bool, list[Witness]]:
     """Every element over sigma must meet its psi(phi(.)) image inside the
     2(n+k)-slice of F at sigma."""
-    _require_shared_grid(F, G)
-    sl = F.slice(sigma, 2 * (a.n + k))
-    bad: list[Witness] = []
-    for x in F.elements_of(sigma):
-        if sl.component_of(x) != sl.component_of(a.psi[a.phi[x]]):
-            bad.append(Witness("triangle_down", sigma, None, x))
-    return (not bad, bad)
+    return _check(F, G, a, k, "triangle_down", sigma, None)
 
 
 def check_triangle_up(
     F: CosheafGraph, G: CosheafGraph, a: Assignment, sigma: Cell, k: int
 ) -> tuple[bool, list[Witness]]:
     """Mirror image: chases elements of G over sigma against phi(psi(.))."""
-    _require_shared_grid(F, G)
-    sl = G.slice(sigma, 2 * (a.n + k))
-    bad: list[Witness] = []
-    for y in G.elements_of(sigma):
-        if sl.component_of(y) != sl.component_of(a.phi[a.psi[y]]):
-            bad.append(Witness("triangle_up", sigma, None, y))
+    return _check(F, G, a, k, "triangle_up", sigma, None)
+
+
+def _check(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
+           kind: str, sigma: Cell, tau: Cell | None) -> tuple[bool, list[Witness]]:
+    """One family's diagram at (sigma, tau), with its failing elements."""
+    if tau is not None and sigma not in faces(tau):
+        raise AssignmentError("sigma must be a proper face of tau")
+    bad = _failing(F, G, a, k, [sigma], lambda d: d[0] == kind and d[2] == tau)
     return (not bad, bad)
 
 
@@ -312,32 +295,45 @@ def _diagrams(inst: _Instance, sigma: Cell):
             yield kind, 2, None, src, xs, src, xs, [back[there[x]] for x in xs]
 
 
+def _swept(inst: _Instance, sigma: Cell, n: int, k: int | None = None, keep=None):
+    """The basis diagrams at sigma (those `keep` accepts) with the merge radius
+    of each chased pair: (kind, step, tau, src, xs, radii).  One merge_radii
+    call per target graph; at slack k its sweep stops at the largest radius
+    step * (n + k) among the diagrams, and radii past it read INFINITE."""
+    by_dst: dict[CosheafGraph, list[tuple]] = {}
+    for d in _diagrams(inst, sigma):
+        if keep is None or keep(d):
+            by_dst.setdefault(d[5], []).append(d)
+    for dst, diagrams in by_dst.items():
+        # _diagrams lists triangles (step 2) after parallelograms (step 1)
+        limit = None if k is None else diagrams[-1][1] * (n + k)
+        radii = dst.merge_radii(sigma, [u for d in diagrams for u in d[6]],
+                                [v for d in diagrams for v in d[7]], limit)
+        end = 0
+        for kind, step, tau, src, xs, *_ in diagrams:
+            yield kind, step, tau, src, xs, radii[end:end + len(xs)]
+            end += len(xs)
+
+
 def _slack(r, step: int, n: int):
     """The least slack k >= 0 with r <= step * (n + k), for a merge radius r."""
     return r if math.isinf(r) else max(0, -(-r // step) - n)
 
 
-def _loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
-             collect: bool) -> list[Witness]:
-    """The diagrams failing at slack k, center by center (the first one only
-    unless collecting).  Each distinct (graph, radius) slice of a center is
-    labelled once."""
+def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
+             centers: list[Cell] | None = None, keep=None) -> list[Witness]:
+    """The diagrams failing at slack k, center by center: those whose merge
+    radius exceeds step * (n + k)."""
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
     inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
     bad: list[Witness] = []
-    for sigma in inst.centers:
-        labs: dict[tuple[CosheafGraph, int], list[int]] = {}
-        for kind, step, tau, src, xs, dst, us, vs in _diagrams(inst, sigma):
-            r = step * (a.n + k)
-            if (dst, r) not in labs:
-                labs[dst, r] = dst.slice(sigma, r)._lab
-            lab = labs[dst, r]
-            for x, u, v in zip(xs, us, vs):
-                if lab[u] != lab[v]:
-                    bad.append(Witness(kind, sigma, tau, src.ids[x]))
-                    if not collect:
-                        return bad
+    for sigma in inst.centers if centers is None else centers:
+        for kind, step, tau, src, xs, radii in _swept(inst, sigma, a.n, k, keep):
+            top = step * (a.n + k)
+            if max(radii) > top:
+                bad += [Witness(kind, sigma, tau, src.ids[x])
+                        for x, r in zip(xs, radii) if r > top]
     return bad
 
 
@@ -345,14 +341,14 @@ def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int) -> bool:
     """True iff all four diagram families pass at slack k over every basis
     diagram: both parallelograms for every proper face pair, both triangles
     for every occupied cell."""
-    return not _loss_at(F, G, a, k, collect=False)
+    return not _failing(F, G, a, k)
 
 
 def loss_report(
     F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int
 ) -> tuple[bool, list[Witness]]:
     """loss_at with the full witness listing (all failing diagrams at k)."""
-    bad = sorted(_loss_at(F, G, a, k, collect=True), key=Witness.sort_key)
+    bad = sorted(_failing(F, G, a, k), key=Witness.sort_key)
     return (not bad, bad)
 
 
@@ -380,23 +376,14 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     L_B: float | int = 0
     worst: list[Witness] = []  # the diagrams whose slack is L_B, when positive
     for sigma in inst.centers:
-        by_dst: dict[CosheafGraph, list[tuple]] = {}
-        for d in _diagrams(inst, sigma):
-            by_dst.setdefault(d[5], []).append(d)
-        for dst, diagrams in by_dst.items():
-            radii = dst.merge_radii(sigma, [u for d in diagrams for u in d[6]],
-                                    [v for d in diagrams for v in d[7]])
-            end = 0
-            for kind, step, tau, src, xs, *_ in diagrams:
-                seg = radii[end:end + len(xs)]
-                end += len(xs)
-                top = _slack(max(seg), step, a.n)
-                if top == 0 or top < L_B:
-                    continue
-                if top > L_B:
-                    L_B, worst = top, []
-                worst += [Witness(kind, sigma, tau, src.ids[x])
-                          for x, r in zip(xs, seg) if _slack(r, step, a.n) == top]
+        for kind, step, tau, src, xs, radii in _swept(inst, sigma, a.n):
+            top = _slack(max(radii), step, a.n)
+            if top == 0 or top < L_B:
+                continue
+            if top > L_B:
+                L_B, worst = top, []
+            worst += [Witness(kind, sigma, tau, src.ids[x])
+                      for x, r in zip(xs, radii) if _slack(r, step, a.n) == top]
     witnesses = sorted(worst, key=Witness.sort_key)[:10]
 
     bound = a.n + L_B

@@ -5,6 +5,10 @@ key-sorted and newline-terminated so fixtures diff cleanly; identical inputs
 produce byte-identical output.  The --jobs flag of bound and check is parsed
 and ignored.
 
+bound and check read the merge radii of the library's one diagram-check
+core.  The oracle's exact and full-loss modes label components on their own,
+and its pi0 mode compares slice component counts with the geometry.
+
 Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
 validated on load; an invalid cosheaf or assignment exits 2 with one stdout

@@ -12,11 +12,12 @@ cell lies in S, joining two nodes when a link connects them and both carriers
 are in S.  These "slices" are not induced subgraphs: a link may leave the
 slice even when cells of both endpoints would fit a naive index range.  For a
 thickened basic open the component count equals the cardinality of the image
-of the thickened set, which is what every diagram check consumes.
+of the thickened set.
 
 Components only merge as the radius grows, so two nodes have a least radius
 at which they share a component: their merge radius, an ultrametric.  One
-merge_radii sweep gives it for many pairs; distance and diameter read it.
+merge_radii sweep gives it for many pairs; every diagram check, distance and
+diameter read it.  slice and set_at label with the same union-find step.
 
 Extended naturals are represented as plain ints with float("inf") as the top
 element; arithmetic saturates automatically.
@@ -111,11 +112,8 @@ class CosheafGraph:
         for a in adj:
             a.sort()
         # a tuple holds its items inline: one pointer hop fewer per row read in
-        # the slice walks, which shows once a graph outgrows the CPU caches
+        # the union-find sweeps, which shows once a graph outgrows the CPU caches
         self.adj: list[tuple[int, ...]] = list(map(tuple, adj))
-
-        # the saturated slice: the whole graph, labelled once
-        self._full: tuple[list[int], list[int], int] | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -193,106 +191,65 @@ class CosheafGraph:
 
     # -- connectivity labelings ----------------------------------------------
 
-    def _label(self, cells: Iterable[Cell]) -> tuple[list[int], list[int], int]:
-        total = len(self.ids)
-        members: list[int] = []
-        for c in cells:
-            got = self.nodes_at.get(c)
-            if got:
-                members.extend(got)
-        members.sort()
-        # flat label array: -2 non-member, -1 unvisited member, >= 0 component
-        if len(members) == total:
-            lab = [-1] * total
-        else:
-            lab = [-2] * total
-            for i in members:
-                lab[i] = -1
-        adj = self.adj
-        frontier: list[int] = []
-        push = frontier.append
-        next_id = 0
-        for start in members:
-            if lab[start] != -1:
-                continue
-            # breadth-first via an index pointer into the discovery list
-            lab[start] = next_id
-            del frontier[:]
-            push(start)
-            head = 0
-            while head < len(frontier):
-                v = frontier[head]
-                head += 1
-                for w in adj[v]:
-                    if lab[w] == -1:
-                        lab[w] = next_id
-                        push(w)
-            next_id += 1
-        return lab, members, next_id
+    def _labeling(self, cells: Iterable[Cell]) -> "SliceLabeling":
+        members = sorted(i for c in cells for i in self.nodes_at.get(c, ()))
+        parent = [-1] * len(self.ids)
+        _join(parent, self.adj, members)
+        lab = [-2] * len(self.ids)
+        ids: dict[int, int] = {}  # component id of each root, in order of least member
+        for i in members:
+            r = i
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            lab[i] = ids.setdefault(r, len(ids))
+        return SliceLabeling(graph=self, component_count=len(ids), _lab=lab, _members=members)
 
     def slice(self, center: Cell, radius: int) -> "SliceLabeling":
         """Label the connected components of the portion of the graph carried
-        by the radius-thickened basic open of `center` (breadth first)."""
+        by the radius-thickened basic open of `center`."""
         self.grid.check_cell(center)
         if radius < 0:
             raise ValueError("radius must be a natural number")
-        sat = self.saturation(center)
-        radius = min(radius, sat)
-        if radius == sat:
-            if self._full is None:
-                self._full = self._label(self.nodes_at)
-            lab, members, count = self._full
-        else:
-            box = star_box(self.grid, center, radius)
-            lab, members, count = self._label(Cell(t) for t in itertools.product(*box))
-        return SliceLabeling(graph=self, center=center, radius=radius,
-                             component_count=count, _lab=lab, _members=members)
+        box = star_box(self.grid, center, radius)
+        return self._labeling(map(Cell, itertools.product(*box)))
 
-    def merge_radii(self, center: Cell, us: list[int], vs: list[int]) -> list:
+    def merge_radii(self, center: Cell, us: list[int], vs: list[int],
+                    limit: int | None = None) -> list:
         """For each pair of node indices (us[p], vs[p]): the least radius at
         which both lie in one component of the slice at `center`, INFINITE if
-        they are still apart at saturation.  A node paired with itself merges
-        at 0.
+        they are still apart at saturation, or at radius `limit` when one is
+        given.  A node paired with itself merges at 0.
 
         One sweep adds the slice's nodes ring by ring (ring r holds the cells
         of star_box(r) that are not in star_box(r - 1)) to a union-find, and
-        stops once every pair has merged."""
+        stops once every pair has merged or the limit is reached."""
         out: list = [0 if u == v else INFINITE for u, v in zip(us, vs)]
         pending = [p for p, r in enumerate(out) if r]
         if not pending:
             return out
-        rings: list[list[list[int]]] = [[] for _ in range(self.saturation(center) + 1)]
+        top = self.saturation(center) if limit is None else min(limit, self.saturation(center))
+        rings: list[list[int]] = [[] for _ in range(top + 1)]
         for c, block in self.nodes_at.items():
-            rings[star_ring(center, c)].append(block)
-        parent = [-1] * len(self.ids)  # union-find forest; -1 outside the slice
-        adj = self.adj
-        for r, blocks in enumerate(rings):
-            if not blocks:
+            r = star_ring(center, c)
+            if r <= top:
+                rings[r] += block
+        parent = [-1] * len(self.ids)
+        for r, ring in enumerate(rings):
+            if not ring:
                 continue
-            for block in blocks:
-                for i in block:
-                    parent[i] = root = i  # root of i's tree, which only this loop links
-                    for w in adj[i]:
-                        if parent[w] < 0:
-                            continue
-                        while parent[w] != w:
-                            parent[w] = w = parent[parent[w]]
-                        if w != root:
-                            parent[root] = root = w
+            _join(parent, self.adj, ring)
             still = []
             for p in pending:
                 a, b = us[p], vs[p]
-                if parent[a] < 0 or parent[b] < 0:
-                    still.append(p)
-                    continue
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a == b:
-                    out[p] = r
-                else:
-                    still.append(p)
+                if parent[a] >= 0 <= parent[b]:
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a == b:
+                        out[p] = r
+                        continue
+                still.append(p)
             if not still:
                 break
             pending = still
@@ -304,23 +261,33 @@ class CosheafGraph:
         s = frozenset(cells)
         if not is_open(self.grid, s):
             raise CosheafError("set_at requires a coface-closed cell set")
-        lab, members, count = self._label(s)
-        return SliceLabeling(graph=self, center=None, radius=None,
-                             component_count=count, _lab=lab, _members=members)
+        return self._labeling(s)
+
+
+def _join(parent: list[int], adj: list[tuple[int, ...]], nodes: Iterable[int]) -> None:
+    """Add `nodes` to the union-find forest `parent` (-1 marks a node outside
+    it), uniting each with its neighbours that are already in."""
+    for i in nodes:
+        parent[i] = root = i  # root of i's tree, which only this loop links
+        for w in adj[i]:
+            if parent[w] < 0:
+                continue
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            if w != root:
+                parent[root] = root = w
 
 
 @dataclass
 class SliceLabeling:
     """Component labeling of the nodes carried by an open cell set.
 
-    Component ids are assigned in breadth-first discovery order over the
-    canonical node order, so labelings are deterministic.  The label array
+    Component ids are numbered in order of each component's least member in
+    the canonical node order, so labelings are deterministic.  The label array
     holds -2 for non-members and the component id for members.
     """
 
     graph: CosheafGraph
-    center: Cell | None
-    radius: int | None
     component_count: int
     _lab: list[int] = field(repr=False, default_factory=list)
     _members: list[int] = field(repr=False, default_factory=list)

@@ -22,6 +22,7 @@ with exact rational arithmetic so carrier classification is bit-stable.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -147,14 +148,14 @@ class MapperBuild:
         spans = self._edge_chain.get(edge)
         if spans is None:
             raise IngestError(f"unknown edge {edge!r}")
-        for lo, hi, p in spans:
-            if lo <= t <= hi:
-                nid = self._piece_node.get((c, p))
-                if nid is None:
-                    raise IngestError(
-                        f"edge point t={t} does not lie over basic_open({c!r})")
-                return nid
-        raise IngestError(f"parameter {t} outside [0, 1]")
+        # the first span ending at or after t; at a cut that is the segment before it
+        i = bisect_left(spans, t, key=lambda s: s[1])
+        if i == len(spans) or spans[i][0] > t:
+            raise IngestError(f"parameter {t} outside [0, 1]")
+        nid = self._piece_node.get((c, spans[i][2]))
+        if nid is None:
+            raise IngestError(f"edge point t={t} does not lie over basic_open({c!r})")
+        return nid
 
 
 def _root(up: dict[int, int], x: int) -> int:

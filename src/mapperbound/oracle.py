@@ -1,12 +1,14 @@
 """Slow verifiers for desk-scale cross-checking.
 
-Only the geometric recomputation (segment arithmetic over realized open sets)
-shares no code with the cosheaf module.  The full loss, over every open set of
-the Alexandroff topology, labels through CosheafGraph.set_at, and the exhaustive
-search over component-level basis assignments through CosheafGraph.slice; both
-run the CosheafGraph._label walk that loss_at and loss_report run (basis_loss
-sweeps with merge_radii instead).  All enumerations enforce hard caps;
-exceeding a cap raises, never truncates.
+The geometric recomputation (segment arithmetic over realized open sets)
+shares no code with the cosheaf module.  The full loss over every open set of
+the Alexandroff topology, the exhaustive search over component-level basis
+assignments and the reference slack of every basis diagram label components
+themselves: cell sets come from the set algebra (thicken of a basic open) and
+components from a union-find over the graph's stored links.  None of them
+calls CosheafGraph.slice, set_at or merge_radii, which the paths they check
+run.  All enumerations enforce hard caps; exceeding a cap raises, never
+truncates.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .assignment import Assignment
-from .cosheaf import INFINITE, CosheafGraph, SliceLabeling
-from .grid import Cell, GridSpec, all_cells, cell_sort_key, cofaces, faces, is_open, thicken
+from .cosheaf import INFINITE, CosheafGraph
+from .grid import (
+    Cell, GridSpec, all_cells, basic_open, cell_sort_key, cofaces, faces, is_open, thicken,
+)
 from .ingest import GeometricGraph, _as_fraction
 
 
@@ -232,53 +236,90 @@ class FullLossReport:
 
 
 class _Labeler:
-    """set_at labelings cached per open set, plus node-to-node merge radii."""
+    """Components of one graph's nodes over open cell sets, cached per set.
+
+    A node belongs to a set when its carrier cell does; two members join when
+    a stored link connects them.  A member is labelled with the least member
+    of its component, a non-member with -1.
+    """
 
     def __init__(self, graph: CosheafGraph):
         self.graph = graph
-        self.cache: dict[frozenset[Cell], SliceLabeling] = {}
+        self.cache: dict[frozenset[Cell], list[int]] = {}
+        self.stars: dict[tuple[Cell, int], frozenset[Cell]] = {}
+        self.steps: dict[Cell, frozenset[Cell]] = {}  # thicken({c}, 1) per cell c
         self.total = graph.grid.cell_count()
 
-    def at(self, cells: frozenset[Cell]) -> SliceLabeling:
-        hit = self.cache.get(cells)
+    def at(self, cells: frozenset[Cell]) -> list[int]:
+        lab = self.cache.get(cells)
+        if lab is None:
+            lab = self.cache[cells] = _components(self.graph, cells)
+        return lab
+
+    def star(self, c: Cell, r: int) -> frozenset[Cell]:
+        """The r-thickened basic open of c, thickened one step at a time."""
+        hit = self.stars.get((c, r))
         if hit is None:
-            hit = self.graph.set_at(cells)
-            self.cache[cells] = hit
+            hit = basic_open(self.graph.grid, c) if r == 0 else self.grow(self.star(c, r - 1))
+            self.stars[c, r] = hit
         return hit
+
+    def grow(self, cells: frozenset[Cell]) -> frozenset[Cell]:
+        """thicken(cells, 1), the union of the cells' own steps: closure and
+        star distribute over unions."""
+        for c in cells.difference(self.steps):
+            self.steps[c] = thicken(self.graph.grid, frozenset({c}), 1)
+        return frozenset().union(*map(self.steps.__getitem__, cells))
 
     def node_distance(self, cells: frozenset[Cell], i: int, j: int):
         """Least extra thickening of `cells` merging nodes i and j."""
-        grid = self.graph.grid
-        cur = cells
         k = 0
         while True:
-            lab = self.at(cur)
-            li = lab._lab[i]
-            if li >= 0 and li == lab._lab[j]:
+            lab = self.at(cells)
+            if lab[i] >= 0 and lab[i] == lab[j]:
                 return k
-            if len(cur) == self.total:
+            if len(cells) == self.total:
                 return INFINITE
-            cur = thicken(grid, cur, 1)
+            cells = self.grow(cells)
             k += 1
 
 
-def _extension(labeler_src: _Labeler, labeler_dst, ptr: list[int], opens, grid, n):
+def _labelers(F: CosheafGraph, G: CosheafGraph) -> tuple[_Labeler, _Labeler]:
+    """Labelers of F and G that share the thickened cell sets of their grid."""
+    labF, labG = _Labeler(F), _Labeler(G)
+    labG.stars, labG.steps = labF.stars, labF.steps
+    return labF, labG
+
+
+def _components(graph: CosheafGraph, cells: frozenset[Cell]) -> list[int]:
+    """Per node: the least node of its component over `cells`, -1 outside."""
+    root = [i if c in cells else -1 for i, c in enumerate(graph.cells)]
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for i, j in graph._raw_links:
+        if root[i] >= 0 and root[j] >= 0:
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(i) if r >= 0 else -1 for i, r in enumerate(root)]
+
+
+def _extension(labeler_src: _Labeler, labeler_dst: _Labeler, ptr: list[int], opens, thick):
     """Canonical component-level extension of a pointer map: each component of
-    the source over S maps through the pointer of its first member.  Returns
-    ({(S, comp) -> dst node index}, all members agreed)."""
+    the source over S maps through the pointer of its least member.  Returns
+    ({(S, least member) -> dst node index}, all members agreed)."""
     consistent = True
     chosen: dict[tuple[frozenset[Cell], int], int] = {}
     for S in opens:
-        lab = labeler_src.at(S)
-        target = labeler_dst.at(thicken(grid, S, n))
-        seen: dict[int, int] = {}
-        for i in lab._members:
-            c = lab._lab[i]
-            t = ptr[i]
-            if c not in seen:
-                seen[c] = t
-                chosen[(S, c)] = t
-            elif target._lab[seen[c]] != target._lab[t]:
+        target = labeler_dst.at(thick[S])
+        for i, c in enumerate(labeler_src.at(S)):
+            if c == i:
+                chosen[(S, c)] = ptr[i]
+            elif c >= 0 and target[chosen[(S, c)]] != target[ptr[i]]:
                 consistent = False
     return chosen, consistent
 
@@ -304,52 +345,31 @@ def full_loss(
     opens = [S for S in enumerate_opens(grid, cap=max_opens) if S]
     n = a.n
 
-    labF, labG = _Labeler(F), _Labeler(G)
+    labF, labG = _labelers(F, G)
     phi = [G.index[a.phi[nid]] for nid in F.ids]
     psi = [F.index[a.psi[nid]] for nid in G.ids]
-    ext_phi, ok_phi = _extension(labF, labG, phi, opens, grid, n)
-    ext_psi, ok_psi = _extension(labG, labF, psi, opens, grid, n)
-
-    worst: float | int = 0
-
-    def bump(v) -> None:
-        nonlocal worst
-        if v > worst:
-            worst = v
-
     thick = {S: thicken(grid, S, n) for S in opens}
     thick2 = {S: thicken(grid, thick[S], n) for S in opens}
+    ext_phi, ok_phi = _extension(labF, labG, phi, opens, thick)
+    ext_psi, ok_psi = _extension(labG, labF, psi, opens, thick)
 
+    worst: float | int = 0
+    sides = ((labF, labG, ext_phi, ext_psi), (labG, labF, ext_psi, ext_phi))
     for S in opens:
-        repsS_F = _component_reps(labF.at(S))
-        repsS_G = _component_reps(labG.at(S))
-        # triangles at S
-        for c, i in repsS_F:
-            mid = ext_phi[(S, c)]
-            c_mid = labG.at(thick[S])._lab[mid]
-            back = ext_psi[(thick[S], c_mid)]
-            d = labF.node_distance(thick2[S], i, back)
-            bump(d if math.isinf(d) else (int(d) + 1) // 2)
-        for c, j in repsS_G:
-            mid = ext_psi[(S, c)]
-            c_mid = labF.at(thick[S])._lab[mid]
-            back = ext_phi[(thick[S], c_mid)]
-            d = labG.node_distance(thick2[S], j, back)
-            bump(d if math.isinf(d) else (int(d) + 1) // 2)
-        # parallelograms for every strictly larger T
-        for T in opens:
-            if T == S or not S <= T:
-                continue
-            labT_F = labF.at(T)
-            labT_G = labG.at(T)
-            for c, i in repsS_F:
-                via_T = ext_phi[(T, labT_F._lab[i])]
-                via_S = ext_phi[(S, c)]
-                bump(labG.node_distance(thick[T], via_T, via_S))
-            for c, j in repsS_G:
-                via_T = ext_psi[(T, labT_G._lab[j])]
-                via_S = ext_psi[(S, c)]
-                bump(labF.node_distance(thick[T], via_T, via_S))
+        for lab, other, there, back in sides:
+            reps = _component_reps(lab.at(S))
+            # triangles at S
+            for i in reps:
+                mid = other.at(thick[S])[there[(S, i)]]
+                d = lab.node_distance(thick2[S], i, back[(thick[S], mid)])
+                worst = max(worst, d if math.isinf(d) else (int(d) + 1) // 2)
+            # parallelograms for every strictly larger T
+            for T in opens:
+                if T != S and S <= T:
+                    labT = lab.at(T)
+                    for i in reps:
+                        worst = max(worst, other.node_distance(
+                            thick[T], there[(T, labT[i])], there[(S, i)]))
         if math.isinf(worst):
             break
 
@@ -357,33 +377,64 @@ def full_loss(
                           opens=len(opens))
 
 
-def _component_reps(lab: SliceLabeling) -> list[tuple[int, int]]:
-    """(component id, first member node index) pairs, in component order."""
-    seen: dict[int, int] = {}
-    for i in lab._members:
-        seen.setdefault(lab._lab[i], i)
-    return sorted(seen.items())
+def _component_reps(lab: list[int]) -> list[int]:
+    """The least member of each component, in increasing order."""
+    return [i for i, c in enumerate(lab) if c == i]
+
+
+# -- the slack of every basis diagram ---------------------------------------------
+
+
+def reference_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment,
+                   caps: TinyCaps = TinyCaps(max_nodes_per_side=300, max_L=8)
+                   ) -> dict[tuple, float | int]:
+    """The slack of every basis diagram: the least k >= 0 at which it passes,
+    keyed (kind, sigma, tau, element id) with tau None for a triangle.
+
+    Each diagram starts from the thickened star of sigma at the level it is
+    checked at (n for a parallelogram, 2n for a triangle) and grows it one
+    step at a time until its two chased nodes share a component; a triangle's
+    slack is half that growth, rounded up.  The basis loss L_B is the largest
+    value, 0 when there is none.
+    """
+    check_tiny(F, G, caps)
+    n = a.n
+    labF, labG = _labelers(F, G)
+    phi = [G.index[a.phi[x]] for x in F.ids]
+    psi = [F.index[a.psi[y]] for y in G.ids]
+    out: dict[tuple, float | int] = {}
+    for kind, src, ptr, lab in (("parallelogram_left", F, phi, labG),
+                                ("parallelogram_right", G, psi, labF)):
+        for tau in src.occupied_cells():
+            for sigma in faces(tau):
+                base = lab.star(sigma, n)
+                for x in src.elements_of(tau):
+                    i, j = src.index[x], src.index[src.face_image(x, sigma)]
+                    out[kind, sigma, tau, x] = lab.node_distance(base, ptr[i], ptr[j])
+    for kind, lab, there, back in (("triangle_down", labF, phi, psi),
+                                   ("triangle_up", labG, psi, phi)):
+        src = lab.graph
+        for sigma in src.occupied_cells():
+            base = lab.star(sigma, 2 * n)
+            for x in src.elements_of(sigma):
+                i = src.index[x]
+                d = lab.node_distance(base, i, back[there[i]])
+                out[kind, sigma, None, x] = d if math.isinf(d) else (d + 1) // 2
+    return out
 
 
 # -- exhaustive interleaving search ----------------------------------------------
 
 
 def _assignment_candidates(
-    src: CosheafGraph, dst: CosheafGraph, n: int, pair_checks, caps: TinyCaps
+    src: CosheafGraph, dst: _Labeler, n: int, pair_checks, caps: TinyCaps
 ) -> list[list[int]] | None:
     """All component-level pointer maps src -> dst at level n that pass the
     given parallelogram family at slack 0, via backtracking.  None when some
     node has no target at all (no n-assignment exists)."""
-    slices: dict[Cell, SliceLabeling] = {}  # each dst.slice(c, n) labelled once
-
-    def at(c: Cell) -> SliceLabeling:
-        if c not in slices:
-            slices[c] = dst.slice(c, n)
-        return slices[c]
-
     options: list[list[int]] = []
     for c in src.cells:
-        reps = [dst.index[r] for r in at(c).representatives()]
+        reps = _component_reps(dst.at(dst.star(c, n)))
         if not reps:
             return None
         options.append(reps)
@@ -394,12 +445,12 @@ def _assignment_candidates(
         if count > caps.max_candidates:
             raise OracleCapError("assignment enumeration exceeded the candidate cap")
 
-    # by_later[i] = [(j, labels of the n-slice at sigma)] with j < i: choice[i]
-    # and choice[j] must share a component there
+    # by_later[i] = [(j, labels over the n-thickened star of sigma)] with
+    # j < i: choice[i] and choice[j] must share a component there
     by_later: list[list[tuple[int, list[int]]]] = [[] for _ in src.ids]
     for x, xf, sigma in pair_checks:
         hi, lo = (x, xf) if x > xf else (xf, x)
-        by_later[hi].append((lo, at(sigma)._lab))
+        by_later[hi].append((lo, dst.at(dst.star(sigma, n))))
 
     found: list[list[int]] = []
     choice: list[int] = [0] * len(src.ids)
@@ -439,43 +490,27 @@ def exhaustive_interleaving(
     check_tiny(F, G, caps)
     checks_F = _pair_checks(F)
     checks_G = _pair_checks(G)
+    labF, labG = _labelers(F, G)
 
     for n in range(n_max + 1):
-        phis = _assignment_candidates(F, G, n, checks_F, caps)
-        psis = _assignment_candidates(G, F, n, checks_G, caps)
+        phis = _assignment_candidates(F, labG, n, checks_F, caps)
+        psis = _assignment_candidates(G, labF, n, checks_G, caps)
         if phis is None or psis is None:
             continue
         if len(phis) * len(psis) > caps.max_candidates:
             raise OracleCapError("assignment enumeration exceeded the candidate cap")
-        if _find_interleaving(F, G, n, phis, psis) is not None:
+        if _find_interleaving(labF, labG, n, phis, psis) is not None:
             return n
     return None
 
 
-def _find_interleaving(F, G, n, phis, psis):
-    down_slices = {c: F.slice(c, 2 * n) for c in F.occupied_cells()}
-    up_slices = {c: G.slice(c, 2 * n) for c in G.occupied_cells()}
-
+def _find_interleaving(labF: _Labeler, labG: _Labeler, n, phis, psis):
+    """The first (phi, psi) pair whose triangles all pass at level n, or None."""
+    down = [(labF.at(labF.star(c, 2 * n)), xs) for c, xs in labF.graph.nodes_at.items()]
+    up = [(labG.at(labG.star(c, 2 * n)), ys) for c, ys in labG.graph.nodes_at.items()]
     for phi in phis:
         for psi in psis:
-            ok = True
-            for c, sl in down_slices.items():
-                lab = sl._lab
-                for xi in F.nodes_at[c]:
-                    if lab[xi] != lab[psi[phi[xi]]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                for c, sl in up_slices.items():
-                    lab = sl._lab
-                    for yi in G.nodes_at[c]:
-                        if lab[yi] != lab[phi[psi[yi]]]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
+            if all(lab[x] == lab[psi[phi[x]]] for lab, xs in down for x in xs) and \
+               all(lab[y] == lab[phi[psi[y]]] for lab, ys in up for y in ys):
                 return phi, psi
     return None

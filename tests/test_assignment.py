@@ -81,7 +81,11 @@ def test_totality_violation_reported(chase):
     assert len(msgs) == 1 and "missing node b" in msgs[0]
     # the diagram checks refuse a partial map instead of chasing a missing pointer
     for check in (lambda: loss_at(F, G, partial, 0), lambda: loss_report(F, G, partial, 0),
-                  lambda: saturation_cap(F, G, partial)):
+                  lambda: saturation_cap(F, G, partial),
+                  lambda: check_parallelogram_left(F, G, partial, V(0), E(0), 0),
+                  lambda: check_parallelogram_right(F, G, partial, V(0), E(0), 0),
+                  lambda: check_triangle_down(F, G, partial, V(0), 0),
+                  lambda: check_triangle_up(F, G, partial, V(0), 0)):
         with pytest.raises(AssignmentError, match="not total at node 'b'"):
             check()
     with pytest.raises(AssignmentError, match="missing node b"):

@@ -5,13 +5,16 @@ preceded the walk over each edge's cuts, and the `bound` and `check` digests of
 random pairs from the bisection over the slack that preceded the ring sweep.
 They pin the contract that rewrites keep `mapperbound ingest` output and
 `bound` and `check` stdout byte-identical: node numbering, link lists, witness
-order and key order included.
+order and key order included.  The demo digests were taken from the
+breadth-first slice labelling that preceded the union-find one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +186,28 @@ def test_bound_and_check_stdout_bytes(name, tmp_path, capsys):
         rc = main(argv)
         got.append((rc, _sha(capsys.readouterr().out)))
     assert got == PAIR_SHA256[name]
+
+
+# sha256 of each demo's stdout
+DEMO_SHA256 = {
+    "01_grid_and_thickening.py":
+        "f8d2aa49afd38de47f00ced39215b073e4fdbf93679be9ba4b7388074722ecba",
+    "02_slices_and_distances.py":
+        "faa160d9efc49c09e8129a1bbf1539ff6d0cdf0508ee73cee355eab5741dc3c1",
+    "03_certified_bound.py":
+        "2c3ac307ec6324f0140296c07630dbc75845da137200c653fda27be18b3986f9",
+    "04_independent_verification.py":
+        "3a6b79d1e9f392acce1c5687a70bcc6ac6306e713c4c06fed5a81e3b34f78453",
+}
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.name for p in DEMOS.glob("*.py")) == sorted(DEMO_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_SHA256))
+def test_demo_stdout_bytes(name, capsys):
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert _sha(capsys.readouterr().out) == DEMO_SHA256[name]

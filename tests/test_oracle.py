@@ -1,11 +1,14 @@
 """The independent verifiers: geometric recomputation, open-set enumeration,
-the full loss, and the exhaustive interleaving search."""
+the full loss, the exhaustive interleaving search and the reference slacks,
+and their independence from the library's labelling."""
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,25 +17,31 @@ from mapperbound import (
     GridSpec,
     TinyCaps,
     basis_loss,
+    distance,
     edge_cell,
     enumerate_opens,
     exhaustive_interleaving,
     fit_grid,
     full_loss,
     geometric_pi0,
+    loss_report,
     promote,
     vertex_cell,
 )
-from mapperbound.grid import all_cells, basic_open, is_open, thicken
+from mapperbound.assignment import Witness
+from mapperbound.cosheaf import CosheafGraph
+from mapperbound.grid import all_cells, basic_open, faces, is_open, thicken
 from mapperbound.ingest import build, build_cosheaf
-from mapperbound.oracle import OracleCapError
+from mapperbound.oracle import OracleCapError, _Labeler, reference_loss
 
 from conftest import (
     feasible_level,
     fork_graph,
+    hook_lam_assignment,
     random_assignment,
     random_geometric,
     split_graph,
+    split_pair,
 )
 
 V = vertex_cell
@@ -222,3 +231,112 @@ def test_exhaustive_below_certified_bound():
             continue
         got = exhaustive_interleaving(F, G, int(n + lb), caps)
         assert got is not None and got <= n + lb
+
+
+# -- reference slacks against the library -----------------------------------------------
+
+
+def reference_pairs():
+    """Seeded random pairs in d = 1, 2 and 3 with a random assignment at their
+    least feasible level, then a split pair whose loss is infinite."""
+    rng = random.Random(97)
+    for d, count, nv, denom, spread, chords in ((1, 8, 8, 4, 10, 2), (2, 6, 4, 2, 4, 1),
+                                                (3, 4, 3, 2, 2, 1)):
+        for _ in range(count):
+            gA, gB = (random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
+                                       extra_edges=chords) for tag in "ab")
+            grid = fit_grid([gA, gB], 1.0)
+            F, G = build(gA, grid).graph, build(gB, grid).graph
+            yield F, G, random_assignment(F, G, feasible_level(F, G), rng)
+    bF, bG = split_pair()
+    yield bF.graph, bG.graph, random_assignment(bF.graph, bG.graph, 1, random.Random(2))
+
+
+def test_basis_loss_and_loss_report_match_reference_slacks():
+    dims, positive, infinite = set(), 0, 0
+    for F, G, a in reference_pairs():
+        dims.add(F.grid.d)
+        ref = reference_loss(F, G, a)
+        L_B = max(ref.values(), default=0)
+        res = basis_loss(F, G, a)
+        assert res.L_B == L_B
+        want = sorted((Witness(*key) for key, s in ref.items() if s == L_B and L_B),
+                      key=Witness.sort_key)
+        assert res.witnesses == want[:10]
+        for k in range(4):
+            failing = sorted((Witness(*key) for key, s in ref.items() if s > k),
+                             key=Witness.sort_key)
+            assert loss_report(F, G, a, k) == (not failing, failing)
+        positive += 0 < L_B < math.inf
+        infinite += math.isinf(L_B)
+    assert dims == {1, 2, 3} and positive >= 5 and infinite == 1
+
+
+def test_distance_matches_thickening_one_step_at_a_time():
+    rng = random.Random(101)
+    checked = 0
+    for F, G, _ in reference_pairs():
+        for graph in (F, G):
+            lab = _Labeler(graph)
+            centers = sorted({f for c in graph.occupied_cells() for f in faces(c) | {c}})
+            for c in rng.sample(centers, min(3, len(centers))):
+                for m in (0, 1, 2):
+                    members = [graph.ids[i] for i, r in enumerate(lab.at(lab.star(c, m)))
+                               if r >= 0]
+                    for _ in range(4 if members else 0):
+                        x, y = rng.choice(members), rng.choice(members)
+                        want = lab.node_distance(lab.star(c, m), graph.index[x], graph.index[y])
+                        assert distance(graph, c, m, x, y) == want
+                        checked += 1
+    assert checked > 100
+
+
+def test_reference_loss_cap_is_hard(hook_lam, hook_lam_asg):
+    F, G = hook_lam[0].graph, hook_lam[1].graph
+    with pytest.raises(OracleCapError, match="19 nodes, cap is 18"):
+        reference_loss(F, G, hook_lam_asg, TinyCaps(max_nodes_per_side=18))
+    with pytest.raises(OracleCapError, match="half-extent 4 exceeds the cap 3"):
+        reference_loss(F, G, hook_lam_asg, TinyCaps(max_L=3))
+    assert max(reference_loss(F, G, hook_lam_asg, TinyCaps(max_nodes_per_side=19)).values()) == 1
+
+
+# -- independence from the library's labelling --------------------------------------------
+
+
+def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, monkeypatch):
+    bF, bG = hook_lam
+    caps = TinyCaps(max_nodes_per_side=24)
+    rng = random.Random(103)
+    tiny = [small_pair(rng) for _ in range(3)]
+    tiny = [(F, G, random_assignment(F, G, feasible_level(F, G), rng)) for F, G in tiny]
+    want_lib = basis_loss(bF.graph, bG.graph, hook_lam_asg)
+    want = [(exhaustive_interleaving(F, G, 4, caps), full_loss(F, G, a, caps),
+             reference_loss(F, G, a), basis_loss(F, G, a)) for F, G, a in tiny]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracles must not use the library's labelling")
+
+    for name in ("slice", "set_at", "merge_radii"):
+        monkeypatch.setattr(CosheafGraph, name, refuse)
+    assert exhaustive_interleaving(bF.graph, bG.graph, 3, TinyCaps(max_nodes_per_side=20)) == 2
+    ref = reference_loss(bF.graph, bG.graph, hook_lam_asg)
+    assert max(ref.values()) == want_lib.L_B == 1
+    assert sorted((Witness(*key) for key, s in ref.items() if s == 1),
+                  key=Witness.sort_key)[:10] == want_lib.witnesses
+    for (F, G, a), (exact, full, slacks, lib) in zip(tiny, want):
+        assert exhaustive_interleaving(F, G, 4, caps) == exact
+        assert full_loss(F, G, a, caps) == full
+        got = reference_loss(F, G, a)
+        assert got == slacks and max(got.values(), default=0) == lib.L_B
+        assert exact <= a.n + lib.L_B <= a.n + full.value
+
+
+def test_oracle_source_names_no_library_labelling():
+    src = Path(__file__).resolve().parent.parent / "src" / "mapperbound"
+    for path in sorted(src.glob("*.py")):
+        names = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute)}
+        if path.name != "cosheaf.py":
+            assert not names & {"_lab", "_members"}, path.name
+        if path.name == "oracle.py":
+            assert not names & {"slice", "set_at", "merge_radii"}
