@@ -148,15 +148,13 @@ def _ptr_idx(src: CosheafGraph, dst: CosheafGraph, ptr: dict[str, str]) -> list[
     return [get(ptr.get(nid)) for nid in src.ids]
 
 
-def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> list[str]:
+def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment,
+                        maps: tuple[list[int | None], list[int | None]] | None = None
+                        ) -> list[str]:
     """Empty iff the pointer maps are total on occupied cells and respect the
-    level-n radius constraint.  Raises on grid mismatch."""
-    return _violations(F, G, a, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
-
-
-def _violations(F: CosheafGraph, G: CosheafGraph, a: Assignment,
-                phi: list[int | None], psi: list[int | None]) -> list[str]:
-    """validate_assignment's messages, from pointer maps resolved by _ptr_idx."""
+    level-n radius constraint.  Raises on grid mismatch.  `maps` are phi and
+    psi already resolved by _ptr_idx, if the caller has them."""
+    phi, psi = maps or (_ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
     _require_shared_grid(F, G)
     out: list[str] = []
     for side, src, dst, ptr, idx in (("phi", F, G, a.phi, phi), ("psi", G, F, a.psi, psi)):
@@ -320,13 +318,27 @@ def _slack(r, step: int, n: int):
     return r if math.isinf(r) else max(0, -(-r // step) - n)
 
 
+def _resolve(F: CosheafGraph, G: CosheafGraph, a: Assignment,
+             validate: bool = False) -> tuple[list[int | None], list[int | None]]:
+    """Both pointer maps resolved by _ptr_idx.  With validate, raises an
+    AssignmentError carrying validate_assignment's messages, if there are any."""
+    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
+    if validate:
+        problems = validate_assignment(F, G, a, (phi, psi))
+        if problems:
+            raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
+    return phi, psi
+
+
 def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
-             centers: list[Cell] | None = None, keep=None) -> list[Witness]:
+             centers: list[Cell] | None = None, keep=None,
+             validate: bool = False) -> list[Witness]:
     """The diagrams failing at slack k, center by center: those whose merge
     radius exceeds step * (n + k)."""
+    phi, psi = _resolve(F, G, a, validate)
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
-    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
+    inst = _prepare(F, G, phi, psi)
     bad: list[Witness] = []
     for sigma in inst.centers if centers is None else centers:
         for kind, step, tau, src, xs, radii in _swept(inst, sigma, a.n, k, keep):
@@ -345,17 +357,19 @@ def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int) -> bool:
 
 
 def loss_report(
-    F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int
+    F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int, validate: bool = False
 ) -> tuple[bool, list[Witness]]:
-    """loss_at with the full witness listing (all failing diagrams at k)."""
-    bad = sorted(_failing(F, G, a, k), key=Witness.sort_key)
+    """loss_at with the full witness listing (all failing diagrams at k).
+    With validate, first raises as basis_loss does on an invalid assignment;
+    each pointer map is resolved once for both."""
+    bad = sorted(_failing(F, G, a, k, validate=validate), key=Witness.sort_key)
     return (not bad, bad)
 
 
 def saturation_cap(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> int:
     """Largest slack worth probing: past the saturation of every slice center
     thickening is a fixed point, so no check outcome can change."""
-    inst = _prepare(F, G, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
+    inst = _prepare(F, G, *_resolve(F, G, a))
     return max((F.saturation(sigma) for sigma in inst.centers), default=0)
 
 
@@ -367,11 +381,7 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     Each diagram's slack comes from the merge radius of its chased pair; one
     merge_radii sweep per graph and center gives every pair at once.
     """
-    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
-    problems = _violations(F, G, a, phi, psi)
-    if problems:
-        raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
-    inst = _prepare(F, G, phi, psi)
+    inst = _prepare(F, G, *_resolve(F, G, a, validate=True))
     grid = F.grid
     L_B: float | int = 0
     worst: list[Witness] = []  # the diagrams whose slack is L_B, when positive

@@ -18,6 +18,7 @@ JSON line holding "error" and "violations".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -35,6 +36,17 @@ class _Invalid(Exception):
     def __init__(self, error: str, violations: list[str]) -> None:
         super().__init__(error)
         self.body = {"error": error, "violations": violations}
+
+
+@contextlib.contextmanager
+def _assignment_violations():
+    """Report an AssignmentError that carries violations as invalid input."""
+    try:
+        yield
+    except asg.AssignmentError as exc:
+        if not exc.violations:
+            raise
+        raise _Invalid("invalid assignment", exc.violations) from None
 
 
 def _emit(obj: dict) -> None:
@@ -84,12 +96,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     F = _load_cosheaf(args.f)
     G = _load_cosheaf(args.g)
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
-    try:
+    with _assignment_violations():
         result = asg.basis_loss(F, G, a)
-    except asg.AssignmentError as exc:
-        if not exc.violations:
-            raise
-        raise _Invalid("invalid assignment", exc.violations) from None
     sys.stdout.write(asg.result_to_json(result))
     return 3 if math.isinf(result.L_B) else 0
 
@@ -98,10 +106,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     F = _load_cosheaf(args.f)
     G = _load_cosheaf(args.g)
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
-    problems = asg.validate_assignment(F, G, a)
-    if problems:
-        raise _Invalid("invalid assignment", problems)
-    ok, witnesses = asg.loss_report(F, G, a, args.k)
+    with _assignment_violations():
+        ok, witnesses = asg.loss_report(F, G, a, args.k, validate=True)
     _emit({"k": args.k, "pass": ok, "witnesses": [w.to_json_obj() for w in witnesses]})
     return 0 if ok else 1
 

@@ -1,7 +1,15 @@
 """Slow verifiers for desk-scale cross-checking.
 
 The geometric recomputation (segment arithmetic over realized open sets)
-shares no code with the cosheaf module.  The full loss over every open set of
+shares no code with the cosheaf module and reads only the PL input, not the
+ingest that builds the cosheaf.  A vertex is a member when one hash probe finds
+its carrier cell (2*floor(x/delta) on a grid line, plus 1 off it) in the set.
+An edge whose endpoint carriers miss the set's box on some axis is skipped;
+any other edge is cut at the hyperplanes within one step of the box, in order
+of the exact edge parameter, and its points and open segments are walked with
+their carrier cells tracked in integers.  Maximal runs of member pieces are
+the edge's pieces.  The per-cell interval arithmetic it replaced is the
+reference in tests/pi0_reference.py.  The full loss over every open set of
 the Alexandroff topology, the exhaustive search over component-level basis
 assignments and the reference slack of every basis diagram label components
 themselves: cell sets come from the set algebra (thicken of a basic open) and
@@ -31,79 +39,11 @@ class OracleCapError(ValueError):
 # -- geometric recomputation of component counts --------------------------------
 
 
-def _point_in_cell(val: tuple[Fraction, ...], c: Cell, dfrac: Fraction) -> bool:
-    for x, (kind, l) in zip(val, c.intervals()):
-        if kind == "deg":
-            if x != l * dfrac:
-                return False
-        else:
-            if not (l * dfrac < x < (l + 1) * dfrac):
-                return False
-    return True
-
-
-def _point_in_set(val: tuple[Fraction, ...], cells: frozenset[Cell], dfrac: Fraction) -> bool:
-    return any(_point_in_cell(val, c, dfrac) for c in cells)
-
-
-# intervals on an edge parameter are (lo, hi, lo_closed, hi_closed), Fractions
-_FULL = (Fraction(0), Fraction(1), True, True)
-
-
-def _axis_t_interval(u: Fraction, v: Fraction, kind: str, l: int, dfrac: Fraction):
-    """Parameter set where (1-t)u + tv satisfies one axis constraint, clipped
-    to [0, 1]; returns an interval tuple or None."""
-    span = v - u
-    if kind == "deg":
-        target = l * dfrac
-        if span == 0:
-            return _FULL if u == target else None
-        t = (target - u) / span
-        if 0 <= t <= 1:
-            return (t, t, True, True)
-        return None
-    lo_v, hi_v = l * dfrac, (l + 1) * dfrac
-    if span == 0:
-        return _FULL if lo_v < u < hi_v else None
-    t1 = (lo_v - u) / span
-    t2 = (hi_v - u) / span
-    if t1 > t2:
-        t1, t2 = t2, t1
-    lo, hi, lc, hc = t1, t2, False, False
-    if lo < 0:
-        lo, lc = Fraction(0), True
-    if hi > 1:
-        hi, hc = Fraction(1), True
-    if lo > hi or (lo == hi and not (lc and hc)):
-        return None
-    return (lo, hi, lc, hc)
-
-
-def _intersect(a, b):
-    if a is None or b is None:
-        return None
-    lo, lc = max((a[0], not a[2]), (b[0], not b[2]))
-    hi, hc = min((a[1], a[3]), (b[1], b[3]))
-    lc, hc = not lc, hc
-    if lo > hi or (lo == hi and not (lc and hc)):
-        return None
-    return (lo, hi, lc, hc)
-
-
-def _merge_intervals(parts):
-    """Maximal connected unions of parameter intervals."""
-    parts = sorted(parts, key=lambda p: (p[0], not p[2], p[1], not p[3]))
-    out = []
-    for p in parts:
-        if out:
-            q = out[-1]
-            touches = p[0] < q[1] or (p[0] == q[1] and (q[3] or p[2]))
-            if touches:
-                hi, hc = max((q[1], q[3]), (p[1], p[3]))
-                out[-1] = (q[0], hi, q[2], hc)
-                continue
-        out.append(p)
-    return out
+def _carrier(x: Fraction, delta: Fraction) -> int:
+    """Doubled coordinate of the elementary interval holding x: 2l on the grid
+    line l*delta, 2l+1 inside (l*delta, (l+1)*delta)."""
+    fl, rem = divmod(x.numerator * delta.denominator, x.denominator * delta.numerator)
+    return 2 * fl + (rem != 0)
 
 
 def geometric_pi0(
@@ -115,6 +55,11 @@ def geometric_pi0(
     if not is_open(grid, cells):
         raise ValueError("geometric_pi0 requires an open cell set")
     dfrac = _as_fraction(grid.delta)
+    members = {c.coords for c in cells}
+    if not members:
+        return 0, []
+    box = [(min(ms), max(ms)) for ms in zip(*members)]  # per axis, doubled coords
+    carrier = {vid: tuple(_carrier(x, dfrac) for x in val) for vid, val in g.vertices.items()}
 
     parent: dict[tuple, tuple] = {}
 
@@ -132,23 +77,45 @@ def geometric_pi0(
             parent[max(ra, rb)] = min(ra, rb)
 
     for vid in sorted(g.vertices):
-        if _point_in_set(g.vertices[vid], cells, dfrac):
+        if carrier[vid] in members:
             key = ("v", vid)
             parent[key] = key
 
+    zero, one = Fraction(0), Fraction(1)
     piece_info: dict[tuple, tuple] = {}
     for eidx, (u, v) in enumerate(g.edges):
-        uval, vval = g.vertices[u], g.vertices[v]
-        parts = []
-        for c in cells:
-            got = _FULL
-            for a, (kind, l) in enumerate(c.intervals()):
-                got = _intersect(got, _axis_t_interval(uval[a], vval[a], kind, l, dfrac))
-                if got is None:
-                    break
-            if got is not None:
-                parts.append(got)
-        for j, piece in enumerate(_merge_intervals(parts)):
+        mu, mv = carrier[u], carrier[v]
+        if any(max(p, q) < lo or min(p, q) > hi for p, q, (lo, hi) in zip(mu, mv, box)):
+            continue
+        # the cuts strictly inside the edge at the hyperplanes 2l within one
+        # step of the box; at t = 1 the end point takes v's carrier
+        cuts: dict[Fraction, list[tuple[int, int]]] = {one: list(enumerate(mv))}
+        for a, (x, y, p, q, (lo, hi)) in enumerate(zip(g.vertices[u], g.vertices[v], mu, mv, box)):
+            first, last = max(min(p, q) + 1, lo - 1), min(max(p, q) - 1, hi + 1)
+            for l in range((first + 1) // 2, last // 2 + 1):
+                cuts.setdefault((l * dfrac - x) / (y - x), []).append((a, 2 * l))
+        # pieces in order: point 0, then an (open segment, point) pair per cut;
+        # m is the carrier cell, moved off each point along the edge (where
+        # the carriers of u and v differ on an axis, so do its values)
+        step = [(q > p) - (q < p) for p, q in zip(mu, mv)]
+        m, prev = list(mu), zero
+        pieces = [(zero, zero, True, mu in members)]
+        for t in sorted(cuts):
+            m = [c if c % 2 else c + s for c, s in zip(m, step)]
+            pieces.append((prev, t, False, tuple(m) in members))
+            for a, c in cuts[t]:
+                m[a] = c
+            pieces.append((t, t, True, tuple(m) in members))
+            prev = t
+        # maximal runs of member pieces are the edge's pieces in the set
+        runs, in_run = [], False
+        for lo, hi, point, inside in pieces:
+            if inside and in_run:
+                runs[-1] = (runs[-1][0], hi, runs[-1][2], point)
+            elif inside:
+                runs.append((lo, hi, point, point))
+            in_run = inside
+        for j, piece in enumerate(runs):
             key = ("e", eidx, j)
             parent[key] = key
             piece_info[key] = piece

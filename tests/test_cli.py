@@ -203,6 +203,26 @@ def test_check_beyond_saturation_matches_saturation(bound_bundle, capsys):
     assert json.loads(out_big)["pass"] == json.loads(out_sat)["pass"]
 
 
+def test_check_resolves_each_pointer_map_once(bound_bundle, workdir, capsys, monkeypatch):
+    from mapperbound import assignment as asg
+    from mapperbound.cosheaf import from_json
+
+    calls = []
+    real = asg._ptr_idx
+    monkeypatch.setattr(asg, "_ptr_idx", lambda *args: calls.append(args) or real(*args))
+    f, g, m = bound_bundle
+    rc, _, _ = run(capsys, ["check", "--f", f, "--g", g, "--assignment", m, "--k", "1"])
+    assert (rc, len(calls)) == (0, 2)
+    # an invalid assignment stops after validation, with its messages on stdout
+    broken = {"n": 1, "phi": {}, "psi": {}}
+    m = write(workdir / "broken.json", json.dumps(broken))
+    rc, stdout, _ = run(capsys, ["check", "--f", f, "--g", g, "--assignment", m, "--k", "1"])
+    assert (rc, len(calls)) == (2, 4)
+    F, G = (from_json(Path(p).read_text()) for p in (f, g))
+    problems = asg.validate_assignment(F, G, asg.Assignment.from_json_obj(broken))
+    assert json.loads(stdout) == {"error": "invalid assignment", "violations": problems}
+
+
 # -- oracle ---------------------------------------------------------------------------
 
 

@@ -6,7 +6,9 @@ random pairs from the bisection over the slack that preceded the ring sweep.
 They pin the contract that rewrites keep `mapperbound ingest` output and
 `bound` and `check` stdout byte-identical: node numbering, link lists, witness
 order and key order included.  The demo digests were taken from the
-breadth-first slice labelling that preceded the union-find one.
+breadth-first slice labelling that preceded the union-find one, and the
+`oracle --mode pi0` digests from the per-cell interval arithmetic that preceded
+the walk over each edge's cuts.
 """
 
 from __future__ import annotations
@@ -157,16 +159,21 @@ PAIR_SHA256 = {
 }
 
 
+def _geometric_pair(name: str) -> tuple[random.Random, GeometricGraph, GeometricGraph]:
+    seed, d, nv, denom, spread = PAIRS[name]
+    rng = random.Random(seed)
+    X, Y = (random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
+                             extra_edges=2) for tag in "xy")
+    return rng, X, Y
+
+
 def _pair_texts(name: str) -> tuple[str, str, str]:
     if name == "split":
         bF, bG = split_pair()
         F, G = bF.graph, bG.graph
         a = random_assignment(F, G, 1, random.Random(3))
         return to_json(F), to_json(G), assignment_to_json(a)
-    seed, d, nv, denom, spread = PAIRS[name]
-    rng = random.Random(seed)
-    X, Y = (random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
-                             extra_edges=2) for tag in "xy")
+    rng, X, Y = _geometric_pair(name)
     grid = fit_grid([X, Y], 1.0)
     texts = [to_json(build(g, grid).graph) for g in (X, Y)]
     F, G = map(from_json, texts)
@@ -186,6 +193,26 @@ def test_bound_and_check_stdout_bytes(name, tmp_path, capsys):
         rc = main(argv)
         got.append((rc, _sha(capsys.readouterr().out)))
     assert got == PAIR_SHA256[name]
+
+
+# sha256 of `oracle --mode pi0` stdout on the geometric graphs of a pair, by grid step
+PI0_SHA256 = {
+    ("pair-1d-a", 0.5):
+        "f7f4e81a3efe4dc7cb6dba1344dabfa3cc371b3e007f84220a09912b5af007f5",
+    ("pair-2d-a", 1.0):
+        "6b5134701cf142bccc3c82f6f652afff7f9e239b9cc592fca032478187bbb56c",
+}
+
+
+@pytest.mark.parametrize("name,delta", sorted(PI0_SHA256))
+def test_oracle_pi0_stdout_bytes(name, delta, tmp_path, capsys):
+    _, X, Y = _geometric_pair(name)
+    f, g = tmp_path / "X.json", tmp_path / "Y.json"
+    f.write_text(graph_to_json(X))
+    g.write_text(graph_to_json(Y))
+    assert main(["oracle", "--mode", "pi0", "--f", str(f), "--g", str(g),
+                 "--delta", str(delta)]) == 0
+    assert _sha(capsys.readouterr().out) == PI0_SHA256[name, delta]
 
 
 # sha256 of each demo's stdout

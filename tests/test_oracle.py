@@ -8,12 +8,14 @@ import ast
 import itertools
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mapperbound import (
     Assignment,
+    GeometricGraph,
     GridSpec,
     TinyCaps,
     basis_loss,
@@ -30,7 +32,7 @@ from mapperbound import (
 )
 from mapperbound.assignment import Witness
 from mapperbound.cosheaf import CosheafGraph
-from mapperbound.grid import all_cells, basic_open, faces, is_open, thicken
+from mapperbound.grid import Cell, all_cells, basic_open, faces, is_open, thicken
 from mapperbound.ingest import build, build_cosheaf
 from mapperbound.oracle import OracleCapError, _Labeler, reference_loss
 
@@ -43,6 +45,7 @@ from conftest import (
     split_graph,
     split_pair,
 )
+from pi0_reference import reference_pi0
 
 V = vertex_cell
 E = edge_cell
@@ -101,6 +104,90 @@ def test_pi0_on_hyperplane_vertex():
     grid = GridSpec(1, 1.0, 2)
     assert geometric_pi0(g, grid, basic_open(grid, V(1)))[0] == 1
     assert geometric_pi0(g, grid, basic_open(grid, E(1)))[0] == 0
+
+
+# -- geometric pi0 against the per-cell reference -------------------------------------
+
+
+H = Fraction(1, 2)
+
+HAND_MADE = {
+    # an edge inside the hyperplane x = 1 that ends on the grid point (1, 1)
+    "in-hyperplane": GeometricGraph(
+        d=2, vertices={"a": (1, -3 * H), "b": (1, 1), "c": (5 * H, 1)},
+        edges=[("a", "b"), ("b", "c")]),
+    # a diagonal through the grid point (0, 0): both axes cut at t = 1/2
+    "diagonal-2d": GeometricGraph(
+        d=2, vertices={"a": (-3 * H, -3 * H), "b": (3 * H, 3 * H)}, edges=[("a", "b")]),
+    # all three axes cut at once, at (0, 0, 0) and again at (1, 1, 1)
+    "diagonal-3d": GeometricGraph(
+        d=3, vertices={"a": (-H, -H, -H), "b": (3 * H, 3 * H, 3 * H)}, edges=[("a", "b")]),
+    # vertices on grid points, joined by an edge that leaves the grid lines
+    "grid-vertex": GeometricGraph(
+        d=2, vertices={"p": (1, -1), "q": (-1, 2), "r": (H, 2)},
+        edges=[("p", "q"), ("q", "r")]),
+    # strands that cross every small box from outside to outside
+    "crossing-1d": GeometricGraph(
+        d=1, vertices={"lo": (-7 * H,), "hi": (7 * H,), "mid": (H,)},
+        edges=[("lo", "hi"), ("mid", "hi")]),
+    "crossing-2d": GeometricGraph(
+        d=2, vertices={"a": (-5 * H, -2), "b": (5 * H, 1)}, edges=[("a", "b")]),
+}
+
+
+def _pi0_sets(grid: GridSpec, rng: random.Random):
+    """The whole grid, the empty set, and thickened stars at r = 0..3, each
+    also joined with the star of a diagonal neighbour at the same radius: an
+    open set that need not be a box.  Stars are centered at every cell in
+    1-D, at a few random cells above (the reference is slow there)."""
+    cells = list(all_cells(grid))
+    yield frozenset(cells)
+    yield frozenset()
+    for c in cells if grid.d == 1 else rng.sample(cells, {2: 10, 3: 2}[grid.d]):
+        near = Cell(tuple(m + rng.choice((-1, 1)) for m in c.coords))
+        for r in range(4):
+            star = thicken(grid, basic_open(grid, c), r)
+            yield star
+            if grid.contains(near):
+                yield star | thicken(grid, basic_open(grid, near), r)
+
+
+def _corner_pairs(grid: GridSpec, rng: random.Random):
+    """The star of a cell joined with the star of each diagonal neighbour,
+    among them L-shaped open sets that hold the cells on either side of a
+    grid point but not the point itself.  Every cell in 2-D, a sample in 3-D."""
+    cells = list(all_cells(grid))
+    for c in cells if grid.d < 3 else rng.sample(cells, 100):
+        for step in itertools.product((-1, 1), repeat=grid.d):
+            near = Cell(tuple(m + s for m, s in zip(c.coords, step)))
+            if grid.contains(near):
+                yield basic_open(grid, c) | basic_open(grid, near)
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+@pytest.mark.parametrize("name", sorted(HAND_MADE))
+def test_pi0_matches_reference_on_hand_made_edges(name, delta):
+    g = HAND_MADE[name]
+    grid = fit_grid([g], delta)
+    rng = random.Random(0)
+    for cells in itertools.chain(_pi0_sets(grid, rng), _corner_pairs(grid, rng)):
+        assert geometric_pi0(g, grid, cells) == reference_pi0(g, grid, cells), cells
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pi0_matches_reference_on_random_inputs(d, delta):
+    rng = random.Random(1000 * d + int(4 * delta))
+    for _ in range(6):
+        # values are multiples of delta / denom within (4 - d) * delta: small
+        # denominators put vertices on grid points and edges in hyperplanes,
+        # and the whole grid stays small
+        denom = rng.choice([1, 2, 4])
+        g = random_geometric(rng, "p", rng.randint(2, 7 - d), d=d, denom=int(denom / delta),
+                             spread=denom * rng.randint(1, 4 - d), extra_edges=rng.randint(0, 2))
+        grid = fit_grid([g], delta)
+        for cells in _pi0_sets(grid, rng):
+            assert geometric_pi0(g, grid, cells) == reference_pi0(g, grid, cells), cells
 
 
 # -- open-set enumeration --------------------------------------------------------------
@@ -340,3 +427,18 @@ def test_oracle_source_names_no_library_labelling():
             assert not names & {"_lab", "_members"}, path.name
         if path.name == "oracle.py":
             assert not names & {"slice", "set_at", "merge_radii"}
+
+
+def test_oracle_source_names_no_ingest_build():
+    # the geometric recomputation reads the PL input only, never the ingest
+    # that turns it into a cosheaf
+    tree = ast.parse((Path(__file__).resolve().parent.parent
+                      / "src" / "mapperbound" / "oracle.py").read_text())
+    from_ingest = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for alias in node.names
+                   if node.module == "ingest" or alias.name == "ingest"}
+    assert from_ingest == {"GeometricGraph", "_as_fraction"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"build", "build_cosheaf", "node_on_edge", "node_of_vertex",
+                        "MapperBuild"}
