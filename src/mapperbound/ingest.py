@@ -73,6 +73,13 @@ class GeometricGraph:
                 raise IngestError(f"edge ({u!r}, {v!r}) names unknown vertex")
 
     def to_json_obj(self) -> dict:
+        # readers parse the written decimal exactly, so a value must equal the
+        # shortest repr of its float
+        for vid, val in self.vertices.items():
+            for x in val:
+                if _as_fraction(float(x)) != x:
+                    raise IngestError(f"vertex {vid!r} has value {x}, which JSON would "
+                                      f"write as {float(x)!r}, a different number")
         return {
             "d": self.d,
             "vertices": [

@@ -12,11 +12,15 @@ the edge's pieces.  The per-cell interval arithmetic it replaced is the
 reference in tests/pi0_reference.py.  The full loss over every open set of
 the Alexandroff topology, the exhaustive search over component-level basis
 assignments and the reference slack of every basis diagram label components
-themselves: cell sets come from the set algebra (thicken of a basic open) and
-components from a union-find over the graph's stored links.  None of them
-calls CosheafGraph.slice, set_at or merge_radii, which the paths they check
-run.  All enumerations enforce hard caps; exceeding a cap raises, never
-truncates.
+themselves: cell sets come from the set algebra (thicken of single cells,
+whose unions give one thickening step of a set) and components from a
+union-find over the graph's stored links.  Within one call each cell's step
+and each set's step is computed once, and the full loss measures each
+parallelogram node pair once per larger open set, gathered over all the open
+sets strictly inside it.  None of them calls CosheafGraph.slice, set_at or
+merge_radii, which the paths they check run, nor the grid's closed forms of a
+thickened star.  All enumerations enforce hard caps; exceeding a cap raises,
+never truncates.
 """
 
 from __future__ import annotations
@@ -215,6 +219,7 @@ class _Labeler:
         self.cache: dict[frozenset[Cell], list[int]] = {}
         self.stars: dict[tuple[Cell, int], frozenset[Cell]] = {}
         self.steps: dict[Cell, frozenset[Cell]] = {}  # thicken({c}, 1) per cell c
+        self.grown: dict[frozenset[Cell], frozenset[Cell]] = {}  # thicken(S, 1) per set S
         self.total = graph.grid.cell_count()
 
     def at(self, cells: frozenset[Cell]) -> list[int]:
@@ -231,12 +236,17 @@ class _Labeler:
             self.stars[c, r] = hit
         return hit
 
-    def grow(self, cells: frozenset[Cell]) -> frozenset[Cell]:
-        """thicken(cells, 1), the union of the cells' own steps: closure and
-        star distribute over unions."""
-        for c in cells.difference(self.steps):
-            self.steps[c] = thicken(self.graph.grid, frozenset({c}), 1)
-        return frozenset().union(*map(self.steps.__getitem__, cells))
+    def grow(self, cells: frozenset[Cell], n: int = 1) -> frozenset[Cell]:
+        """thicken(cells, n), one memoised step at a time.  A step is the union
+        of the cells' own steps: closure and star distribute over unions."""
+        for _ in range(n):
+            hit = self.grown.get(cells)
+            if hit is None:
+                for c in cells.difference(self.steps):
+                    self.steps[c] = thicken(self.graph.grid, frozenset({c}), 1)
+                hit = self.grown[cells] = frozenset().union(*map(self.steps.__getitem__, cells))
+            cells = hit
+        return cells
 
     def node_distance(self, cells: frozenset[Cell], i: int, j: int):
         """Least extra thickening of `cells` merging nodes i and j."""
@@ -254,7 +264,7 @@ class _Labeler:
 def _labelers(F: CosheafGraph, G: CosheafGraph) -> tuple[_Labeler, _Labeler]:
     """Labelers of F and G that share the thickened cell sets of their grid."""
     labF, labG = _Labeler(F), _Labeler(G)
-    labG.stars, labG.steps = labF.stars, labF.steps
+    labG.stars, labG.steps, labG.grown = labF.stars, labF.steps, labF.grown
     return labF, labG
 
 
@@ -306,37 +316,43 @@ def full_loss(
     the value is still the loss of that concrete unnatural transformation.
     By construction the value is at least the basis loss of the same
     assignment.
+
+    Each open set is thickened by n steps of the labelers' shared step memo,
+    so each set's step is computed once per call.  The parallelograms of all
+    S strictly inside a larger T chase the same node pairs over thick[T] again
+    and again; they are gathered per T and side and each distinct pair is
+    measured once.  The value is a maximum, so the order is free.
     """
     check_tiny(F, G, caps)
-    grid = F.grid
-    opens = [S for S in enumerate_opens(grid, cap=max_opens) if S]
+    opens = [S for S in enumerate_opens(F.grid, cap=max_opens) if S]
     n = a.n
 
     labF, labG = _labelers(F, G)
     phi = [G.index[a.phi[nid]] for nid in F.ids]
     psi = [F.index[a.psi[nid]] for nid in G.ids]
-    thick = {S: thicken(grid, S, n) for S in opens}
-    thick2 = {S: thicken(grid, thick[S], n) for S in opens}
+    thick = {S: labF.grow(S, n) for S in opens}
+    thick2 = {S: labF.grow(thick[S], n) for S in opens}
     ext_phi, ok_phi = _extension(labF, labG, phi, opens, thick)
     ext_psi, ok_psi = _extension(labG, labF, psi, opens, thick)
 
     worst: float | int = 0
     sides = ((labF, labG, ext_phi, ext_psi), (labG, labF, ext_psi, ext_phi))
-    for S in opens:
-        for lab, other, there, back in sides:
-            reps = _component_reps(lab.at(S))
-            # triangles at S
-            for i in reps:
-                mid = other.at(thick[S])[there[(S, i)]]
-                d = lab.node_distance(thick2[S], i, back[(thick[S], mid)])
+    # per side and open S: (least member i of a component, the node it maps to)
+    chased = [{S: frozenset((i, there[S, i]) for i in _component_reps(lab.at(S)))
+               for S in opens} for lab, _, there, _ in sides]
+    for T in opens:
+        below = [S for S in opens if S < T]
+        for (lab, other, there, back), pairs in zip(sides, chased):
+            # triangles at T
+            for i, j in pairs[T]:
+                mid = other.at(thick[T])[j]
+                d = lab.node_distance(thick2[T], i, back[(thick[T], mid)])
                 worst = max(worst, d if math.isinf(d) else (int(d) + 1) // 2)
-            # parallelograms for every strictly larger T
-            for T in opens:
-                if T != S and S <= T:
-                    labT = lab.at(T)
-                    for i in reps:
-                        worst = max(worst, other.node_distance(
-                            thick[T], there[(T, labT[i])], there[(S, i)]))
+            # parallelograms for every strictly smaller S, each node pair once
+            labT = lab.at(T)
+            gathered = set().union(*(pairs[S] for S in below))
+            for p, q in {(there[T, labT[i]], j) for i, j in gathered}:
+                worst = max(worst, other.node_distance(thick[T], p, q))
         if math.isinf(worst):
             break
 

@@ -5,7 +5,9 @@ preceded the walk over each edge's cuts, and the `bound` and `check` digests of
 random pairs from the bisection over the slack that preceded the ring sweep.
 They pin the contract that rewrites keep `mapperbound ingest` output and
 `bound` and `check` stdout byte-identical: node numbering, link lists, witness
-order and key order included.  The demo digests were taken from the
+order and key order included.  The `oracle --mode full-loss` digests were
+taken before the full loss memoised its thickening steps and gathered its
+parallelogram pairs per larger open.  The demo digests were taken from the
 breadth-first slice labelling that preceded the union-find one, and the
 `oracle --mode pi0` digests from the per-cell interval arithmetic that preceded
 the walk over each edge's cuts.
@@ -159,8 +161,14 @@ PAIR_SHA256 = {
 }
 
 
+# a pair on the 1-D grid at L = 2, small enough for the full-loss oracle
+TINY_PAIRS = {
+    "tiny-1d": (4012, 1, 4, 10, 17),
+}
+
+
 def _geometric_pair(name: str) -> tuple[random.Random, GeometricGraph, GeometricGraph]:
-    seed, d, nv, denom, spread = PAIRS[name]
+    seed, d, nv, denom, spread = {**PAIRS, **TINY_PAIRS}[name]
     rng = random.Random(seed)
     X, Y = (random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
                              extra_edges=2) for tag in "xy")
@@ -193,6 +201,25 @@ def test_bound_and_check_stdout_bytes(name, tmp_path, capsys):
         rc = main(argv)
         got.append((rc, _sha(capsys.readouterr().out)))
     assert got == PAIR_SHA256[name]
+
+
+# sha256 of `oracle --mode full-loss` stdout on a pair and its assignment
+FULL_LOSS_SHA256 = {
+    "tiny-1d":
+        "d605910b4a93be231df0eb580edfaa71391e23275cb7b0c98bc62dd5e7c281de",
+    "split":
+        "fd9a4a14cfbd154b65ccec8a1e1bf2c3ba506fbadfe25968ad234b35fbefa72e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_LOSS_SHA256))
+def test_oracle_full_loss_stdout_bytes(name, tmp_path, capsys):
+    paths = [tmp_path / "F.json", tmp_path / "G.json", tmp_path / "a.json"]
+    for p, text in zip(paths, _pair_texts(name)):
+        p.write_text(text)
+    assert main(["oracle", "--mode", "full-loss", "--f", str(paths[0]), "--g", str(paths[1]),
+                 "--assignment", str(paths[2]), "--cap", "24"]) == 0
+    assert _sha(capsys.readouterr().out) == FULL_LOSS_SHA256[name]
 
 
 # sha256 of `oracle --mode pi0` stdout on the geometric graphs of a pair, by grid step

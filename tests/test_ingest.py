@@ -230,6 +230,22 @@ def test_geometric_graph_json_round_trip():
     assert back.vertices == g.vertices
 
 
+def test_geometric_graph_json_refuses_values_it_cannot_carry():
+    # JSON carries a float's shortest repr: 1/3 would read back as
+    # 3333333333333333/10**16, a different graph
+    third = GeometricGraph(d=2, vertices={"p": (Fraction(1, 10), Fraction(1, 3)),
+                                          "q": (Fraction(5, 4), Fraction(0))},
+                           edges=[("p", "q")])
+    with pytest.raises(IngestError, match=r"'p' has value 1/3"):
+        graph_to_json(third)
+    big = GeometricGraph(d=1, vertices={"r": (Fraction(2**53 + 1),)}, edges=[])
+    with pytest.raises(IngestError, match=r"'r' has value 9007199254740993"):
+        graph_to_json(big)
+    exact = GeometricGraph(d=1, vertices={"p": (Fraction(-7, 10),), "q": (Fraction(5, 4),)},
+                           edges=[("p", "q")])
+    assert GeometricGraph.from_json(graph_to_json(exact)).vertices == exact.vertices
+
+
 def test_build_rejects_dimension_mismatch():
     g = one_vertex(0)
     with pytest.raises(IngestError):

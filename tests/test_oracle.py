@@ -8,11 +8,16 @@ import ast
 import itertools
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import mapperbound.assignment as assignment_module
+import mapperbound.cosheaf as cosheaf_module
+import mapperbound.grid as grid_module
+import mapperbound.oracle as oracle_module
 from mapperbound import (
     Assignment,
     GeometricGraph,
@@ -284,6 +289,79 @@ def test_full_loss_dominates_basis_loss_and_promotion_zeroes_it():
     assert seen_positive
 
 
+def golden_batch():
+    """64 seeded tiny 1-D pairs at L <= 2, with up to two chords on a side of
+    three or more vertices, each with a random assignment at its least
+    feasible level."""
+    rng = random.Random(211)
+    for _ in range(64):
+        gA, gB = (random_geometric(rng, tag, nv, extra_edges=rng.randint(0, 2) if nv > 2 else 0)
+                  for tag, nv in (("a", rng.randint(2, 4)), ("b", rng.randint(2, 4))))
+        grid = fit_grid([gA, gB], 1.0)
+        F, G = build(gA, grid).graph, build(gB, grid).graph
+        yield F, G, random_assignment(F, G, feasible_level(F, G), rng)
+
+
+# (value, consistent_extension, opens) of full_loss on golden_batch(), captured
+# before the per-set step memo and the per-T pair gathering
+FULL_LOSS_BATCH = [
+    (1, False, 88), (0, True, 88), (3, False, 88), (1, True, 88), (0, True, 88),
+    (0, True, 88), (0, True, 12), (0, True, 88), (0, True, 88), (0, True, 88),
+    (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 12),
+    (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 88),
+    (2, False, 88), (0, True, 88), (1, False, 88), (2, False, 88), (0, True, 88),
+    (1, False, 88), (0, True, 88), (0, True, 88), (1, False, 88), (0, True, 88),
+    (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 88),
+    (1, False, 88), (1, False, 88), (0, True, 88), (0, True, 12), (0, True, 88),
+    (0, True, 88), (0, True, 88), (1, False, 88), (0, True, 88), (0, True, 12),
+    (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 88), (0, True, 88),
+    (0, True, 88), (0, True, 88), (1, False, 88), (2, False, 88), (0, True, 88),
+    (0, True, 88), (0, True, 88), (1, False, 88), (0, True, 88), (0, True, 88),
+    (0, True, 88), (0, True, 88), (0, True, 88), (1, False, 88),
+]
+
+
+def test_full_loss_golden_batch():
+    caps = TinyCaps(max_nodes_per_side=24)
+    got = [astuple(full_loss(F, G, a, caps)) for F, G, a in golden_batch()]
+    assert got == FULL_LOSS_BATCH
+
+
+def test_full_loss_split_pair_is_infinite():
+    bF, bG = split_pair()
+    a = random_assignment(bF.graph, bG.graph, 1, random.Random(2))
+    rep = full_loss(bF.graph, bG.graph, a, TinyCaps(max_nodes_per_side=24))
+    assert (rep.value, rep.consistent_extension, rep.opens) == (math.inf, False, 609)
+
+
+@pytest.mark.parametrize("d,L", [(1, 1), (1, 2), (2, 1)])
+def test_labeler_growth_matches_thicken(d, L):
+    grid = GridSpec(d, 1.0, L)
+    lab = _Labeler(CosheafGraph(grid, [], []))
+    opens = enumerate_opens(grid)
+    # one step of every open set; a thickened open set is open again
+    step = {S: thicken(grid, S, 1) for S in opens}
+    for S in opens:
+        want = S
+        for n in range(4):
+            assert lab.grow(S, n) == want
+            want = step[want]
+
+
+def test_full_loss_thickens_each_cell_once(monkeypatch):
+    seen = []
+
+    def counting(grid, cells, n):
+        seen.append((cells, n))
+        return thicken(grid, cells, n)
+
+    monkeypatch.setattr(oracle_module, "thicken", counting)
+    F, G, a = next(golden_batch())
+    full_loss(F, G, a, TinyCaps(max_nodes_per_side=24))
+    assert seen and all(len(cells) == 1 and n == 1 for cells, n in seen)
+    assert len({cells for cells, _ in seen}) == len(seen)
+
+
 # -- exhaustive interleaving -----------------------------------------------------------------
 
 
@@ -390,6 +468,9 @@ def test_reference_loss_cap_is_hard(hook_lam, hook_lam_asg):
 # -- independence from the library's labelling --------------------------------------------
 
 
+CLOSED_FORMS = ("star_box", "star_ring", "star_saturation")
+
+
 def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, monkeypatch):
     bF, bG = hook_lam
     caps = TinyCaps(max_nodes_per_side=24)
@@ -405,6 +486,11 @@ def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, 
 
     for name in ("slice", "set_at", "merge_radii"):
         monkeypatch.setattr(CosheafGraph, name, refuse)
+    # nor the closed forms of thickened stars that the library's paths use
+    for module in (grid_module, cosheaf_module, assignment_module, oracle_module):
+        for name in CLOSED_FORMS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     assert exhaustive_interleaving(bF.graph, bG.graph, 3, TinyCaps(max_nodes_per_side=20)) == 2
     ref = reference_loss(bF.graph, bG.graph, hook_lam_asg)
     assert max(ref.values()) == want_lib.L_B == 1
@@ -421,12 +507,16 @@ def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, 
 def test_oracle_source_names_no_library_labelling():
     src = Path(__file__).resolve().parent.parent / "src" / "mapperbound"
     for path in sorted(src.glob("*.py")):
-        names = {node.attr for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Attribute)}
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
         if path.name != "cosheaf.py":
             assert not names & {"_lab", "_members"}, path.name
         if path.name == "oracle.py":
             assert not names & {"slice", "set_at", "merge_radii"}
+            names |= {node.id for node in nodes if isinstance(node, ast.Name)}
+            names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                      for alias in node.names}
+            assert not names & set(CLOSED_FORMS)
 
 
 def test_oracle_source_names_no_ingest_build():
