@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from .cosheaf import INFINITE, CosheafGraph, fmt_extended
-from .grid import Cell, cell_sort_key, cell_to_wire, faces, star_box, thicken
+from .grid import Cell, cell_sort_key, cell_to_wire, closure, cofaces, faces, star_box, thicken
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
 
@@ -225,7 +225,8 @@ def check_triangle_up(
 def _check(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
            kind: str, sigma: Cell, tau: Cell | None) -> tuple[bool, list[Witness]]:
     """One family's diagram at (sigma, tau), with its failing elements."""
-    if tau is not None and sigma not in faces(tau):
+    F.grid.check_cell(sigma)
+    if tau is not None and sigma not in faces(F.grid.check_cell(tau)):
         raise AssignmentError("sigma must be a proper face of tau")
     bad = _failing(F, G, a, k, [sigma], lambda d: d[0] == kind and d[2] == tau)
     return (not bad, bad)
@@ -236,39 +237,35 @@ def _check(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
 
 @dataclass
 class _Instance:
-    """Face-pair enumeration for one (F, G) pair and its resolved pointer maps."""
+    """One (F, G) pair, its resolved pointer maps and the centers to check."""
 
     F: CosheafGraph
     G: CosheafGraph
     phi: list[int]
     psi: list[int]
     centers: list[Cell]
-    left_pairs: dict[Cell, list[Cell]] = field(default_factory=dict)
-    right_pairs: dict[Cell, list[Cell]] = field(default_factory=dict)
-    tri_down: set[Cell] = field(default_factory=set)
-    tri_up: set[Cell] = field(default_factory=set)
 
 
-def _prepare(F: CosheafGraph, G: CosheafGraph,
-             phi: list[int | None], psi: list[int | None]) -> _Instance:
-    """The instance for pointer maps resolved by _ptr_idx; raises unless total."""
+def _prepare(F: CosheafGraph, G: CosheafGraph, a: Assignment, validate: bool = False,
+             centers: list[Cell] | None = None) -> _Instance:
+    """The instance for `a`, with both pointer maps resolved by _ptr_idx.  With
+    validate, raises an AssignmentError carrying validate_assignment's
+    messages, if there are any; raises unless both maps are total.  Centers
+    default to every cell a diagram is centered at: the faces of both graphs'
+    occupied cells, in cell order."""
+    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
+    if validate:
+        problems = validate_assignment(F, G, a, (phi, psi))
+        if problems:
+            raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
     _require_shared_grid(F, G)
     for src, idx in ((F, phi), (G, psi)):
         if None in idx:
             raise AssignmentError(
                 f"assignment is not total at node {src.ids[idx.index(None)]!r}")
-    left: dict[Cell, list[Cell]] = {}
-    right: dict[Cell, list[Cell]] = {}
-    for tau in F.occupied_cells():
-        for s in faces(tau):
-            left.setdefault(s, []).append(tau)
-    for tau in G.occupied_cells():
-        for s in faces(tau):
-            right.setdefault(s, []).append(tau)
-    tri_down = set(F.occupied_cells())
-    tri_up = set(G.occupied_cells())
-    centers = sorted(set(left) | set(right) | tri_down | tri_up, key=cell_sort_key)
-    return _Instance(F, G, phi, psi, centers, left, right, tri_down, tri_up)
+    if centers is None:
+        centers = sorted(closure([*F.nodes_at, *G.nodes_at]), key=cell_sort_key)
+    return _Instance(F, G, phi, psi, centers)
 
 
 def _diagrams(inst: _Instance, sigma: Cell):
@@ -276,20 +273,22 @@ def _diagrams(inst: _Instance, sigma: Cell):
     and tau in KIND_ORDER: (kind, step, tau, src, xs, dst, us, vs), tau None
     for a triangle.  The diagram of element xs[i] of src passes at slack k iff
     nodes us[i] and vs[i] share a component of dst's slice at sigma of radius
-    step * (n + k)."""
+    step * (n + k).  Read off the face poset: a parallelogram for each coface
+    tau of sigma that src occupies, a triangle when src occupies sigma."""
     F, G, phi, psi = inst.F, inst.G, inst.phi, inst.psi
-    for kind, src, dst, ptr, pairs in (("parallelogram_left", F, G, phi, inst.left_pairs),
-                                       ("parallelogram_right", G, F, psi, inst.right_pairs)):
-        for tau in pairs.get(sigma, ()):
+    up = cofaces(F.grid, sigma)
+    for kind, src, dst, ptr in (("parallelogram_left", F, G, phi),
+                                ("parallelogram_right", G, F, psi)):
+        for tau in [t for t in up if t in src.nodes_at]:
             xs, fs = src.nodes_at[tau], src._face_images(tau, sigma)
             if None in fs:
                 raise AssignmentError(f"cosheaf is missing the face image of "
                                       f"{src.ids[xs[fs.index(None)]]!r} at {sigma!r}")
             yield kind, 1, tau, src, xs, dst, [ptr[x] for x in xs], [ptr[f] for f in fs]
-    for kind, src, there, back, occupied in (("triangle_down", F, phi, psi, inst.tri_down),
-                                             ("triangle_up", G, psi, phi, inst.tri_up)):
-        if sigma in occupied:
-            xs = src.nodes_at[sigma]
+    for kind, src, there, back in (("triangle_down", F, phi, psi),
+                                   ("triangle_up", G, psi, phi)):
+        xs = src.nodes_at.get(sigma)
+        if xs is not None:
             yield kind, 2, None, src, xs, src, xs, [back[there[x]] for x in xs]
 
 
@@ -318,29 +317,16 @@ def _slack(r, step: int, n: int):
     return r if math.isinf(r) else max(0, -(-r // step) - n)
 
 
-def _resolve(F: CosheafGraph, G: CosheafGraph, a: Assignment,
-             validate: bool = False) -> tuple[list[int | None], list[int | None]]:
-    """Both pointer maps resolved by _ptr_idx.  With validate, raises an
-    AssignmentError carrying validate_assignment's messages, if there are any."""
-    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
-    if validate:
-        problems = validate_assignment(F, G, a, (phi, psi))
-        if problems:
-            raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
-    return phi, psi
-
-
 def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
              centers: list[Cell] | None = None, keep=None,
              validate: bool = False) -> list[Witness]:
     """The diagrams failing at slack k, center by center: those whose merge
     radius exceeds step * (n + k)."""
-    phi, psi = _resolve(F, G, a, validate)
+    inst = _prepare(F, G, a, validate, centers)
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
-    inst = _prepare(F, G, phi, psi)
     bad: list[Witness] = []
-    for sigma in inst.centers if centers is None else centers:
+    for sigma in inst.centers:
         for kind, step, tau, src, xs, radii in _swept(inst, sigma, a.n, k, keep):
             top = step * (a.n + k)
             if max(radii) > top:
@@ -369,7 +355,7 @@ def loss_report(
 def saturation_cap(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> int:
     """Largest slack worth probing: past the saturation of every slice center
     thickening is a fixed point, so no check outcome can change."""
-    inst = _prepare(F, G, *_resolve(F, G, a))
+    inst = _prepare(F, G, a)
     return max((F.saturation(sigma) for sigma in inst.centers), default=0)
 
 
@@ -381,7 +367,7 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     Each diagram's slack comes from the merge radius of its chased pair; one
     merge_radii sweep per graph and center gives every pair at once.
     """
-    inst = _prepare(F, G, *_resolve(F, G, a, validate=True))
+    inst = _prepare(F, G, a, validate=True)
     grid = F.grid
     L_B: float | int = 0
     worst: list[Witness] = []  # the diagrams whose slack is L_B, when positive

@@ -3,9 +3,13 @@
 A CosheafGraph stores, for a fixed grid, the elements of F(S_sigma) for every
 cell sigma as nodes (each node carries its cell), plus links (x, y) meaning
 that y is the image of x under the map induced by S_{cell(x)} inside
-S_{cell(y)}, where cell(y) is a codimension-1 face of cell(x).  Images for
-deeper faces are derived by composing stored links; path-independence of that
-composition is a validated invariant rather than duplicated data.
+S_{cell(y)}, where cell(y) is a codimension-1 face of cell(x).  Face images
+are rows, one per (cell, face cell) pair.  A codimension-1 row is stored: each
+node's first listed link there.  A deeper row composes, for each axis where
+the two cells differ in axis order, the row to the codimension-1 face between
+them with that face's row, and keeps each node's first image found.
+Path-independence of that composition is a validated invariant rather than
+duplicated data.
 
 Connectivity over an open cell set S is computed on the nodes whose carrier
 cell lies in S, joining two nodes when a link connects them and both carriers
@@ -140,50 +144,38 @@ class CosheafGraph:
         return out
 
     def face_image(self, node_id: str, face: Cell) -> str:
-        """The element at `face` that the given node maps to, following stored
-        codimension-1 links (composites agree by the validated invariant)."""
-        i = self._face_image_idx(self.index[node_id], face)
-        if i is None:
+        """The element at `face` that the given node maps to: its entry in the
+        face-image row of its cell (composites agree by the validated invariant)."""
+        i = self.index[node_id]
+        c = self.cells[i]
+        j = i if face == c else self._face_images(c, face)[i - self.nodes_at[c][0]]
+        if j is None:
             raise CosheafError(f"no face image of {node_id!r} at {face!r}")
-        return self.ids[i]
-
-    def _link(self, i: int, face: Cell) -> int | None:
-        """The stored face image of node i at `face`, if any."""
-        row = self._links.get((self.cells[i], face))
-        return None if row is None else row[i - self.nodes_at[self.cells[i]][0]]
+        return self.ids[j]
 
     def _face_images(self, c: Cell, face: Cell) -> list[int | None]:
-        """_face_image_idx of each node over c; a codimension-1 face is its stored row."""
+        """The face image at `face`, a proper face of c, of each node over c
+        by position in c's block; None where a node has none.  A codimension-1
+        face reads its stored row.  A deeper face composes, for each axis where
+        c and `face` differ in axis order, the row to the codimension-1 face mid
+        taking face's coordinate there with _face_images(mid, face); each node
+        keeps the first image found."""
         row = self._links.get((c, face))
-        if row is None or face.dim != c.dim - 1:
-            row = [self._face_image_idx(i, face) for i in self.nodes_at[c]]
-        return row
-
-    def _face_image_idx(self, i: int, face: Cell) -> int | None:
-        hit = self._link(i, face)
-        if hit is not None:
-            return hit
-        c = self.cells[i]
-        if face == c:
-            return i
-        if not is_face(face, c):
-            raise CosheafError(f"{face!r} is not a face of {c!r}")
-        # descend one codimension at a time through any intermediate face
-        for mid, j in self._codim1_links(i):
-            if is_face(face, mid):
-                out = self._face_image_idx(j, face)
-                if out is not None:
-                    return out
-        return None
-
-    def _codim1_links(self, i: int) -> list[tuple[Cell, int]]:
-        c = self.cells[i]
-        out = []
-        for f in faces(c):
-            if f.dim == c.dim - 1:
-                j = self._link(i, f)
-                if j is not None:
-                    out.append((f, j))
+        if row is not None and face.dim == c.dim - 1:
+            return row
+        out: list[int | None] = [None] * len(self.nodes_at[c])
+        co = c.coords
+        for a, (m, e) in enumerate(zip(co, face.coords)):
+            if m == e:
+                continue
+            mid = Cell(co[:a] + (e,) + co[a + 1:])
+            down = self._links.get((c, mid))
+            if down is None:
+                continue
+            img, m0 = self._face_images(mid, face), self.nodes_at[mid][0]
+            for s, j in enumerate(down):
+                if out[s] is None and j is not None:
+                    out[s] = img[j - m0]
         return out
 
     def saturation(self, center: Cell) -> int:

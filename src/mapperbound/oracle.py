@@ -14,12 +14,13 @@ the Alexandroff topology, the exhaustive search over component-level basis
 assignments and the reference slack of every basis diagram label components
 themselves: cell sets come from the set algebra (thicken of single cells,
 whose unions give one thickening step of a set) and components from a
-union-find over the graph's stored links.  Within one call each cell's step
-and each set's step is computed once, and the full loss measures each
-parallelogram node pair once per larger open set, gathered over all the open
-sets strictly inside it.  None of them calls CosheafGraph.slice, set_at or
-merge_radii, which the paths they check run, nor the grid's closed forms of a
-thickened star.  All enumerations enforce hard caps; exceeding a cap raises,
+union-find over the graph's stored links.  They compose their own face images
+too: each node descends one stored link at a time to the face, never reading
+the graph's face-image rows.  Within one call each cell's step and each set's
+step is computed once, and the full loss measures each parallelogram node pair
+once per larger open set, gathered over all the open sets strictly inside it.
+None of them calls CosheafGraph.slice, set_at or merge_radii, which the paths
+they check run, nor the grid's closed forms of a thickened star.  All enumerations enforce hard caps; exceeding a cap raises,
 never truncates.
 """
 
@@ -31,7 +32,8 @@ from fractions import Fraction
 from .assignment import Assignment
 from .cosheaf import INFINITE, CosheafGraph
 from .grid import (
-    Cell, GridSpec, all_cells, basic_open, cell_sort_key, cofaces, faces, is_open, thicken,
+    Cell, GridSpec, all_cells, basic_open, cell_sort_key, cofaces, faces, is_face, is_open,
+    thicken,
 )
 from .ingest import GeometricGraph, _as_fraction
 
@@ -388,21 +390,15 @@ def reference_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment,
     out: dict[tuple, float | int] = {}
     for kind, src, ptr, lab in (("parallelogram_left", F, phi, labG),
                                 ("parallelogram_right", G, psi, labF)):
-        for tau in src.occupied_cells():
-            for sigma in faces(tau):
-                base = lab.star(sigma, n)
-                for x in src.elements_of(tau):
-                    i, j = src.index[x], src.index[src.face_image(x, sigma)]
-                    out[kind, sigma, tau, x] = lab.node_distance(base, ptr[i], ptr[j])
+        for i, j, sigma in _pair_checks(src):
+            out[kind, sigma, src.cells[i], src.ids[i]] = lab.node_distance(
+                lab.star(sigma, n), ptr[i], ptr[j])
     for kind, lab, there, back in (("triangle_down", labF, phi, psi),
                                    ("triangle_up", labG, psi, phi)):
         src = lab.graph
-        for sigma in src.occupied_cells():
-            base = lab.star(sigma, 2 * n)
-            for x in src.elements_of(sigma):
-                i = src.index[x]
-                d = lab.node_distance(base, i, back[there[i]])
-                out[kind, sigma, None, x] = d if math.isinf(d) else (d + 1) // 2
+        for i, sigma in enumerate(src.cells):
+            d = lab.node_distance(lab.star(sigma, 2 * n), i, back[there[i]])
+            out[kind, sigma, None, src.ids[i]] = d if math.isinf(d) else (d + 1) // 2
     return out
 
 
@@ -452,16 +448,33 @@ def _assignment_candidates(
 
 
 def _pair_checks(graph: CosheafGraph) -> list[tuple[int, int, Cell]]:
+    """(node x, its face image at sigma, sigma) for every node x and proper
+    face sigma of its cell."""
+    up = {(i, graph.cells[j]): j for i, j in graph._raw_links}
     out = []
-    for tau in graph.occupied_cells():
+    for xi, tau in enumerate(graph.cells):
         for sigma in faces(tau):
-            for xi in graph.nodes_at[tau]:
-                xf = graph._face_image_idx(xi, sigma)
-                if xf is None:
-                    raise OracleCapError(
-                        f"input cosheaf is missing a face image at {sigma!r}")
-                out.append((xi, xf, sigma))
+            xf = _descend(graph, up, xi, sigma)
+            if xf is None:
+                raise OracleCapError(f"input cosheaf is missing a face image at {sigma!r}")
+            out.append((xi, xf, sigma))
     return out
+
+
+def _descend(graph: CosheafGraph, up: dict[tuple[int, Cell], int], i: int, face: Cell):
+    """The node that node i maps to at `face`, a face of its cell, following
+    the links `up` ({(child, parent cell): parent}) one codimension at a time;
+    None when no descent reaches it."""
+    c = graph.cells[i]
+    if c == face:
+        return i
+    for mid in faces(c):
+        j = up.get((i, mid))
+        if j is not None and is_face(face, mid):
+            hit = _descend(graph, up, j, face)
+            if hit is not None:
+                return hit
+    return None
 
 
 def exhaustive_interleaving(

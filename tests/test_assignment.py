@@ -26,7 +26,7 @@ from mapperbound import (
     vertex_cell,
 )
 from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json, saturation_cap
-from mapperbound.grid import basic_open, faces, thicken
+from mapperbound.grid import Cell, basic_open, faces, thicken
 from mapperbound.ingest import build
 
 from conftest import (
@@ -96,6 +96,21 @@ def test_grid_mismatch_raises(chase, fork):
     F, G, a = chase
     with pytest.raises(AssignmentError):
         validate_assignment(F, fork.graph, a)
+
+
+def test_checks_refuse_cells_off_the_grid(chase):
+    F, G, a = chase
+    top = 2 * F.grid.L  # doubled coordinate of the last vertex on the axis
+    off_grid = "is not a cell of this grid"
+    for check in (lambda: check_triangle_down(F, G, a, Cell((top + 3,)), 0),
+                  lambda: check_triangle_up(F, G, a, Cell((top + 3,)), 0),
+                  lambda: check_parallelogram_left(F, G, a, Cell((top + 2,)), Cell((top + 3,)), 0),
+                  # sigma on the grid, tau a coface of it just outside
+                  lambda: check_parallelogram_left(F, G, a, Cell((top,)), Cell((top + 1,)), 0),
+                  lambda: check_parallelogram_right(F, G, a, Cell((top,)), Cell((top + 1,)), 0)):
+        with pytest.raises(ValueError, match=off_grid):
+            check()
+    assert check_parallelogram_left(F, G, a, Cell((top,)), Cell((top - 1,)), 0)[0]
 
 
 def reference_violations(F, G, a) -> list[str]:

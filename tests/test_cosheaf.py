@@ -22,7 +22,7 @@ from mapperbound import (
 )
 from mapperbound.assignment import AssignmentError
 from mapperbound.cosheaf import CosheafError, from_json, to_dot, to_json
-from mapperbound.grid import all_cells, basic_open, cell, cell_sort_key, faces, is_face, thicken
+from mapperbound.grid import Cell, all_cells, basic_open, cell, cell_sort_key, faces, is_face, thicken
 from mapperbound.ingest import build
 
 from conftest import random_geometric
@@ -354,9 +354,28 @@ def test_connected_input_gives_connected_cosheaf():
         assert lab.component_count == 1
 
 
+def _descend(up: dict, cells: list, i: int, f) -> int | None:
+    """Node i's image at f, a face of its cell, one link at a time: follow the
+    link to each codimension-1 face over f, in axis order, and return the first
+    image found.  `up` maps (child, parent cell) to the parent."""
+    c = cells[i]
+    if c == f:
+        return i
+    for a, (m, e) in enumerate(zip(c.coords, f.coords)):
+        j = up.get((i, Cell(c.coords[:a] + (e,) + c.coords[a + 1:]))) if m != e else None
+        hit = None if j is None else _descend(up, cells, j, f)
+        if hit is not None:
+            return hit
+    return None
+
+
+def _links_up(F: CosheafGraph) -> dict:
+    return {(ci, F.cells[pi]): pi for ci, pi in F._raw_links}
+
+
 def _per_node_validate(F: CosheafGraph) -> list[str]:
     """The reference formulation of validate: one verdict per link, then
-    every occupied face of every node, one descent at a time."""
+    every occupied face of every node, one descent per codimension-1 link."""
     out: list[str] = []
     seen = set()
     for ci, pi in F._raw_links:
@@ -373,27 +392,44 @@ def _per_node_validate(F: CosheafGraph) -> list[str]:
         seen.add((ci, pc))
     if out:
         return out
+    up = _links_up(F)
     for i, c in enumerate(F.cells):
         for f in sorted(faces(c), key=cell_sort_key):
             if not F.nodes_at.get(f):
                 continue
             images = set()
-            if f.dim == c.dim - 1:
-                j = F._link(i, f)
-                if j is not None:
-                    images.add(j)
-            else:
-                for mid, j in F._codim1_links(i):
-                    if is_face(f, mid):
-                        k = F._face_image_idx(j, f)
-                        if k is not None:
-                            images.add(k)
+            for mid in faces(c):
+                j = up.get((i, mid))
+                if j is not None and is_face(f, mid):
+                    images.add(_descend(up, F.cells, j, f))
+            images.discard(None)
             if not images:
                 out.append(f"missing face image: node {F.ids[i]} has no image at occupied face {f!r}")
             elif len(images) > 1:
                 names = sorted(F.ids[k] for k in images)
                 out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")
     return out
+
+
+def test_face_image_rows_match_the_per_node_descent():
+    rng = random.Random(59)
+    depths = {1: 0, 2: 0, 3: 0}
+    for trial in range(12):
+        d = 2 if trial % 2 else 3
+        g = random_geometric(rng, "r", rng.randint(3, 5), d=d, denom=2, spread=6,
+                             extra_edges=rng.randint(0, 1))
+        F = build(g, fit_grid([g], 1.0)).graph
+        assert validate(F) == [], trial
+        up = _links_up(F)
+        for c, block in F.nodes_at.items():
+            for f in faces(c):
+                if f not in F.nodes_at:
+                    continue
+                want = [_descend(up, F.cells, i, f) for i in block]
+                assert F._face_images(c, f) == want, (trial, c, f)
+                assert [F.face_image(F.ids[i], f) for i in block] == [F.ids[j] for j in want]
+                depths[c.dim - f.dim] += 1
+    assert all(depths.values()), depths
 
 
 def test_validate_matches_the_per_node_formulation_on_corrupted_cosheaves():

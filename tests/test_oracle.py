@@ -484,7 +484,8 @@ def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracles must not use the library's labelling")
 
-    for name in ("slice", "set_at", "merge_radii"):
+    # neither the library's labelling nor its face-image rows
+    for name in ("slice", "set_at", "merge_radii", "_face_images", "face_image"):
         monkeypatch.setattr(CosheafGraph, name, refuse)
     # nor the closed forms of thickened stars that the library's paths use
     for module in (grid_module, cosheaf_module, assignment_module, oracle_module):
@@ -512,7 +513,7 @@ def test_oracle_source_names_no_library_labelling():
         if path.name != "cosheaf.py":
             assert not names & {"_lab", "_members"}, path.name
         if path.name == "oracle.py":
-            assert not names & {"slice", "set_at", "merge_radii"}
+            assert not names & {"slice", "set_at", "merge_radii", "_face_images", "face_image"}
             names |= {node.id for node in nodes if isinstance(node, ast.Name)}
             names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
                       for alias in node.names}
