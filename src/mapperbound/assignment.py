@@ -5,6 +5,13 @@ element of G whose carrier cell lies in the n-thickened star of its own
 carrier, and psi symmetrically.  The pointer's slice component realizes the
 component-level map, and composites chase the concrete representative.
 
+The loss is defined for assignments only.  Every entry point that scores one
+(basis_loss, loss_at, loss_report, saturation_cap and the four check_*)
+starts by resolving each pointer map once and validating the pair; on any
+violation it raises an AssignmentError carrying validate_assignment's
+messages.  A target lies in the n-thickened star of a carrier iff its
+star_ring around the carrier is at most n.
+
 Four diagram families measure how far the pair is from an interleaving, all
 phrased as "do these two nodes share a component of a given slice":
 
@@ -33,7 +40,7 @@ import json
 import math
 from dataclasses import dataclass
 from .cosheaf import INFINITE, CosheafGraph, fmt_extended
-from .grid import Cell, cell_sort_key, cell_to_wire, closure, cofaces, faces, star_box, thicken
+from .grid import Cell, cell_sort_key, cell_to_wire, closure, cofaces, faces, star_ring, thicken
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
 
@@ -136,11 +143,6 @@ def result_to_json(r: LossResult) -> str:
 # -- validation ----------------------------------------------------------------
 
 
-def _require_shared_grid(F: CosheafGraph, G: CosheafGraph) -> None:
-    if F.grid != G.grid:
-        raise AssignmentError("both cosheaves must live on the same grid")
-
-
 def _ptr_idx(src: CosheafGraph, dst: CosheafGraph, ptr: dict[str, str]) -> list[int | None]:
     """The node index in dst of each source node's pointer target, in node
     order; None where the pointer is missing or names no node of dst."""
@@ -148,20 +150,15 @@ def _ptr_idx(src: CosheafGraph, dst: CosheafGraph, ptr: dict[str, str]) -> list[
     return [get(ptr.get(nid)) for nid in src.ids]
 
 
-def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment,
-                        maps: tuple[list[int | None], list[int | None]] | None = None
-                        ) -> list[str]:
-    """Empty iff the pointer maps are total on occupied cells and respect the
-    level-n radius constraint.  Raises on grid mismatch.  `maps` are phi and
-    psi already resolved by _ptr_idx, if the caller has them."""
-    phi, psi = maps or (_ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
-    _require_shared_grid(F, G)
+def _violations(F: CosheafGraph, G: CosheafGraph, a: Assignment,
+                phi: list[int | None], psi: list[int | None]) -> list[str]:
+    """validate_assignment's messages, from phi and psi resolved by _ptr_idx."""
+    if F.grid != G.grid:
+        raise AssignmentError("both cosheaves must live on the same grid")
     out: list[str] = []
     for side, src, dst, ptr, idx in (("phi", F, G, a.phi, phi), ("psi", G, F, a.psi, psi)):
         for c, block in src.nodes_at.items():
-            # one box per carrier cell, one membership test per target cell
-            box = star_box(F.grid, c, a.n)
-            fits: dict[Cell, bool] = {}
+            fits: dict[Cell, bool] = {}  # one membership test per target cell
             for i in block:
                 j = idx[i]
                 if j is None:
@@ -173,12 +170,28 @@ def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment,
                 t = dst.cells[j]
                 ok = fits.get(t)
                 if ok is None:
-                    ok = fits[t] = all(m in span for m, span in zip(t.coords, box))
+                    ok = fits[t] = star_ring(c, t) <= a.n
                 if not ok:
                     nid = src.ids[i]
                     out.append(
                         f"{side}({nid}) = {ptr[nid]} lies outside the level-{a.n} radius")
     return out
+
+
+def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> list[str]:
+    """Empty iff the pointer maps are total on occupied cells and respect the
+    level-n radius constraint.  Raises on grid mismatch."""
+    return _violations(F, G, a, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
+
+
+def _prepare(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> tuple[list[int], list[int]]:
+    """phi and psi resolved by _ptr_idx, once each.  Raises an AssignmentError
+    carrying validate_assignment's messages, if there are any."""
+    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
+    problems = _violations(F, G, a, phi, psi)
+    if problems:
+        raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
+    return phi, psi
 
 
 def promote(a: Assignment, k: int) -> Assignment:
@@ -228,87 +241,58 @@ def _check(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
     F.grid.check_cell(sigma)
     if tau is not None and sigma not in faces(F.grid.check_cell(tau)):
         raise AssignmentError("sigma must be a proper face of tau")
-    bad = _failing(F, G, a, k, [sigma], lambda d: d[0] == kind and d[2] == tau)
+    bad = [w for w in _failing(F, G, a, k, [sigma]) if w.kind == kind and w.tau == tau]
     return (not bad, bad)
 
 
 # -- the basis loss -------------------------------------------------------------
 
 
-@dataclass
-class _Instance:
-    """One (F, G) pair, its resolved pointer maps and the centers to check."""
-
-    F: CosheafGraph
-    G: CosheafGraph
-    phi: list[int]
-    psi: list[int]
-    centers: list[Cell]
+def _centers(F: CosheafGraph, G: CosheafGraph) -> list[Cell]:
+    """Every cell a diagram is centered at: the faces of both graphs' occupied
+    cells, in cell order."""
+    return sorted(closure([*F.nodes_at, *G.nodes_at]), key=cell_sort_key)
 
 
-def _prepare(F: CosheafGraph, G: CosheafGraph, a: Assignment, validate: bool = False,
-             centers: list[Cell] | None = None) -> _Instance:
-    """The instance for `a`, with both pointer maps resolved by _ptr_idx.  With
-    validate, raises an AssignmentError carrying validate_assignment's
-    messages, if there are any; raises unless both maps are total.  Centers
-    default to every cell a diagram is centered at: the faces of both graphs'
-    occupied cells, in cell order."""
-    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
-    if validate:
-        problems = validate_assignment(F, G, a, (phi, psi))
-        if problems:
-            raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
-    _require_shared_grid(F, G)
-    for src, idx in ((F, phi), (G, psi)):
-        if None in idx:
-            raise AssignmentError(
-                f"assignment is not total at node {src.ids[idx.index(None)]!r}")
-    if centers is None:
-        centers = sorted(closure([*F.nodes_at, *G.nodes_at]), key=cell_sort_key)
-    return _Instance(F, G, phi, psi, centers)
+def _swept(F: CosheafGraph, G: CosheafGraph, phi: list[int], psi: list[int],
+           sigma: Cell, n: int, k: int | None = None):
+    """The basis diagrams centered at sigma with the merge radius of each
+    chased pair: (kind, step, tau, src, xs, radii), tau None for a triangle.
+    The diagram of element xs[i] of src passes at slack k iff radii[i] is at
+    most step * (n + k).  Read off the face poset: a parallelogram for each
+    coface tau of sigma that src occupies, a triangle when src occupies sigma.
 
-
-def _diagrams(inst: _Instance, sigma: Cell):
-    """The basis diagrams centered at sigma as flat lists, one entry per family
-    and tau in KIND_ORDER: (kind, step, tau, src, xs, dst, us, vs), tau None
-    for a triangle.  The diagram of element xs[i] of src passes at slack k iff
-    nodes us[i] and vs[i] share a component of dst's slice at sigma of radius
-    step * (n + k).  Read off the face poset: a parallelogram for each coface
-    tau of sigma that src occupies, a triangle when src occupies sigma."""
-    F, G, phi, psi = inst.F, inst.G, inst.phi, inst.psi
+    One merge_radii sweep per target graph takes its parallelograms (step 1)
+    then its triangle (step 2): G's are parallelogram_left and triangle_up,
+    F's parallelogram_right and triangle_down.  At slack k the sweep stops at
+    the last diagram's radius step * (n + k), and radii past it read INFINITE."""
     up = cofaces(F.grid, sigma)
-    for kind, src, dst, ptr in (("parallelogram_left", F, G, phi),
-                                ("parallelogram_right", G, F, psi)):
-        for tau in [t for t in up if t in src.nodes_at]:
-            xs, fs = src.nodes_at[tau], src._face_images(tau, sigma)
+    for dst, src, ptr, back, kinds in ((G, F, phi, psi, ("parallelogram_left", "triangle_up")),
+                                       (F, G, psi, phi, ("parallelogram_right", "triangle_down"))):
+        diagrams, us, vs = [], [], []
+        for tau in up:
+            xs = src.nodes_at.get(tau)
+            if xs is None:
+                continue
+            fs = src._face_images(tau, sigma)
             if None in fs:
                 raise AssignmentError(f"cosheaf is missing the face image of "
                                       f"{src.ids[xs[fs.index(None)]]!r} at {sigma!r}")
-            yield kind, 1, tau, src, xs, dst, [ptr[x] for x in xs], [ptr[f] for f in fs]
-    for kind, src, there, back in (("triangle_down", F, phi, psi),
-                                   ("triangle_up", G, psi, phi)):
-        xs = src.nodes_at.get(sigma)
-        if xs is not None:
-            yield kind, 2, None, src, xs, src, xs, [back[there[x]] for x in xs]
-
-
-def _swept(inst: _Instance, sigma: Cell, n: int, k: int | None = None, keep=None):
-    """The basis diagrams at sigma (those `keep` accepts) with the merge radius
-    of each chased pair: (kind, step, tau, src, xs, radii).  One merge_radii
-    call per target graph; at slack k its sweep stops at the largest radius
-    step * (n + k) among the diagrams, and radii past it read INFINITE."""
-    by_dst: dict[CosheafGraph, list[tuple]] = {}
-    for d in _diagrams(inst, sigma):
-        if keep is None or keep(d):
-            by_dst.setdefault(d[5], []).append(d)
-    for dst, diagrams in by_dst.items():
-        # _diagrams lists triangles (step 2) after parallelograms (step 1)
+            diagrams.append((kinds[0], 1, tau, src, xs))
+            us += [ptr[x] for x in xs]
+            vs += [ptr[f] for f in fs]
+        ys = dst.nodes_at.get(sigma)
+        if ys is not None:
+            diagrams.append((kinds[1], 2, None, dst, ys))
+            us += ys
+            vs += [ptr[back[y]] for y in ys]
+        if not diagrams:
+            continue
         limit = None if k is None else diagrams[-1][1] * (n + k)
-        radii = dst.merge_radii(sigma, [u for d in diagrams for u in d[6]],
-                                [v for d in diagrams for v in d[7]], limit)
+        radii = dst.merge_radii(sigma, us, vs, limit)
         end = 0
-        for kind, step, tau, src, xs, *_ in diagrams:
-            yield kind, step, tau, src, xs, radii[end:end + len(xs)]
+        for kind, step, tau, graph, xs in diagrams:
+            yield kind, step, tau, graph, xs, radii[end:end + len(xs)]
             end += len(xs)
 
 
@@ -318,16 +302,15 @@ def _slack(r, step: int, n: int):
 
 
 def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
-             centers: list[Cell] | None = None, keep=None,
-             validate: bool = False) -> list[Witness]:
-    """The diagrams failing at slack k, center by center: those whose merge
-    radius exceeds step * (n + k)."""
-    inst = _prepare(F, G, a, validate, centers)
+             centers: list[Cell] | None = None) -> list[Witness]:
+    """The diagrams failing at slack k, center by center (every center by
+    default): those whose merge radius exceeds step * (n + k)."""
+    phi, psi = _prepare(F, G, a)
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
     bad: list[Witness] = []
-    for sigma in inst.centers:
-        for kind, step, tau, src, xs, radii in _swept(inst, sigma, a.n, k, keep):
+    for sigma in centers or _centers(F, G):
+        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma, a.n, k):
             top = step * (a.n + k)
             if max(radii) > top:
                 bad += [Witness(kind, sigma, tau, src.ids[x])
@@ -343,20 +326,18 @@ def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int) -> bool:
 
 
 def loss_report(
-    F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int, validate: bool = False
+    F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int
 ) -> tuple[bool, list[Witness]]:
-    """loss_at with the full witness listing (all failing diagrams at k).
-    With validate, first raises as basis_loss does on an invalid assignment;
-    each pointer map is resolved once for both."""
-    bad = sorted(_failing(F, G, a, k, validate=validate), key=Witness.sort_key)
+    """loss_at with the full witness listing (all failing diagrams at k)."""
+    bad = sorted(_failing(F, G, a, k), key=Witness.sort_key)
     return (not bad, bad)
 
 
 def saturation_cap(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> int:
     """Largest slack worth probing: past the saturation of every slice center
     thickening is a fixed point, so no check outcome can change."""
-    inst = _prepare(F, G, a)
-    return max((F.saturation(sigma) for sigma in inst.centers), default=0)
+    _prepare(F, G, a)
+    return max((F.saturation(sigma) for sigma in _centers(F, G)), default=0)
 
 
 def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
@@ -367,12 +348,12 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     Each diagram's slack comes from the merge radius of its chased pair; one
     merge_radii sweep per graph and center gives every pair at once.
     """
-    inst = _prepare(F, G, a, validate=True)
+    phi, psi = _prepare(F, G, a)
     grid = F.grid
     L_B: float | int = 0
     worst: list[Witness] = []  # the diagrams whose slack is L_B, when positive
-    for sigma in inst.centers:
-        for kind, step, tau, src, xs, radii in _swept(inst, sigma, a.n):
+    for sigma in _centers(F, G):
+        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma, a.n):
             top = _slack(max(radii), step, a.n)
             if top == 0 or top < L_B:
                 continue

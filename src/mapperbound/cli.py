@@ -6,8 +6,10 @@ produce byte-identical output.  The --jobs flag of bound and check is parsed
 and ignored.
 
 bound and check read the merge radii of the library's one diagram-check
-core.  The oracle's exact and full-loss modes label components on their own,
-and its pi0 mode compares slice component counts with the geometry.
+core, which validates the assignment before scoring it.  The oracle's exact
+and full-loss modes label components on their own, and its pi0 mode compares
+slice component counts with the geometry; full-loss validates its assignment
+here, so that the oracle stays independent of the core.
 
 Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
@@ -107,7 +109,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     G = _load_cosheaf(args.g)
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
     with _assignment_violations():
-        ok, witnesses = asg.loss_report(F, G, a, args.k, validate=True)
+        ok, witnesses = asg.loss_report(F, G, a, args.k)
     _emit({"k": args.k, "pass": ok, "witnesses": [w.to_json_obj() for w in witnesses]})
     return 0 if ok else 1
 
@@ -133,6 +135,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         F = _load_cosheaf(args.f)
         G = _load_cosheaf(args.g)
         a = asg.Assignment.from_json_obj(_load_json(args.assignment))
+        problems = asg.validate_assignment(F, G, a)
+        if problems:
+            raise _Invalid("invalid assignment", problems)
         rep = oracle.full_loss(F, G, a, caps)
         _emit({"oracle": {
             "mode": "full-loss",

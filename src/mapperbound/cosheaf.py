@@ -29,7 +29,6 @@ element; arithmetic saturates automatically.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -45,7 +44,6 @@ from .grid import (
     is_face,
     is_open,
     saturation_steps,
-    star_box,
     star_ring,
     star_saturation,
     thicken,
@@ -202,8 +200,7 @@ class CosheafGraph:
         self.grid.check_cell(center)
         if radius < 0:
             raise ValueError("radius must be a natural number")
-        box = star_box(self.grid, center, radius)
-        return self._labeling(map(Cell, itertools.product(*box)))
+        return self._labeling(c for c in self.nodes_at if star_ring(center, c) <= radius)
 
     def merge_radii(self, center: Cell, us: list[int], vs: list[int],
                     limit: int | None = None) -> list:
@@ -212,8 +209,8 @@ class CosheafGraph:
         they are still apart at saturation, or at radius `limit` when one is
         given.  A node paired with itself merges at 0.
 
-        One sweep adds the slice's nodes ring by ring (ring r holds the cells
-        of star_box(r) that are not in star_box(r - 1)) to a union-find, and
+        One sweep adds the slice's nodes ring by ring (ring r holds the nodes
+        whose cell has star_ring r around the center) to a union-find, and
         stops once every pair has merged or the limit is reached."""
         out: list = [0 if u == v else INFINITE for u, v in zip(us, vs)]
         pending = [p for p, r in enumerate(out) if r]
@@ -313,8 +310,9 @@ def validate(F: CosheafGraph) -> list[str]:
 
     Rules: links point from a cell to a proper codimension-1 face of it; one
     link per (node, face cell); a node must have a face image at every
-    occupied proper face of its cell; derived images along different
-    descent orders must agree.  Link violations are reported alone.
+    codimension-1 face of its cell, occupied or not, and at every occupied
+    deeper face; derived images along different descent orders must agree.
+    Link violations are reported alone.
 
     The checks run per block of nodes sharing a cell, on whole face rows
     from _links.  Links are checked one by one only when the rows of proper
@@ -331,8 +329,6 @@ def validate(F: CosheafGraph) -> list[str]:
                 for a, m in enumerate(co) if m % 2 for e in (-1, 1)]
         failed: dict[Cell, list[set[int]]] = {}
         for f in mids:
-            if f not in F.nodes_at:
-                continue
             row = F._links.get((c, f))
             if row is None:
                 failed[f] = [set() for _ in block]
@@ -364,7 +360,7 @@ def validate(F: CosheafGraph) -> list[str]:
             for f in order:
                 images = failed[f]
                 if not images[s]:
-                    out.append(f"missing face image: node {F.ids[i]} has no image at occupied face {f!r}")
+                    out.append(f"missing face image: node {F.ids[i]} has no image at face {f!r}")
                 elif len(images[s]) > 1:
                     names = sorted(F.ids[k] for k in images[s])
                     out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")

@@ -12,9 +12,10 @@ cell is in the set, every cell having it as a face is too.  The star of a cell
 one-step thickening of an open set adds all faces of members and then all
 cofaces of members.  Everything here is a pure function on immutable values.
 
-The hot paths use the closed forms star_box, star_ring and star_saturation (a
-thickened star is a box); the set algebra is their tested reference, still
-imported where the benchmark's tracer wraps it.
+A thickened star is a box, so the hot paths use two closed forms: star_ring
+for membership (the least thickening of a star that holds a cell) and
+star_saturation; the set algebra is their tested reference, still imported
+where the benchmark's tracer wraps it.
 
 Interval encoding: each axis entry of a cell is a single integer m, where
 m = 2l encodes the grid point l*delta and m = 2l+1 encodes the open interval
@@ -256,21 +257,14 @@ def saturation_steps(grid: GridSpec, cells: frozenset[Cell]) -> int:
     return m
 
 
-def star_box(grid: GridSpec, c: Cell, r: int) -> list[range]:
-    """thicken(basic_open(c), r) as one range of doubled coordinates per axis:
-    a point's star spans [m-1, m+1], an interval's [m, m], and each round
-    widens both ends by 2, clipped to the box."""
-    top = 2 * grid.L
-    return [range(max(m - 2 * r - (m % 2 == 0), -top), min(m + 2 * r + (m % 2 == 0), top) + 1)
-            for m in c.coords]
-
-
 def star_ring(c: Cell, t: Cell) -> int:
-    """The least r with t in star_box(grid, c, r): the ring of t around c."""
+    """The least r with t in thicken(basic_open(c), r): the ring of t around
+    c.  Per axis, a point's star spans [m-1, m+1] of the doubled coordinates,
+    an interval's [m, m], and each round widens both ends by 2."""
     return max((abs(u - m) + (m & 1)) >> 1 for u, m in zip(t.coords, c.coords))
 
 
 def star_saturation(grid: GridSpec, c: Cell) -> int:
-    """saturation_steps(basic_open(c)): the least r whose star_box spans
-    [-2L, 2L] on every axis."""
+    """saturation_steps(basic_open(c)): the least r at which the thickened
+    star spans [-2L, 2L] on every axis."""
     return max(grid.L + (abs(m) + 1) // 2 for m in c.coords)

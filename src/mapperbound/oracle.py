@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .assignment import Assignment
-from .cosheaf import INFINITE, CosheafGraph
+from .cosheaf import INFINITE, CosheafError, CosheafGraph
 from .grid import (
     Cell, GridSpec, all_cells, basic_open, cell_sort_key, cofaces, faces, is_face, is_open,
     thicken,
@@ -449,14 +449,14 @@ def _assignment_candidates(
 
 def _pair_checks(graph: CosheafGraph) -> list[tuple[int, int, Cell]]:
     """(node x, its face image at sigma, sigma) for every node x and proper
-    face sigma of its cell."""
+    face sigma of its cell; raises CosheafError where a node has none."""
     up = {(i, graph.cells[j]): j for i, j in graph._raw_links}
     out = []
     for xi, tau in enumerate(graph.cells):
         for sigma in faces(tau):
             xf = _descend(graph, up, xi, sigma)
             if xf is None:
-                raise OracleCapError(f"input cosheaf is missing a face image at {sigma!r}")
+                raise CosheafError(f"input cosheaf is missing a face image at {sigma!r}")
             out.append((xi, xf, sigma))
     return out
 

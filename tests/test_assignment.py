@@ -86,10 +86,28 @@ def test_totality_violation_reported(chase):
                   lambda: check_parallelogram_right(F, G, partial, V(0), E(0), 0),
                   lambda: check_triangle_down(F, G, partial, V(0), 0),
                   lambda: check_triangle_up(F, G, partial, V(0), 0)):
-        with pytest.raises(AssignmentError, match="not total at node 'b'"):
+        with pytest.raises(AssignmentError, match="missing node b"):
             check()
     with pytest.raises(AssignmentError, match="missing node b"):
         basis_loss(F, G, partial)
+
+
+def test_every_loss_entry_point_refuses_an_invalid_assignment(chase):
+    # the loss is defined for assignments only: each entry point validates
+    # first and raises with validate_assignment's messages
+    F, G, a = chase
+    bad = Assignment(n=1, phi=dict(a.phi, b="g3"), psi=dict(a.psi, x="f4"))
+    want = validate_assignment(F, G, bad)
+    assert len(want) == 2 and all("radius" in m for m in want)
+    for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0),
+                 lambda: loss_report(F, G, bad, 1), lambda: saturation_cap(F, G, bad),
+                 lambda: check_parallelogram_left(F, G, bad, V(0), E(0), 0),
+                 lambda: check_parallelogram_right(F, G, bad, V(0), E(0), 0),
+                 lambda: check_triangle_down(F, G, bad, V(0), 0),
+                 lambda: check_triangle_up(F, G, bad, V(0), 0)):
+        with pytest.raises(AssignmentError) as err:
+            call()
+        assert err.value.violations == want
 
 
 def test_grid_mismatch_raises(chase, fork):

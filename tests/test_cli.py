@@ -177,6 +177,31 @@ def test_invalid_cosheaf_exits_2_with_violations(argv, bound_bundle, doubled_lin
     assert got["violations"][0].startswith(f"duplicate face image: node {child} ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--f", "E", "--g", "E", "--assignment", "A"],
+    ["check", "--f", "E", "--g", "E", "--assignment", "A", "--k", "0"],
+    ["oracle", "--mode", "exact", "--f", "E", "--g", "E"],
+    ["oracle", "--mode", "full-loss", "--f", "E", "--g", "E", "--assignment", "A"],
+], ids=["bound", "check", "oracle-exact", "oracle-full-loss"])
+def test_cosheaf_without_nodes_at_its_faces_exits_2(argv, workdir, capsys):
+    # one element over an edge whose two end points carry nothing
+    from mapperbound import CosheafGraph, GridSpec, validate
+    from mapperbound.cosheaf import to_json
+    from mapperbound.grid import Cell
+
+    E = CosheafGraph(GridSpec(1, 1.0, 1), [("e", Cell((1,)))], [])
+    problems = validate(E)
+    assert problems == [f"missing face image: node e has no image at face {f!r}"
+                        for f in (Cell((0,)), Cell((2,)))]
+    files = {"E": write(workdir / "E.json", to_json(E)),
+             "A": write(workdir / "a.json", json.dumps({"n": 0, "phi": {"e": "e"},
+                                                        "psi": {"e": "e"}}))}
+    rc, stdout, err = run(capsys, [files.get(x, x) for x in argv])
+    assert (rc, err) == (2, "")
+    assert json.loads(stdout) == {"error": f"invalid cosheaf {files['E']}",
+                                  "violations": problems}
+
+
 # -- check ----------------------------------------------------------------------------
 
 
@@ -220,6 +245,13 @@ def test_check_resolves_each_pointer_map_once(bound_bundle, workdir, capsys, mon
     assert (rc, len(calls)) == (2, 4)
     F, G = (from_json(Path(p).read_text()) for p in (f, g))
     problems = asg.validate_assignment(F, G, asg.Assignment.from_json_obj(broken))
+    assert json.loads(stdout) == {"error": "invalid assignment", "violations": problems}
+    # bound validates and scores from the same single resolution
+    del calls[:]
+    rc, _, _ = run(capsys, ["bound", "--f", f, "--g", g, "--assignment", bound_bundle[2]])
+    assert (rc, len(calls)) == (0, 2)
+    rc, stdout, _ = run(capsys, ["bound", "--f", f, "--g", g, "--assignment", m])
+    assert (rc, len(calls)) == (2, 4)
     assert json.loads(stdout) == {"error": "invalid assignment", "violations": problems}
 
 
@@ -270,6 +302,27 @@ def test_oracle_full_loss_mode(workdir, capsys):
     assert rc == 0
     rep = json.loads(stdout)["oracle"]
     assert rep["L"] == 0 and rep["opens"] > 0
+
+
+def test_oracle_full_loss_refuses_an_invalid_assignment(workdir, capsys):
+    # a pointer past the level-0 radius is reported as bound reports it
+    from mapperbound.assignment import Assignment, validate_assignment
+    from mapperbound.cosheaf import to_json
+
+    bF, bG = hook_lam_pair()
+    F, G = bF.graph, bG.graph
+    a = hook_lam_assignment(bF, bG)
+    far = max(G.ids, key=lambda y: max(map(abs, G.cell_of(y).coords)))
+    bad = Assignment(n=0, phi=dict(a.phi, **{F.ids[0]: far}), psi=dict(a.psi))
+    problems = validate_assignment(F, G, bad)
+    assert problems and all("radius" in p for p in problems)
+    f = write(workdir / "F.json", to_json(F))
+    g = write(workdir / "G.json", to_json(G))
+    m = write(workdir / "a.json", assignment_to_json(bad))
+    for cmd in (["oracle", "--mode", "full-loss", "--cap", "20"], ["bound"]):
+        rc, stdout, err = run(capsys, [*cmd, "--f", f, "--g", g, "--assignment", m])
+        assert (rc, err) == (2, "")
+        assert json.loads(stdout) == {"error": "invalid assignment", "violations": problems}
 
 
 # -- export-dot -------------------------------------------------------------------------

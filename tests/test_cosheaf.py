@@ -56,6 +56,10 @@ def test_validate_missing_face_image():
     F = CosheafGraph(grid, [("p0", V(0)), ("e0", E(0))], [])
     msgs = validate(F)
     assert any("missing face image" in m and "e0" in m for m in msgs)
+    # an image is due at every codimension-1 face, occupied or not
+    e = CosheafGraph(GridSpec(1, 1.0, 1), [("e", E(0))], [])
+    assert validate(e) == ["missing face image: node e has no image at face Cell([0])",
+                           "missing face image: node e has no image at face Cell([1])"]
 
 
 def test_validate_duplicate_link():
@@ -78,12 +82,17 @@ def test_validate_incompatible_square_routes():
     links = [("s", "bx"), ("s", "by"), ("bx", "c1"), ("by", "c2")]
     F = CosheafGraph(grid, nodes, links)
     assert any("incompatible face images" in m for m in validate(F))
+    # the whole square: four edges, each linked to its two corners
+    tx, ry = cell(("nondeg", 0), ("deg", 1)), cell(("deg", 1), ("nondeg", 0))
+    corners = {"c1": corner, "c2": V(1, 0), "c3": V(0, 1), "c4": V(1, 1)}
     good = CosheafGraph(
-        grid, nodes[:4],
-        [("s", "bx"), ("s", "by"), ("bx", "c1"), ("by", "c1")],
+        grid, [*nodes[:4], ("tx", tx), ("ry", ry), *list(corners.items())[1:]],
+        [("s", "bx"), ("s", "by"), ("s", "tx"), ("s", "ry"), ("bx", "c1"), ("bx", "c2"),
+         ("by", "c1"), ("by", "c3"), ("tx", "c3"), ("tx", "c4"), ("ry", "c2"), ("ry", "c4")],
     )
     assert validate(good) == []
     assert good.face_image("s", corner) == "c1"
+    assert [good.face_image("s", c) for c in corners.values()] == list(corners)
 
 
 def test_face_images_follow_the_first_listed_link():
@@ -375,7 +384,8 @@ def _links_up(F: CosheafGraph) -> dict:
 
 def _per_node_validate(F: CosheafGraph) -> list[str]:
     """The reference formulation of validate: one verdict per link, then
-    every occupied face of every node, one descent per codimension-1 link."""
+    every codimension-1 face and every occupied deeper face of every node,
+    one descent per codimension-1 link."""
     out: list[str] = []
     seen = set()
     for ci, pi in F._raw_links:
@@ -395,7 +405,7 @@ def _per_node_validate(F: CosheafGraph) -> list[str]:
     up = _links_up(F)
     for i, c in enumerate(F.cells):
         for f in sorted(faces(c), key=cell_sort_key):
-            if not F.nodes_at.get(f):
+            if f.dim < c.dim - 1 and not F.nodes_at.get(f):
                 continue
             images = set()
             for mid in faces(c):
@@ -404,7 +414,7 @@ def _per_node_validate(F: CosheafGraph) -> list[str]:
                     images.add(_descend(up, F.cells, j, f))
             images.discard(None)
             if not images:
-                out.append(f"missing face image: node {F.ids[i]} has no image at occupied face {f!r}")
+                out.append(f"missing face image: node {F.ids[i]} has no image at face {f!r}")
             elif len(images) > 1:
                 names = sorted(F.ids[k] for k in images)
                 out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")

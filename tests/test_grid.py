@@ -27,7 +27,6 @@ from mapperbound.grid import (
     faces,
     is_open,
     saturation_steps,
-    star_box,
     star_ring,
     star_saturation,
     thicken,
@@ -188,11 +187,12 @@ def test_saturation_bounded_by_2L_everywhere():
 
 
 def box_set(grid: GridSpec, c: Cell, r: int) -> frozenset[Cell]:
-    return frozenset(Cell(t) for t in itertools.product(*star_box(grid, c, r)))
+    """The cells of the grid whose star_ring around c is at most r."""
+    return frozenset(t for t in all_cells(grid) if star_ring(c, t) <= r)
 
 
 def assert_box_chain(grid: GridSpec, c: Cell) -> int:
-    """Every r up to saturation + 1: star_box(c, r) == thicken(basic_open(c), r),
+    """Every r up to saturation + 1: box_set(c, r) == thicken(basic_open(c), r),
     and star_ring(c, t) is the first r whose thickening holds t.  Returns the
     first r at which the thickening fills the grid."""
     sat = star_saturation(grid, c)
@@ -247,10 +247,7 @@ def test_star_box_matches_thicken_on_larger_grids(seed):
     sat = star_saturation(grid, c)
     assert saturation_steps(grid, basic_open(grid, c)) == sat
     r = rng.randint(0, sat + 1)
-    box = box_set(grid, c, r)
-    assert box == thicken(grid, basic_open(grid, c), r)
-    t = Cell(tuple(rng.randint(-2 * grid.L, 2 * grid.L) for _ in range(d)))
-    assert (t in box) == (star_ring(c, t) <= r)
+    assert box_set(grid, c, r) == thicken(grid, basic_open(grid, c), r)
 
 
 # -- thickening algebra ----------------------------------------------------------
