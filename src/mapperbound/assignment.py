@@ -6,8 +6,7 @@ carrier, and psi symmetrically.  The pointer's slice component realizes the
 component-level map, and composites chase the concrete representative.
 
 The loss is defined for assignments only.  Every entry point that scores one
-(basis_loss, loss_at, loss_report, saturation_cap and the four check_*)
-starts by resolving each pointer map once and validating the pair; on any
+(basis_loss, loss_at, loss_report and the four check_*) starts by resolving each pointer map once and validating the pair; on any
 violation it raises an AssignmentError carrying validate_assignment's
 messages.  A target lies in the n-thickened star of a carrier iff its
 star_ring around the carrier is at most n.
@@ -26,10 +25,9 @@ Each diagram passes from some least slack on: slice components only merge as
 the radius grows, so it is read off the merge radius r of its two chased nodes,
 r - n for a parallelogram and ceil((r - 2n) / 2) for a triangle, floored at 0.
 One core serves every check: per center it makes one merge_radii sweep per
-target graph, and at a fixed slack k it stops the sweep at radius
-step * (n + k) (step 1 for a parallelogram, 2 for a triangle); a diagram fails
-iff its merge radius is larger.  The basis loss L_B is the largest of these
-slacks, the least one making every family pass.  The certified bound is
+target graph, and a diagram fails at slack k iff its slack exceeds k.  The
+basis loss L_B is the largest of these slacks, the least one making every
+family pass.  The certified bound is
 n + L_B, and for d = 1 the scaled quantity delta * (n + L_B + 1) bounds the
 Reeb-graph interleaving distance.
 """
@@ -39,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from .cosheaf import INFINITE, CosheafGraph, fmt_extended
+from .cosheaf import CosheafGraph, _slack, fmt_extended
 from .grid import Cell, cell_sort_key, cell_to_wire, closure, cofaces, faces, star_ring, thicken
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
@@ -121,7 +119,6 @@ class LossResult:
     reeb_bound: float | None
     witnesses: list[Witness]
     dim: int
-    delta: float
 
     def to_json_obj(self) -> dict:
         rb = self.reeb_bound
@@ -254,18 +251,16 @@ def _centers(F: CosheafGraph, G: CosheafGraph) -> list[Cell]:
     return sorted(closure([*F.nodes_at, *G.nodes_at]), key=cell_sort_key)
 
 
-def _swept(F: CosheafGraph, G: CosheafGraph, phi: list[int], psi: list[int],
-           sigma: Cell, n: int, k: int | None = None):
+def _swept(F: CosheafGraph, G: CosheafGraph, phi: list[int], psi: list[int], sigma: Cell):
     """The basis diagrams centered at sigma with the merge radius of each
     chased pair: (kind, step, tau, src, xs, radii), tau None for a triangle.
-    The diagram of element xs[i] of src passes at slack k iff radii[i] is at
-    most step * (n + k).  Read off the face poset: a parallelogram for each
-    coface tau of sigma that src occupies, a triangle when src occupies sigma.
+    The diagram of element xs[i] of src has slack _slack(radii[i], step, n).
+    Read off the face poset: a parallelogram for each coface tau of sigma that
+    src occupies, a triangle when src occupies sigma.
 
     One merge_radii sweep per target graph takes its parallelograms (step 1)
     then its triangle (step 2): G's are parallelogram_left and triangle_up,
-    F's parallelogram_right and triangle_down.  At slack k the sweep stops at
-    the last diagram's radius step * (n + k), and radii past it read INFINITE."""
+    F's parallelogram_right and triangle_down."""
     up = cofaces(F.grid, sigma)
     for dst, src, ptr, back, kinds in ((G, F, phi, psi, ("parallelogram_left", "triangle_up")),
                                        (F, G, psi, phi, ("parallelogram_right", "triangle_down"))):
@@ -288,33 +283,26 @@ def _swept(F: CosheafGraph, G: CosheafGraph, phi: list[int], psi: list[int],
             vs += [ptr[back[y]] for y in ys]
         if not diagrams:
             continue
-        limit = None if k is None else diagrams[-1][1] * (n + k)
-        radii = dst.merge_radii(sigma, us, vs, limit)
+        radii = dst.merge_radii(sigma, us, vs)
         end = 0
         for kind, step, tau, graph, xs in diagrams:
             yield kind, step, tau, graph, xs, radii[end:end + len(xs)]
             end += len(xs)
 
 
-def _slack(r, step: int, n: int):
-    """The least slack k >= 0 with r <= step * (n + k), for a merge radius r."""
-    return r if math.isinf(r) else max(0, -(-r // step) - n)
-
-
 def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
              centers: list[Cell] | None = None) -> list[Witness]:
     """The diagrams failing at slack k, center by center (every center by
-    default): those whose merge radius exceeds step * (n + k)."""
+    default): those whose slack exceeds k."""
     phi, psi = _prepare(F, G, a)
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
     bad: list[Witness] = []
     for sigma in centers or _centers(F, G):
-        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma, a.n, k):
-            top = step * (a.n + k)
-            if max(radii) > top:
+        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma):
+            if _slack(max(radii), step, a.n) > k:
                 bad += [Witness(kind, sigma, tau, src.ids[x])
-                        for x, r in zip(xs, radii) if r > top]
+                        for x, r in zip(xs, radii) if _slack(r, step, a.n) > k]
     return bad
 
 
@@ -333,13 +321,6 @@ def loss_report(
     return (not bad, bad)
 
 
-def saturation_cap(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> int:
-    """Largest slack worth probing: past the saturation of every slice center
-    thickening is a fixed point, so no check outcome can change."""
-    _prepare(F, G, a)
-    return max((F.saturation(sigma) for sigma in _centers(F, G)), default=0)
-
-
 def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     """L_B, the bound n + L_B, and up to ten witnesses: the diagrams whose
     slack is L_B (those failing at L_B - 1, or at every slack when L_B is
@@ -349,11 +330,10 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     merge_radii sweep per graph and center gives every pair at once.
     """
     phi, psi = _prepare(F, G, a)
-    grid = F.grid
     L_B: float | int = 0
     worst: list[Witness] = []  # the diagrams whose slack is L_B, when positive
     for sigma in _centers(F, G):
-        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma, a.n):
+        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma):
             top = _slack(max(radii), step, a.n)
             if top == 0 or top < L_B:
                 continue
@@ -361,14 +341,11 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
                 L_B, worst = top, []
             worst += [Witness(kind, sigma, tau, src.ids[x])
                       for x, r in zip(xs, radii) if _slack(r, step, a.n) == top]
-    witnesses = sorted(worst, key=Witness.sort_key)[:10]
-
-    bound = a.n + L_B
-    rb = grid.delta * (a.n + L_B + 1) if grid.d == 1 else None
-    return LossResult(
-        n=a.n, L_B=L_B, bound=bound, reeb_bound=rb,
-        witnesses=witnesses, dim=grid.d, delta=grid.delta,
-    )
+    res = LossResult(n=a.n, L_B=L_B, bound=a.n + L_B, reeb_bound=None,
+                     witnesses=sorted(worst, key=Witness.sort_key)[:10], dim=F.grid.d)
+    if res.dim == 1:
+        res.reeb_bound = reeb_bound(res, F.grid.delta)
+    return res
 
 
 def reeb_bound(result: LossResult, delta: float) -> float:
@@ -378,6 +355,4 @@ def reeb_bound(result: LossResult, delta: float) -> float:
         raise AssignmentError("the Reeb bound is defined for d = 1 only")
     if not delta > 0:
         raise AssignmentError("delta must be positive")
-    if math.isinf(result.L_B):
-        return INFINITE
     return delta * (result.n + result.L_B + 1)

@@ -52,6 +52,11 @@ from .grid import (
 INFINITE = float("inf")
 
 
+def _slack(r, step: int, n: int):
+    """The least slack k >= 0 with r <= step * (n + k), for a merge radius r."""
+    return r if math.isinf(r) else max(0, -(-r // step) - n)
+
+
 def fmt_extended(x) -> int | str:
     """JSON form of an extended natural: an int or the string "inf"."""
     return "inf" if math.isinf(x) else int(x)
@@ -202,21 +207,20 @@ class CosheafGraph:
             raise ValueError("radius must be a natural number")
         return self._labeling(c for c in self.nodes_at if star_ring(center, c) <= radius)
 
-    def merge_radii(self, center: Cell, us: list[int], vs: list[int],
-                    limit: int | None = None) -> list:
+    def merge_radii(self, center: Cell, us: list[int], vs: list[int]) -> list:
         """For each pair of node indices (us[p], vs[p]): the least radius at
         which both lie in one component of the slice at `center`, INFINITE if
-        they are still apart at saturation, or at radius `limit` when one is
-        given.  A node paired with itself merges at 0.
+        they are still apart at saturation.  A node paired with itself merges
+        at 0.
 
         One sweep adds the slice's nodes ring by ring (ring r holds the nodes
         whose cell has star_ring r around the center) to a union-find, and
-        stops once every pair has merged or the limit is reached."""
+        stops once every pair has merged or the slice saturates."""
         out: list = [0 if u == v else INFINITE for u, v in zip(us, vs)]
         pending = [p for p, r in enumerate(out) if r]
         if not pending:
             return out
-        top = self.saturation(center) if limit is None else min(limit, self.saturation(center))
+        top = self.saturation(center)
         rings: list[list[int]] = [[] for _ in range(top + 1)]
         for c, block in self.nodes_at.items():
             r = star_ring(center, c)
@@ -395,8 +399,7 @@ def distance(F: CosheafGraph, center: Cell, m: int, x: str, y: str):
     idx = [F.index.get(x), F.index.get(y)]
     if None in idx or max(star_ring(center, F.cells[i]) for i in idx) > m:
         raise CosheafError(f"{x!r} and {y!r} are not both members of this slice")
-    r = F.merge_radii(center, idx[:1], idx[1:])[0]
-    return r if math.isinf(r) else max(0, r - m)
+    return _slack(F.merge_radii(center, idx[:1], idx[1:])[0], 1, m)
 
 
 def diameter(F: CosheafGraph, center: Cell, m: int):
@@ -404,8 +407,7 @@ def diameter(F: CosheafGraph, center: Cell, m: int):
     zero for an empty or singleton slice.  Merge radii are an ultrametric, so
     the largest is the one from the first component to the farthest."""
     reps = [F.index[nid] for nid in F.slice(center, m).representatives()]
-    r = max(F.merge_radii(center, reps[:1] * len(reps), reps), default=0)
-    return r if math.isinf(r) else max(0, r - m)
+    return _slack(max(F.merge_radii(center, reps[:1] * len(reps), reps), default=0), 1, m)
 
 
 # -- file format and DOT export -----------------------------------------------

@@ -25,7 +25,7 @@ from mapperbound import (
     validate_assignment,
     vertex_cell,
 )
-from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json, saturation_cap
+from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json
 from mapperbound.grid import Cell, basic_open, faces, thicken
 from mapperbound.ingest import build
 
@@ -81,7 +81,6 @@ def test_totality_violation_reported(chase):
     assert len(msgs) == 1 and "missing node b" in msgs[0]
     # the diagram checks refuse a partial map instead of chasing a missing pointer
     for check in (lambda: loss_at(F, G, partial, 0), lambda: loss_report(F, G, partial, 0),
-                  lambda: saturation_cap(F, G, partial),
                   lambda: check_parallelogram_left(F, G, partial, V(0), E(0), 0),
                   lambda: check_parallelogram_right(F, G, partial, V(0), E(0), 0),
                   lambda: check_triangle_down(F, G, partial, V(0), 0),
@@ -100,7 +99,7 @@ def test_every_loss_entry_point_refuses_an_invalid_assignment(chase):
     want = validate_assignment(F, G, bad)
     assert len(want) == 2 and all("radius" in m for m in want)
     for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0),
-                 lambda: loss_report(F, G, bad, 1), lambda: saturation_cap(F, G, bad),
+                 lambda: loss_report(F, G, bad, 1),
                  lambda: check_parallelogram_left(F, G, bad, V(0), E(0), 0),
                  lambda: check_parallelogram_right(F, G, bad, V(0), E(0), 0),
                  lambda: check_triangle_down(F, G, bad, V(0), 0),
@@ -240,8 +239,9 @@ def test_infinite_loss(split):
     res = basis_loss(F, G, a)
     assert math.isinf(res.L_B) and math.isinf(res.bound)
     assert math.isinf(res.reeb_bound)
-    # a triangle stays failed at every slack up to saturation
-    cap = saturation_cap(F, G, a)
+    # a triangle stays failed at every slack up to saturation; every center
+    # saturates by radius 2L
+    cap = 2 * F.grid.L
     assert not loss_at(F, G, a, cap)
     assert loss_at(F, G, a, cap + 3) == loss_at(F, G, a, cap)
 
@@ -336,7 +336,7 @@ def test_loss_at_monotone_and_binary_search_agrees():
     dims, infinite = set(), 0
     for F, G, a in differential_pairs():
         dims.add(F.grid.d)
-        cap = saturation_cap(F, G, a)
+        cap = 2 * F.grid.L  # every center's saturation radius is at most 2L
         sweep = [loss_at(F, G, a, k) for k in range(cap + 1)]
         assert sweep == sorted(sweep)  # False... then True...
         res = basis_loss(F, G, a)

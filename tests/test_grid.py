@@ -220,7 +220,7 @@ def symmetry_representatives(grid: GridSpec) -> list[Cell]:
         range(0, 2 * grid.L + 1), grid.d)]
 
 
-def test_star_box_and_saturation_match_the_set_algebra_exhaustively():
+def test_star_ring_and_saturation_match_the_set_algebra_exhaustively():
     # every cell for d <= 2 and L <= 3, and d = 3 at L = 1; saturation_steps
     # is called directly on each
     for d, L in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)]:
