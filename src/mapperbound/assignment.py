@@ -6,10 +6,11 @@ carrier, and psi symmetrically.  The pointer's slice component realizes the
 component-level map, and composites chase the concrete representative.
 
 The loss is defined for assignments only.  Every entry point that scores one
-(basis_loss, loss_at, loss_report and the four check_*) starts by resolving each pointer map once and validating the pair; on any
-violation it raises an AssignmentError carrying validate_assignment's
-messages.  A target lies in the n-thickened star of a carrier iff its
-star_ring around the carrier is at most n.
+(basis_loss, loss_at, loss_report and the four check_*) starts by resolving
+each pointer map once and validating the pair; on any violation it raises an
+AssignmentError carrying validate_assignment's messages.  A target lies in
+the n-thickened star of a carrier iff its star_ring around the carrier is at
+most n.
 
 Four diagram families measure how far the pair is from an interleaving, all
 phrased as "do these two nodes share a component of a given slice":
@@ -27,9 +28,8 @@ r - n for a parallelogram and ceil((r - 2n) / 2) for a triangle, floored at 0.
 One core serves every check: per center it makes one merge_radii sweep per
 target graph, and a diagram fails at slack k iff its slack exceeds k.  The
 basis loss L_B is the largest of these slacks, the least one making every
-family pass.  The certified bound is
-n + L_B, and for d = 1 the scaled quantity delta * (n + L_B + 1) bounds the
-Reeb-graph interleaving distance.
+family pass.  The certified bound is n + L_B, and for d = 1 the scaled
+quantity delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import json
 import math
 from dataclasses import dataclass
 from .cosheaf import CosheafGraph, _slack, fmt_extended
-from .grid import Cell, cell_sort_key, cell_to_wire, closure, cofaces, faces, star_ring, thicken
+from .grid import (Cell, cell_sort_key, cell_to_wire, closure, cofaces, faces, star_ring, thicken,
+                   wire)
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
 
@@ -71,7 +72,13 @@ class Assignment:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Assignment":
-        return cls(n=int(obj["n"]), phi=dict(obj["phi"]), psi=dict(obj["psi"]))
+        wire(obj, dict, "an assignment", AssignmentError)
+        for side in ("phi", "psi"):
+            for nid, tgt in wire(obj[side], dict, side, AssignmentError).items():
+                if type(tgt) is not str:
+                    raise AssignmentError(f"{side}({nid}) must be str, not {type(tgt).__name__}")
+        return cls(n=wire(obj["n"], int, "assignment n", AssignmentError),
+                   phi=dict(obj["phi"]), psi=dict(obj["psi"]))
 
     @classmethod
     def from_json(cls, text: str) -> "Assignment":

@@ -70,7 +70,7 @@ def _load_cosheaf(path: str) -> cosheaf.CosheafGraph:
 
 def _load_grid(path: str) -> GridSpec:
     obj = _load_json(path)
-    if "grid" in obj:
+    if isinstance(obj, dict) and "grid" in obj:
         obj = obj["grid"]
     return GridSpec.from_wire(obj)
 
@@ -232,9 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Invalid as exc:
         _emit(exc.body)
         return 2
-    except (ingest.IngestError, cosheaf.CosheafError, asg.AssignmentError,
-            oracle.OracleCapError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -47,6 +47,7 @@ from .grid import (
     star_ring,
     star_saturation,
     thicken,
+    wire,
 )
 
 INFINITE = float("inf")
@@ -430,14 +431,14 @@ def to_json(F: CosheafGraph) -> str:
 
 
 def from_json_obj(obj: dict) -> CosheafGraph:
-    grid = GridSpec.from_wire(obj["grid"])
+    grid = GridSpec.from_wire(wire(obj, dict, "a cosheaf", CosheafError)["grid"])
     # files list nodes cell by cell, so a run of equal wire cells is parsed
     # once; the constructor checks each distinct cell against the grid
     nodes: list[tuple[str, Cell]] = []
-    wire = c = None
+    raw = c = None
     for n in obj["nodes"]:
-        if c is None or n["cell"] != wire:
-            wire, c = n["cell"], cell_from_wire(n["cell"])
+        if c is None or n["cell"] != raw:
+            raw, c = n["cell"], cell_from_wire(n["cell"])
         nodes.append((n["id"], c))
     return CosheafGraph(grid, nodes, obj.get("links", []))
 

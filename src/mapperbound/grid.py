@@ -122,7 +122,17 @@ class GridSpec:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "GridSpec":
-        return cls(d=int(obj["d"]), delta=float(obj["delta"]), L=int(obj["L"]))
+        wire(obj, dict, "a grid")
+        return cls(d=wire(obj["d"], int, "grid d"), delta=float(obj["delta"]),
+                   L=wire(obj["L"], int, "grid L"))
+
+
+def wire(v, kind: type, what: str, error: type[ValueError] = ValueError):
+    """v, if JSON read it as a `kind` (dict, list, str or int); otherwise
+    raises `error` naming `what`.  Types match exactly, so a bool is no int."""
+    if type(v) is not kind:
+        raise error(f"{what} must be {kind.__name__}, not {type(v).__name__}")
+    return v
 
 
 def cell_to_wire(c: Cell) -> list[dict]:
@@ -131,11 +141,11 @@ def cell_to_wire(c: Cell) -> list[dict]:
 
 def cell_from_wire(entries: list[dict], grid: GridSpec | None = None) -> Cell:
     coords = []
-    for e in entries:
-        if "deg" in e:
-            coords.append(2 * int(e["deg"]))
+    for e in wire(entries, list, "a cell"):
+        if "deg" in wire(e, dict, "a cell interval"):
+            coords.append(2 * wire(e["deg"], int, "cell deg"))
         elif "nondeg" in e:
-            coords.append(2 * int(e["nondeg"]) + 1)
+            coords.append(2 * wire(e["nondeg"], int, "cell nondeg") + 1)
         else:
             raise ValueError(f"bad cell interval {e!r}")
     c = Cell(tuple(coords))

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .cosheaf import CosheafGraph
 # star is unused here but stays importable: the benchmark's tracer wraps it
-from .grid import Cell, GridSpec, cell_sort_key, star  # noqa: F401
+from .grid import Cell, GridSpec, cell_sort_key, star, wire  # noqa: F401
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -91,8 +91,9 @@ class GeometricGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeometricGraph":
+        wire(obj, dict, "a geometric graph", IngestError)
         return cls(
-            d=int(obj["d"]),
+            d=wire(obj["d"], int, "graph d", IngestError),
             vertices={v["id"]: tuple(_as_fraction(x) for x in v["f"]) for v in obj["vertices"]},
             edges=[(a, b) for a, b in obj["edges"]],
         )

@@ -347,3 +347,78 @@ def test_export_dot_counts_and_stability(workdir, capsys):
 def test_missing_file_exits_2(capsys):
     rc, _, err = run(capsys, ["export-dot", "--f", "/nonexistent/F.json"])
     assert rc == 2 and err
+
+
+# -- malformed input ------------------------------------------------------------------
+
+
+def _edit(key, value):
+    return lambda obj: {**obj, key: value}
+
+
+def _first(section, key, wrap):
+    """Replace obj[section][0][key], or the first pointer of a map, by wrap(it)."""
+    def edit(obj):
+        part = obj[section]
+        if isinstance(part, dict):
+            first = min(part)
+            part[first] = wrap(part[first])
+        else:
+            part[0][key] = wrap(part[0][key])
+        return obj
+    return edit
+
+
+# (file edited, edit, fragment the stderr message must hold)
+MALFORMED = {
+    "n-float": ("A", _edit("n", 1.7), "assignment n must be int, not float"),
+    "n-string": ("A", _edit("n", "1"), "assignment n must be int, not str"),
+    "n-bool": ("A", _edit("n", True), "assignment n must be int, not bool"),
+    "assignment-list": ("A", lambda obj: [], "an assignment must be dict, not list"),
+    "pointer-list": ("A", _first("phi", None, lambda p: [p]), "must be str, not list"),
+    "phi-list": ("A", _edit("phi", []), "phi must be dict, not list"),
+    "grid-L-float": ("F", lambda obj: {**obj, "grid": {**obj["grid"], "L": 2.0000001}},
+                     "grid L must be int, not float"),
+    "grid-d-float": ("F", lambda obj: {**obj, "grid": {**obj["grid"], "d": 1.0}},
+                     "grid d must be int, not float"),
+    "grid-list": ("F", _edit("grid", [1, 1.0, 2]), "a grid must be dict, not list"),
+    "cell-deg-float": ("F", _first("nodes", "cell", lambda c: [{"deg": 0.25}]),
+                       "cell deg must be int, not float"),
+    "cell-not-list": ("F", _first("nodes", "cell", lambda c: 3), "a cell must be list, not int"),
+    "cosheaf-list": ("F", lambda obj: [], "a cosheaf must be dict, not list"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("command", [["bound"], ["check", "--k", "0"]], ids=["bound", "check"])
+def test_malformed_bound_and_check_inputs_exit_2(name, command, bound_bundle, workdir, capsys):
+    # refused by the readers with a message naming what is wrong: exit 2, no
+    # traceback, nothing on stdout
+    which, edit, fragment = MALFORMED[name]
+    files = dict(zip("FGA", bound_bundle))
+    files[which] = write(workdir / "bad.json",
+                         json.dumps(edit(json.loads(Path(files[which]).read_text()))))
+    rc, stdout, err = run(capsys, [command[0], "--f", files["F"], "--g", files["G"],
+                                   "--assignment", files["A"], *command[1:]])
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: ") and fragment in err
+
+
+@pytest.mark.parametrize("text,grid,fragment", [
+    ("[1, 2]", None, "a geometric graph must be dict, not list"),
+    ('{"d": 1.0, "vertices": [], "edges": []}', None, "graph d must be int, not Fraction"),
+    ('{"d": "1", "vertices": [], "edges": []}', None, "graph d must be int, not str"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
+     '{"d": 1, "delta": 1.0, "L": 2.5}', "grid L must be int, not float"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}', "[]",
+     "a grid must be dict, not list"),
+], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list"])
+def test_malformed_ingest_inputs_exit_2(text, grid, fragment, workdir, capsys):
+    argv = ["ingest", "--input", write(workdir / "in.json", text), "--delta", "1.0",
+            "--output", str(workdir / "out.json")]
+    if grid is not None:
+        argv += ["--grid", write(workdir / "grid.json", grid)]
+    rc, stdout, err = run(capsys, argv)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: ") and fragment in err
+    assert not (workdir / "out.json").exists()
