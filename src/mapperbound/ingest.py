@@ -59,6 +59,8 @@ class GeometricGraph:
     edges: list[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        # one edge order, so a graph and its JSON round trip build alike
+        self.edges = sorted(map(tuple, self.edges))
         norm = {}
         for vid, val in self.vertices.items():
             vec = tuple(_as_fraction(x) for x in val)
@@ -86,7 +88,7 @@ class GeometricGraph:
                 {"id": vid, "f": [float(x) for x in val]}
                 for vid, val in sorted(self.vertices.items())
             ],
-            "edges": sorted([list(e) for e in self.edges]),
+            "edges": [list(e) for e in self.edges],
         }
 
     @classmethod

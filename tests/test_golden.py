@@ -10,7 +10,10 @@ taken before the full loss memoised its thickening steps and gathered its
 parallelogram pairs per larger open.  The demo digests were taken from the
 breadth-first slice labelling that preceded the union-find one, and the
 `oracle --mode pi0` digests from the per-cell interval arithmetic that preceded
-the walk over each edge's cuts.
+the walk over each edge's cuts.  The `bound` and `check` digests of
+pair-1d-a, pair-1d-b, pair-2d-a, pair-2d-b and pair-3d-b were re-taken when
+GeometricGraph began to sort its edges on construction: they are the parent
+code's output for the same graphs built after a graph_to_json round trip.
 """
 
 from __future__ import annotations
@@ -125,22 +128,22 @@ PAIRS = {
 PAIR_SHA256 = {
     "pair-1d-a": [
         (0, "dad56c8fce3eda59587ff8d03d99fc995f9f9c252b811ba927643ff9cd7bc3ad"),
-        (1, "87d7310a5050be8ac7becaa46b9a7eaa8502f3a8805185fffec46301fd0b64bd"),
-        (1, "5ec9466abc48a6666f671a95bd180d964e0893e867d2fae3dec4e7f74a88346d"),
+        (1, "10317f3cdea33ef7514d19c970726e59a7ecad6f379f3d824ffaafe11180b0f3"),
+        (1, "4fc80907c51220387e01bba6875ea3aee0594facab4ce132824189639878873d"),
     ],
     "pair-1d-b": [
-        (0, "763ce9d36bedfcad1bd33a77722a9611ee46124897698502e71cf456c9dad898"),
-        (1, "52e6778e7298794ed63f35677fc7da113fa7557ffce06a0ecdcc8026a3ab6232"),
+        (0, "5018ec797d3d977e181ecbb41dc03b070558550faa1356b8872772e799708693"),
+        (1, "f9155b4c5bea0c34ac148673f047df6e30cd7ef238969858c874a0cb60081218"),
         (0, "ac56c36d36cdcf5734ce5c929f144a4fddc8452ef12dc3e4379ae787dc46d026"),
     ],
     "pair-2d-a": [
         (0, "46d222fb6971ee680d606923d200ddb36f26aca0588454904b110940c9237a4f"),
-        (1, "6bfb52a9c53e08500e587816427848f0badcd700faf134e6f0e3bc6e34ecd354"),
-        (1, "cb036e1c05b4922c4590c0ce05555273d0e2bd18839438ab7a9bb5b05c90c3d4"),
+        (1, "6edc4a1398153354c40da2480b6d7708d3a6b9307dd008535f381865efff4d8d"),
+        (1, "f04e0a61432c6584c0abdca124c713bd117cdaa7bc6372d5fc450b2f8f3ca81e"),
     ],
     "pair-2d-b": [
         (0, "8a7fc56e56ba7448a95eeec4857db5aeac1ede91a734c695dec6fd974ab5dd9a"),
-        (1, "7b2ed96eeea92945dc23254f43cd162238a4ca2aac62ad225b7d4de61cdb7a5b"),
+        (1, "4f3a844280277b5e6bb63a519a998325bf2b071487e22cc1ae6827ad95fa655f"),
         (1, "3658f26d8e68d0725a571391b96835ff68d49b39b8a987e63ba9136a5a1f17dd"),
     ],
     "pair-3d-a": [
@@ -149,9 +152,9 @@ PAIR_SHA256 = {
         (0, "ac56c36d36cdcf5734ce5c929f144a4fddc8452ef12dc3e4379ae787dc46d026"),
     ],
     "pair-3d-b": [
-        (0, "8d115715ca8767d0b79559a3bd4a39c056d14e14b088e5b9ef5921f7b575fc6f"),
-        (1, "5fc771785625321ab33378ac778a4229227ffa11236511da4c1ee3e9867cb32d"),
-        (1, "255c538758391b5d4ad408773a30440d3bfc4721495e3aa01d2028b1827f63c0"),
+        (0, "e4c230d0e397d6d3d91e5859ae9faa63b318f63cc46667b41837b052e992f28b"),
+        (1, "dc9a0882556e1665a1737d1feec2153d99883d17af36daf3c483e0f6523fbeec"),
+        (1, "c53f7aa8ed24c02c4c2b0e8b4db0ea7ca4943cbf63cd96978ce2933e081c839b"),
     ],
     "split": [
         (3, "2d675d7a4d700ba0a75cd642ba927f72006c53c35576ff77e444b703d1f9554b"),

@@ -230,6 +230,18 @@ def test_geometric_graph_json_round_trip():
     assert back.vertices == g.vertices
 
 
+def test_build_and_build_after_a_json_round_trip_agree():
+    # the graph sorts its edges on construction, so the file's edge order
+    # cannot renumber components: the same cosheaf bytes either way
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_geometric(rng, "v", 14, d=2, denom=4, spread=12, extra_edges=3)
+        back = GeometricGraph.from_json(graph_to_json(g))
+        assert back.edges == g.edges
+        grid = fit_grid([g], 1.0)
+        assert to_json(build_cosheaf(back, grid)) == to_json(build_cosheaf(g, grid))
+
+
 def test_geometric_graph_json_refuses_values_it_cannot_carry():
     # JSON carries a float's shortest repr: 1/3 would read back as
     # 3333333333333333/10**16, a different graph
