@@ -356,15 +356,9 @@ def _edit(key, value):
     return lambda obj: {**obj, key: value}
 
 
-def _first(section, key, wrap):
-    """Replace obj[section][0][key], or the first pointer of a map, by wrap(it)."""
+def _first_cell(cell):
     def edit(obj):
-        part = obj[section]
-        if isinstance(part, dict):
-            first = min(part)
-            part[first] = wrap(part[first])
-        else:
-            part[0][key] = wrap(part[0][key])
+        obj["nodes"][0]["cell"] = cell
         return obj
     return edit
 
@@ -375,16 +369,16 @@ MALFORMED = {
     "n-string": ("A", _edit("n", "1"), "assignment n must be int, not str"),
     "n-bool": ("A", _edit("n", True), "assignment n must be int, not bool"),
     "assignment-list": ("A", lambda obj: [], "an assignment must be dict, not list"),
-    "pointer-list": ("A", _first("phi", None, lambda p: [p]), "must be str, not list"),
+    "pointer-list": ("A", lambda obj: {**obj, "phi": {x: [y] for x, y in obj["phi"].items()}},
+                     "must be str, not list"),
     "phi-list": ("A", _edit("phi", []), "phi must be dict, not list"),
     "grid-L-float": ("F", lambda obj: {**obj, "grid": {**obj["grid"], "L": 2.0000001}},
                      "grid L must be int, not float"),
     "grid-d-float": ("F", lambda obj: {**obj, "grid": {**obj["grid"], "d": 1.0}},
                      "grid d must be int, not float"),
     "grid-list": ("F", _edit("grid", [1, 1.0, 2]), "a grid must be dict, not list"),
-    "cell-deg-float": ("F", _first("nodes", "cell", lambda c: [{"deg": 0.25}]),
-                       "cell deg must be int, not float"),
-    "cell-not-list": ("F", _first("nodes", "cell", lambda c: 3), "a cell must be list, not int"),
+    "cell-deg-float": ("F", _first_cell([{"deg": 0.25}]), "cell deg must be int, not float"),
+    "cell-not-list": ("F", _first_cell(3), "a cell must be list, not int"),
     "cosheaf-list": ("F", lambda obj: [], "a cosheaf must be dict, not list"),
 }
 
