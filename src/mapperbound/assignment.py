@@ -25,11 +25,12 @@ phrased as "do these two nodes share a component of a given slice":
 Each diagram passes from some least slack on: slice components only merge as
 the radius grows, so it is read off the merge radius r of its two chased nodes,
 r - n for a parallelogram and ceil((r - 2n) / 2) for a triangle, floored at 0.
-One core serves every check: per center it makes one merge_radii sweep per
-target graph, and a diagram fails at slack k iff its slack exceeds k.  The
-basis loss L_B is the largest of these slacks, the least one making every
-family pass.  The certified bound is n + L_B, and for d = 1 the scaled
-quantity delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
+One pass, _slacks, lists every diagram with a positive slack, making one
+merge_radii sweep per center and target graph, and every entry point reads
+that list: a diagram fails at slack k iff its slack exceeds k, and the basis
+loss L_B is the largest slack, the least one making every family pass.  The
+certified bound is n + L_B, and for d = 1 the scaled quantity
+delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
 """
 
 from __future__ import annotations
@@ -258,43 +259,49 @@ def _centers(F: CosheafGraph, G: CosheafGraph) -> list[Cell]:
     return sorted(closure([*F.nodes_at, *G.nodes_at]), key=cell_sort_key)
 
 
-def _swept(F: CosheafGraph, G: CosheafGraph, phi: list[int], psi: list[int], sigma: Cell):
-    """The basis diagrams centered at sigma with the merge radius of each
-    chased pair: (kind, step, tau, src, xs, radii), tau None for a triangle.
-    The diagram of element xs[i] of src has slack _slack(radii[i], step, n).
-    Read off the face poset: a parallelogram for each coface tau of sigma that
-    src occupies, a triangle when src occupies sigma.
+def _slacks(F: CosheafGraph, G: CosheafGraph, n: int, phi: list[int], psi: list[int],
+            centers: list[Cell] | None = None) -> list[tuple[Witness, float | int]]:
+    """(diagram, slack) for every basis diagram whose slack is positive,
+    center by center (every center by default).  The diagrams centered at
+    sigma are read off the face poset: a parallelogram for each coface tau of
+    sigma that src occupies, a triangle when src occupies sigma.
 
     One merge_radii sweep per target graph takes its parallelograms (step 1)
     then its triangle (step 2): G's are parallelogram_left and triangle_up,
-    F's parallelogram_right and triangle_down."""
-    up = cofaces(F.grid, sigma)
-    for dst, src, ptr, back, kinds in ((G, F, phi, psi, ("parallelogram_left", "triangle_up")),
-                                       (F, G, psi, phi, ("parallelogram_right", "triangle_down"))):
-        diagrams, us, vs = [], [], []
-        for tau in up:
-            xs = src.nodes_at.get(tau)
-            if xs is None:
-                continue
-            fs = src._face_images(tau, sigma)
-            if None in fs:
-                raise AssignmentError(f"cosheaf is missing the face image of "
-                                      f"{src.ids[xs[fs.index(None)]]!r} at {sigma!r}")
-            diagrams.append((kinds[0], 1, tau, src, xs))
-            us += [ptr[x] for x in xs]
-            vs += [ptr[f] for f in fs]
-        ys = dst.nodes_at.get(sigma)
-        if ys is not None:
-            diagrams.append((kinds[1], 2, None, dst, ys))
-            us += ys
-            vs += [ptr[back[y]] for y in ys]
-        if not diagrams:
-            continue
-        radii = dst.merge_radii(sigma, us, vs)
-        end = 0
-        for kind, step, tau, graph, xs in diagrams:
-            yield kind, step, tau, graph, xs, radii[end:end + len(xs)]
-            end += len(xs)
+    F's parallelogram_right and triangle_down.  The diagram of element x with
+    merge radius r has slack _slack(r, step, n); a group whose largest radius
+    gives slack 0 is skipped whole."""
+    out: list[tuple[Witness, float | int]] = []
+    for sigma in centers or _centers(F, G):
+        up = cofaces(F.grid, sigma)
+        for dst, src, ptr, back, kinds in ((G, F, phi, psi, ("parallelogram_left", "triangle_up")),
+                                           (F, G, psi, phi, ("parallelogram_right", "triangle_down"))):
+            groups, us, vs = [], [], []
+            for tau in up:
+                xs = src.nodes_at.get(tau)
+                if xs is None:
+                    continue
+                fs = src._face_images(tau, sigma)
+                if None in fs:
+                    raise AssignmentError(f"cosheaf is missing the face image of "
+                                          f"{src.ids[xs[fs.index(None)]]!r} at {sigma!r}")
+                groups.append((kinds[0], 1, tau, src, xs))
+                us += [ptr[x] for x in xs]
+                vs += [ptr[f] for f in fs]
+            ys = dst.nodes_at.get(sigma)
+            if ys is not None:
+                groups.append((kinds[1], 2, None, dst, ys))
+                us += ys
+                vs += [ptr[back[y]] for y in ys]
+            radii = dst.merge_radii(sigma, us, vs)
+            end = 0
+            for kind, step, tau, graph, xs in groups:
+                rs = radii[end:end + len(xs)]
+                end += len(xs)
+                if _slack(max(rs), step, n):
+                    out += [(Witness(kind, sigma, tau, graph.ids[x]), s)
+                            for x, r in zip(xs, rs) if (s := _slack(r, step, n))]
+    return out
 
 
 def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
@@ -304,13 +311,7 @@ def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
     phi, psi = _prepare(F, G, a)
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
-    bad: list[Witness] = []
-    for sigma in centers or _centers(F, G):
-        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma):
-            if _slack(max(radii), step, a.n) > k:
-                bad += [Witness(kind, sigma, tau, src.ids[x])
-                        for x, r in zip(xs, radii) if _slack(r, step, a.n) > k]
-    return bad
+    return [w for w, s in _slacks(F, G, a.n, phi, psi, centers) if s > k]
 
 
 def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int) -> bool:
@@ -331,25 +332,13 @@ def loss_report(
 def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     """L_B, the bound n + L_B, and up to ten witnesses: the diagrams whose
     slack is L_B (those failing at L_B - 1, or at every slack when L_B is
-    infinite), in Witness.sort_key order.
-
-    Each diagram's slack comes from the merge radius of its chased pair; one
-    merge_radii sweep per graph and center gives every pair at once.
-    """
+    infinite), in Witness.sort_key order."""
     phi, psi = _prepare(F, G, a)
-    L_B: float | int = 0
-    worst: list[Witness] = []  # the diagrams whose slack is L_B, when positive
-    for sigma in _centers(F, G):
-        for kind, step, tau, src, xs, radii in _swept(F, G, phi, psi, sigma):
-            top = _slack(max(radii), step, a.n)
-            if top == 0 or top < L_B:
-                continue
-            if top > L_B:
-                L_B, worst = top, []
-            worst += [Witness(kind, sigma, tau, src.ids[x])
-                      for x, r in zip(xs, radii) if _slack(r, step, a.n) == top]
+    slacks = _slacks(F, G, a.n, phi, psi)
+    L_B = max((s for _, s in slacks), default=0)
+    worst = sorted((w for w, s in slacks if s == L_B), key=Witness.sort_key)
     res = LossResult(n=a.n, L_B=L_B, bound=a.n + L_B, reeb_bound=None,
-                     witnesses=sorted(worst, key=Witness.sort_key)[:10], dim=F.grid.d)
+                     witnesses=worst[:10], dim=F.grid.d)
     if res.dim == 1:
         res.reeb_bound = reeb_bound(res, F.grid.delta)
     return res
