@@ -117,8 +117,6 @@ class CosheafGraph:
             if row[ci - block[0]] is None:
                 row[ci - block[0]] = pi
         self._raw_links.sort()
-        for a in adj:
-            a.sort()
         # a tuple holds its items inline: one pointer hop fewer per row read in
         # the union-find sweeps, which shows once a graph outgrows the CPU caches
         self.adj: list[tuple[int, ...]] = list(map(tuple, adj))
@@ -221,12 +219,9 @@ class CosheafGraph:
         pending = [p for p, r in enumerate(out) if r]
         if not pending:
             return out
-        top = self.saturation(center)
-        rings: list[list[int]] = [[] for _ in range(top + 1)]
+        rings: list[list[int]] = [[] for _ in range(self.saturation(center) + 1)]
         for c, block in self.nodes_at.items():
-            r = star_ring(center, c)
-            if r <= top:
-                rings[r] += block
+            rings[star_ring(center, c)] += block
         parent = [-1] * len(self.ids)
         for r, ring in enumerate(rings):
             if not ring:

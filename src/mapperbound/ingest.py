@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .cosheaf import CosheafGraph
+from .cosheaf import CosheafGraph, _cell_token
 # star is unused here but stays importable: the benchmark's tracer wraps it
 from .grid import Cell, GridSpec, cell_sort_key, star, wire  # noqa: F401
 
@@ -266,7 +266,7 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
             a, b = _root(up, a), _root(up, b)
             if a != b:
                 up[max(a, b)] = min(a, b)  # a component's root stays its least piece
-        token = ",".join(str(m >> 1) if m % 2 == 0 else f"{m >> 1}+" for m in c.coords)
+        token = _cell_token(c)
         node_of: dict[int, str] = {}
         for p in sorted(members[c]):
             r = _root(up, p)
