@@ -48,6 +48,7 @@ from .grid import (
     star_saturation,
     thicken,
     wire,
+    wire_pairs,
 )
 
 INFINITE = float("inf")
@@ -431,11 +432,11 @@ def from_json_obj(obj: dict) -> CosheafGraph:
     # once; the constructor checks each distinct cell against the grid
     nodes: list[tuple[str, Cell]] = []
     raw = c = None
-    for n in obj["nodes"]:
-        if c is None or n["cell"] != raw:
+    for n in wire(obj["nodes"], list, "cosheaf nodes", CosheafError):
+        if wire(n, dict, "a node", CosheafError)["cell"] != raw or c is None:
             raw, c = n["cell"], cell_from_wire(n["cell"])
-        nodes.append((n["id"], c))
-    return CosheafGraph(grid, nodes, obj.get("links", []))
+        nodes.append((wire(n["id"], str, "a node id", CosheafError), c))
+    return CosheafGraph(grid, nodes, wire_pairs(obj.get("links", []), "links", CosheafError))
 
 
 def from_json(text: str) -> CosheafGraph:

@@ -102,8 +102,8 @@ class GridSpec:
             raise ValueError("dimension d must be >= 1")
         if self.L < 1:
             raise ValueError("half-extent L must be >= 1")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < float("inf"):
+            raise ValueError("delta must be positive and finite")
 
     def contains(self, c: Cell) -> bool:
         co = c.coords
@@ -122,8 +122,10 @@ class GridSpec:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "GridSpec":
-        wire(obj, dict, "a grid")
-        return cls(d=wire(obj["d"], int, "grid d"), delta=float(obj["delta"]),
+        delta = wire(obj, dict, "a grid")["delta"]
+        if type(delta) not in (int, float):
+            raise ValueError(f"grid delta must be a number, not {type(delta).__name__}")
+        return cls(d=wire(obj["d"], int, "grid d"), delta=float(delta),
                    L=wire(obj["L"], int, "grid L"))
 
 
@@ -132,6 +134,15 @@ def wire(v, kind: type, what: str, error: type[ValueError] = ValueError):
     raises `error` naming `what`.  Types match exactly, so a bool is no int."""
     if type(v) is not kind:
         raise error(f"{what} must be {kind.__name__}, not {type(v).__name__}")
+    return v
+
+
+def wire_pairs(v, what: str, error: type[ValueError] = ValueError) -> list[list[str]]:
+    """v, if JSON read it as a list of [str, str] pairs; otherwise raises
+    `error` naming `what`."""
+    for p in wire(v, list, what, error):
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not str or type(p[1]) is not str:
+            raise error(f"{what} must be pairs of str, not {p!r}")
     return v
 
 

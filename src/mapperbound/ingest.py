@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .cosheaf import CosheafGraph, _cell_token
 # star is unused here but stays importable: the benchmark's tracer wraps it
-from .grid import Cell, GridSpec, cell_sort_key, star, wire  # noqa: F401
+from .grid import Cell, GridSpec, cell_sort_key, star, wire, wire_pairs  # noqa: F401
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -42,7 +42,7 @@ class IngestError(ValueError):
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, float):
         # str() round-trips the shortest decimal repr, so 0.1 means 1/10
@@ -93,12 +93,12 @@ class GeometricGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeometricGraph":
-        wire(obj, dict, "a geometric graph", IngestError)
-        return cls(
-            d=wire(obj["d"], int, "graph d", IngestError),
-            vertices={v["id"]: tuple(_as_fraction(x) for x in v["f"]) for v in obj["vertices"]},
-            edges=[(a, b) for a, b in obj["edges"]],
-        )
+        d = wire(wire(obj, dict, "a geometric graph", IngestError)["d"], int, "graph d", IngestError)
+        vertices = {}
+        for v in wire(obj["vertices"], list, "graph vertices", IngestError):
+            vid = wire(wire(v, dict, "a vertex", IngestError)["id"], str, "a vertex id", IngestError)
+            vertices[vid] = tuple(map(_as_fraction, wire(v["f"], list, "a vertex f", IngestError)))
+        return cls(d=d, vertices=vertices, edges=wire_pairs(obj["edges"], "edges", IngestError))
 
     @classmethod
     def from_json(cls, text: str) -> "GeometricGraph":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -356,9 +357,13 @@ def _edit(key, value):
     return lambda obj: {**obj, key: value}
 
 
-def _first_cell(cell):
+def _grid(key, value):
+    return lambda obj: {**obj, "grid": {**obj["grid"], key: value}}
+
+
+def _first(key, field, value):
     def edit(obj):
-        obj["nodes"][0]["cell"] = cell
+        obj[key][0][field] = value
         return obj
     return edit
 
@@ -372,13 +377,19 @@ MALFORMED = {
     "pointer-list": ("A", lambda obj: {**obj, "phi": {x: [y] for x, y in obj["phi"].items()}},
                      "must be str, not list"),
     "phi-list": ("A", _edit("phi", []), "phi must be dict, not list"),
-    "grid-L-float": ("F", lambda obj: {**obj, "grid": {**obj["grid"], "L": 2.0000001}},
-                     "grid L must be int, not float"),
-    "grid-d-float": ("F", lambda obj: {**obj, "grid": {**obj["grid"], "d": 1.0}},
-                     "grid d must be int, not float"),
+    "grid-L-float": ("F", _grid("L", 2.0000001), "grid L must be int, not float"),
+    "grid-d-float": ("F", _grid("d", 1.0), "grid d must be int, not float"),
+    "grid-delta-null": ("F", _grid("delta", None), "grid delta must be a number, not NoneType"),
+    "grid-delta-bool": ("F", _grid("delta", True), "grid delta must be a number, not bool"),
+    "grid-delta-string": ("F", _grid("delta", "1.0"), "grid delta must be a number, not str"),
+    "grid-delta-inf": ("F", _grid("delta", math.inf), "delta must be positive and finite"),
     "grid-list": ("F", _edit("grid", [1, 1.0, 2]), "a grid must be dict, not list"),
-    "cell-deg-float": ("F", _first_cell([{"deg": 0.25}]), "cell deg must be int, not float"),
-    "cell-not-list": ("F", _first_cell(3), "a cell must be list, not int"),
+    "cell-deg-float": ("F", _first("nodes", "cell", [{"deg": 0.25}]),
+                       "cell deg must be int, not float"),
+    "cell-not-list": ("F", _first("nodes", "cell", 3), "a cell must be list, not int"),
+    "node-id-list": ("F", _first("nodes", "id", ["a"]), "a node id must be str, not list"),
+    "node-not-dict": ("F", lambda obj: {**obj, "nodes": [["a"]]}, "a node must be dict, not list"),
+    "link-end-list": ("F", _first("links", 1, ["a"]), "links must be pairs of str"),
     "cosheaf-list": ("F", lambda obj: [], "a cosheaf must be dict, not list"),
 }
 
@@ -395,7 +406,7 @@ def test_malformed_bound_and_check_inputs_exit_2(name, command, bound_bundle, wo
     rc, stdout, err = run(capsys, [command[0], "--f", files["F"], "--g", files["G"],
                                    "--assignment", files["A"], *command[1:]])
     assert (rc, stdout) == (2, "")
-    assert err.startswith("error: ") and fragment in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
 
 @pytest.mark.parametrize("text,grid,fragment", [
@@ -406,7 +417,25 @@ def test_malformed_bound_and_check_inputs_exit_2(name, command, bound_bundle, wo
      '{"d": 1, "delta": 1.0, "L": 2.5}', "grid L must be int, not float"),
     ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}', "[]",
      "a grid must be dict, not list"),
-], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list"])
+    ('{"d": 1, "vertices": [{"id": ["v"], "f": [0.5]}], "edges": []}', None,
+     "a vertex id must be str, not list"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}, {"id": "w", "f": [1.5]}], '
+     '"edges": [["v", ["w"]]]}', None, "edges must be pairs of str"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [true]}], "edges": []}', None,
+     "unsupported value type bool"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": 0.5}], "edges": []}', None,
+     "a vertex f must be list, not Fraction"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
+     '{"d": 1, "delta": null, "L": 2}', "grid delta must be a number, not NoneType"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
+     '{"d": 1, "delta": true, "L": 2}', "grid delta must be a number, not bool"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
+     '{"d": 1, "delta": "1.0", "L": 2}', "grid delta must be a number, not str"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
+     '{"d": 1, "delta": 1e400, "L": 2}', "delta must be positive and finite"),
+], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
+        "edge-end-list", "value-bool", "value-not-list", "grid-delta-null", "grid-delta-bool",
+        "grid-delta-string", "grid-delta-huge"])
 def test_malformed_ingest_inputs_exit_2(text, grid, fragment, workdir, capsys):
     argv = ["ingest", "--input", write(workdir / "in.json", text), "--delta", "1.0",
             "--output", str(workdir / "out.json")]
@@ -414,5 +443,5 @@ def test_malformed_ingest_inputs_exit_2(text, grid, fragment, workdir, capsys):
         argv += ["--grid", write(workdir / "grid.json", grid)]
     rc, stdout, err = run(capsys, argv)
     assert (rc, stdout) == (2, "")
-    assert err.startswith("error: ") and fragment in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
     assert not (workdir / "out.json").exists()
