@@ -24,6 +24,10 @@ from mapperbound import (
     GridSpec,
     TinyCaps,
     basis_loss,
+    check_parallelogram_left,
+    check_parallelogram_right,
+    check_triangle_down,
+    check_triangle_up,
     distance,
     edge_cell,
     enumerate_opens,
@@ -31,6 +35,7 @@ from mapperbound import (
     fit_grid,
     full_loss,
     geometric_pi0,
+    loss_at,
     loss_report,
     promote,
     vertex_cell,
@@ -426,8 +431,17 @@ def reference_pairs():
     yield bF.graph, bG.graph, random_assignment(bF.graph, bG.graph, 1, random.Random(2))
 
 
+CHECKS = {"parallelogram_left": check_parallelogram_left,
+          "parallelogram_right": check_parallelogram_right,
+          "triangle_down": check_triangle_down, "triangle_up": check_triangle_up}
+
+
 def test_basis_loss_and_loss_report_match_reference_slacks():
-    dims, positive, infinite = set(), 0, 0
+    # every entry point of the loss against the reference slacks: basis_loss,
+    # loss_report and loss_at on every pair, and each check_* on a seeded
+    # sample of diagrams per pair, half of them failing at slack 0
+    rng = random.Random(61)
+    dims, positive, infinite, failed_checks = set(), 0, 0, 0
     for F, G, a in reference_pairs():
         dims.add(F.grid.d)
         ref = reference_loss(F, G, a)
@@ -441,9 +455,22 @@ def test_basis_loss_and_loss_report_match_reference_slacks():
             failing = sorted((Witness(*key) for key, s in ref.items() if s > k),
                              key=Witness.sort_key)
             assert loss_report(F, G, a, k) == (not failing, failing)
+            assert loss_at(F, G, a, k) == (L_B <= k)
+        shapes = sorted({key[:3] for key in ref}, key=lambda t: Witness(*t, "").sort_key())
+        hot = [t for t in shapes if any(key[:3] == t and s for key, s in ref.items())]
+        cold = [t for t in shapes if t not in hot]
+        for kind, sigma, tau in (rng.sample(hot, min(2, len(hot)))
+                                 + rng.sample(cold, min(2, len(cold)))):
+            at = (sigma,) if tau is None else (sigma, tau)
+            for k in range(4):
+                failing = sorted((Witness(*key) for key, s in ref.items()
+                                  if key[:3] == (kind, sigma, tau) and s > k),
+                                 key=Witness.sort_key)
+                assert CHECKS[kind](F, G, a, *at, k) == (not failing, failing)
+                failed_checks += bool(failing)
         positive += 0 < L_B < math.inf
         infinite += math.isinf(L_B)
-    assert dims == {1, 2, 3} and positive >= 5 and infinite == 1
+    assert dims == {1, 2, 3} and positive >= 5 and infinite == 1 and failed_checks >= 20
 
 
 def test_distance_matches_thickening_one_step_at_a_time():
