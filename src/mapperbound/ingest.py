@@ -97,6 +97,8 @@ class GeometricGraph:
         vertices = {}
         for v in wire(obj["vertices"], list, "graph vertices", IngestError):
             vid = wire(wire(v, dict, "a vertex", IngestError)["id"], str, "a vertex id", IngestError)
+            if vid in vertices:
+                raise IngestError(f"duplicate vertex id {vid!r}")
             vertices[vid] = tuple(map(_as_fraction, wire(v["f"], list, "a vertex f", IngestError)))
         return cls(d=d, vertices=vertices, edges=wire_pairs(obj["edges"], "edges", IngestError))
 

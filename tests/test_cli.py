@@ -423,6 +423,8 @@ def test_malformed_bound_and_check_inputs_exit_2(name, command, bound_bundle, wo
      '"edges": [["v", ["w"]]]}', None, "edges must be pairs of str"),
     ('{"d": 1, "vertices": [{"id": "v", "f": [true]}], "edges": []}', None,
      "unsupported value type bool"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}, {"id": "v", "f": [3.5]}], "edges": []}',
+     None, "duplicate vertex id 'v'"),
     ('{"d": 1, "vertices": [{"id": "v", "f": 0.5}], "edges": []}', None,
      "a vertex f must be list, not Fraction"),
     ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
@@ -434,7 +436,7 @@ def test_malformed_bound_and_check_inputs_exit_2(name, command, bound_bundle, wo
     ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
      '{"d": 1, "delta": 1e400, "L": 2}', "delta must be positive and finite"),
 ], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
-        "edge-end-list", "value-bool", "value-not-list", "grid-delta-null", "grid-delta-bool",
+        "edge-end-list", "value-bool", "vertex-id-repeated", "value-not-list", "grid-delta-null", "grid-delta-bool",
         "grid-delta-string", "grid-delta-huge"])
 def test_malformed_ingest_inputs_exit_2(text, grid, fragment, workdir, capsys):
     argv = ["ingest", "--input", write(workdir / "in.json", text), "--delta", "1.0",
