@@ -439,7 +439,7 @@ CHECKS = {"parallelogram_left": check_parallelogram_left,
 def test_basis_loss_and_loss_report_match_reference_slacks():
     # every entry point of the loss against the reference slacks: basis_loss,
     # loss_report and loss_at on every pair, and each check_* on a seeded
-    # sample of diagrams per pair, half of them failing at slack 0
+    # sample of diagrams per pair, up to two of them failing at slack 0
     rng = random.Random(61)
     dims, positive, infinite, failed_checks = set(), 0, 0, 0
     for F, G, a in reference_pairs():
@@ -456,9 +456,9 @@ def test_basis_loss_and_loss_report_match_reference_slacks():
                              key=Witness.sort_key)
             assert loss_report(F, G, a, k) == (not failing, failing)
             assert loss_at(F, G, a, k) == (L_B <= k)
-        shapes = sorted({key[:3] for key in ref}, key=lambda t: Witness(*t, "").sort_key())
-        hot = [t for t in shapes if any(key[:3] == t and s for key, s in ref.items())]
-        cold = [t for t in shapes if t not in hot]
+        hot = {key[:3] for key, s in ref.items() if s}
+        hot, cold = (sorted(part, key=lambda t: Witness(*t, "").sort_key())
+                     for part in (hot, {key[:3] for key in ref} - hot))
         for kind, sigma, tau in (rng.sample(hot, min(2, len(hot)))
                                  + rng.sample(cold, min(2, len(cold)))):
             at = (sigma,) if tau is None else (sigma, tau)
