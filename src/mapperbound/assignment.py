@@ -39,8 +39,8 @@ import json
 import math
 from dataclasses import dataclass
 from .cosheaf import CosheafGraph, _slack, fmt_extended
-from .grid import (Cell, cell_sort_key, cell_to_wire, closure, cofaces, faces, star_ring, thicken,
-                   wire)
+from .grid import (Cell, cell_sort_key, cell_to_wire, closure, faces, ring_cells, star_ring,
+                   thicken, wire)
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
 
@@ -263,8 +263,9 @@ def _slacks(F: CosheafGraph, G: CosheafGraph, n: int, phi: list[int], psi: list[
             centers: list[Cell] | None = None) -> list[tuple[Witness, float | int]]:
     """(diagram, slack) for every basis diagram whose slack is positive,
     center by center (every center by default).  The diagrams centered at
-    sigma are read off the face poset: a parallelogram for each coface tau of
-    sigma that src occupies, a triangle when src occupies sigma.
+    sigma are read off the face poset: a parallelogram for each proper coface
+    tau of sigma that src occupies (ring 0 around sigma is its star), a
+    triangle when src occupies sigma.
 
     One merge_radii sweep per target graph takes its parallelograms (step 1)
     then its triangle (step 2): G's are parallelogram_left and triangle_up,
@@ -273,7 +274,7 @@ def _slacks(F: CosheafGraph, G: CosheafGraph, n: int, phi: list[int], psi: list[
     gives slack 0 is skipped whole."""
     out: list[tuple[Witness, float | int]] = []
     for sigma in centers or _centers(F, G):
-        up = cofaces(F.grid, sigma)
+        up = [tau for tau in ring_cells(F.grid, sigma, 0) if tau != sigma]
         for dst, src, ptr, back, kinds in ((G, F, phi, psi, ("parallelogram_left", "triangle_up")),
                                            (F, G, psi, phi, ("parallelogram_right", "triangle_down"))):
             groups, us, vs = [], [], []

@@ -21,7 +21,8 @@ of the thickened set.
 Components only merge as the radius grows, so two nodes have a least radius
 at which they share a component: their merge radius, an ultrametric.  One
 merge_radii sweep gives it for many pairs; every diagram check, distance and
-diameter read it.  slice and set_at label with the same union-find step.
+diameter read it.  slice takes its nodes from the same rings, and slice and
+set_at label with the same union-find step.
 
 Extended naturals are represented as plain ints with float("inf") as the top
 element; arithmetic saturates automatically.
@@ -29,10 +30,11 @@ element; arithmetic saturates automatically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .grid import (
     Cell,
@@ -44,6 +46,8 @@ from .grid import (
     is_face,
     is_open,
     saturation_steps,
+    shell_cells,
+    star_box,
     star_ring,
     star_saturation,
     thicken,
@@ -186,8 +190,8 @@ class CosheafGraph:
 
     # -- connectivity labelings ----------------------------------------------
 
-    def _labeling(self, cells: Iterable[Cell]) -> "SliceLabeling":
-        members = sorted(i for c in cells for i in self.nodes_at.get(c, ()))
+    def _labeling(self, nodes: Iterable[int]) -> "SliceLabeling":
+        members = sorted(nodes)
         parent = [-1] * len(self.ids)
         _join(parent, self.adj, members)
         lab = [-2] * len(self.ids)
@@ -205,7 +209,28 @@ class CosheafGraph:
         self.grid.check_cell(center)
         if radius < 0:
             raise ValueError("radius must be a natural number")
-        return self._labeling(c for c in self.nodes_at if star_ring(center, c) <= radius)
+        return self._labeling(i for ring in itertools.islice(self._rings(center), radius + 1)
+                              for i in ring)
+
+    def _rings(self, center: Cell) -> Iterator[list[int]]:
+        """The node indices of each ring around `center`, ring r holding the
+        nodes whose cell has star_ring r, for r = 0 up to saturation.  While
+        the r-box holds no more grid cells than the graph occupies, ring r
+        looks up in nodes_at the cells of the shell between the r-box and the
+        (r-1)-box, as grid.ring_cells lists them; from there on, one
+        star_ring scan of the occupied cells gives every remaining ring."""
+        top, get, inner = self.saturation(center), self.nodes_at.get, None
+        for r in range(top + 1):
+            box = star_box(self.grid, center, r)
+            if math.prod(map(len, box)) > len(self.nodes_at):
+                rest: list[list[int]] = [[] for _ in range(r, top + 1)]
+                for c, block in self.nodes_at.items():
+                    if (s := star_ring(center, c) - r) >= 0:
+                        rest[s] += block
+                yield from rest
+                return
+            yield [i for t in shell_cells(box, inner) for i in get(t, ())]
+            inner = box
 
     def merge_radii(self, center: Cell, us: list[int], vs: list[int]) -> list:
         """For each pair of node indices (us[p], vs[p]): the least radius at
@@ -215,16 +240,16 @@ class CosheafGraph:
 
         One sweep adds the slice's nodes ring by ring (ring r holds the nodes
         whose cell has star_ring r around the center) to a union-find, and
-        stops once every pair has merged or the slice saturates."""
+        stops once every pair has merged or the slice saturates.  A ring is
+        read from the shell of the box around the center while that box is
+        smaller than the occupied set, so a sweep that stops early costs the
+        cells it reached, not the whole graph."""
         out: list = [0 if u == v else INFINITE for u, v in zip(us, vs)]
         pending = [p for p, r in enumerate(out) if r]
         if not pending:
             return out
-        rings: list[list[int]] = [[] for _ in range(self.saturation(center) + 1)]
-        for c, block in self.nodes_at.items():
-            rings[star_ring(center, c)] += block
         parent = [-1] * len(self.ids)
-        for r, ring in enumerate(rings):
+        for r, ring in enumerate(self._rings(center)):
             if not ring:
                 continue
             _join(parent, self.adj, ring)
@@ -251,7 +276,7 @@ class CosheafGraph:
         s = frozenset(cells)
         if not is_open(self.grid, s):
             raise CosheafError("set_at requires a coface-closed cell set")
-        return self._labeling(s)
+        return self._labeling(i for c in s for i in self.nodes_at.get(c, ()))
 
 
 def _join(parent: list[int], adj: list[tuple[int, ...]], nodes: Iterable[int]) -> None:

@@ -12,8 +12,9 @@ cell is in the set, every cell having it as a face is too.  The star of a cell
 one-step thickening of an open set adds all faces of members and then all
 cofaces of members.  Everything here is a pure function on immutable values.
 
-A thickened star is a box, so the hot paths use two closed forms: star_ring
-for membership (the least thickening of a star that holds a cell) and
+A thickened star is a box (star_box), so the hot paths use closed forms:
+star_ring for membership (the least thickening of a star that holds a cell),
+ring_cells for the cells of one ring (the shell between two boxes), and
 star_saturation; the set algebra is their tested reference, still imported
 where the benchmark's tracer wraps it.
 
@@ -282,10 +283,54 @@ def star_ring(c: Cell, t: Cell) -> int:
     """The least r with t in thicken(basic_open(c), r): the ring of t around
     c.  Per axis, a point's star spans [m-1, m+1] of the doubled coordinates,
     an interval's [m, m], and each round widens both ends by 2."""
-    return max((abs(u - m) + (m & 1)) >> 1 for u, m in zip(t.coords, c.coords))
+    # a plain loop: the sweeps' scans and the radius checks call this per cell
+    r = 0
+    for u, m in zip(t.coords, c.coords):
+        if (k := (abs(u - m) + (m & 1)) >> 1) > r:
+            r = k
+    return r
+
+
+def star_box(grid: GridSpec, c: Cell, r: int) -> list[range]:
+    """thicken(basic_open(c), r) as one range of doubled coordinates per
+    axis: [m - h, m + h] with h = 2r + [m even], clipped to [-2L, 2L]."""
+    top, w = 2 * grid.L, 2 * r + 1
+    box = []  # a plain loop without min/max calls: one box per ring of a sweep
+    for m in c.coords:
+        h = w - (m & 1)
+        box.append(range(m - h if m - h > -top else -top, (m + h if m + h < top else top) + 1))
+    return box
+
+
+def ring_cells(grid: GridSpec, c: Cell, r: int) -> Iterable[Cell]:
+    """The cells t with star_ring(c, t) == r: the r-box around c minus the
+    (r-1)-box."""
+    return shell_cells(star_box(grid, c, r), star_box(grid, c, r - 1) if r else None)
+
+
+def shell_cells(outer: list[range], inner: list[range] | None) -> Iterable[Cell]:
+    """The cells of the box `outer` that are not in the box `inner`, which
+    lies inside it (all of them when inner is None).  Each is listed once,
+    under the first axis on which it leaves the inner box; axes before that
+    one range over the inner box, axes after it over the outer one."""
+    if inner is None:
+        return _cells(outer)
+    out: list[Cell] = []
+    for a, o in enumerate(outer):
+        i = inner[a]
+        if o != i:
+            out += _cells((*inner[:a], (*range(o.start, i.start), *range(i.stop, o.stop)),
+                           *outer[a + 1:]))
+    return out
+
+
+def _cells(axes: Iterable[Iterable[int]]) -> Iterator[Cell]:
+    # tuple.__new__ on 1-tuples builds each Cell in C, skipping the Python-level
+    # NamedTuple constructor: the ring sweeps build one Cell per probe
+    return map(tuple.__new__, itertools.repeat(Cell), zip(itertools.product(*axes)))
 
 
 def star_saturation(grid: GridSpec, c: Cell) -> int:
     """saturation_steps(basic_open(c)): the least r at which the thickened
     star spans [-2L, 2L] on every axis."""
-    return max(grid.L + (abs(m) + 1) // 2 for m in c.coords)
+    return grid.L + (max(map(abs, c.coords)) + 1) // 2

@@ -11,6 +11,7 @@ import pytest
 from mapperbound import (
     Assignment,
     CosheafGraph,
+    GeometricGraph,
     GridSpec,
     diameter,
     distance,
@@ -20,11 +21,13 @@ from mapperbound import (
     validate,
     vertex_cell,
 )
+from mapperbound import cosheaf
 from mapperbound.assignment import AssignmentError
 from mapperbound.cosheaf import CosheafError, from_json, to_dot, to_json
 from mapperbound.grid import Cell, all_cells, basic_open, cell, cell_sort_key, faces, is_face, thicken
 from mapperbound.ingest import build
 
+import sweep_reference
 from conftest import random_geometric
 
 V = vertex_cell
@@ -176,6 +179,59 @@ def test_monotone_merging(fork):
             key = (lo.component_of(nid), 0)
             pair = seen.setdefault(key, hi.component_of(nid))
             assert pair == hi.component_of(nid)  # coarsening, never splitting
+
+
+def test_merge_radii_and_slice_match_the_scan_sweep(monkeypatch):
+    # seeded random graphs in d = 1, 2 and 3 against the sweep that scans every
+    # occupied cell: dense ones on small grids and sparse ones on larger grids,
+    # half of them two disjoint paths so that some pairs never merge.  Spies on
+    # the two ways of reading a ring show that sweeps ran on the box shell
+    # alone and that sweeps switched to the scan.
+    calls = {"shell": 0, "scan": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(cosheaf, "shell_cells", spy("shell", cosheaf.shell_cells))
+    monkeypatch.setattr(cosheaf, "star_ring", spy("scan", cosheaf.star_ring))
+    rng = random.Random(113)
+    sweeps = {"shell only": 0, "switched": 0}
+    infinite = 0
+    for d, nv, denom, spread in ((1, 8, 4, 10), (1, 4, 1, 12), (2, 6, 2, 6), (2, 3, 1, 8),
+                                 (3, 3, 2, 4), (3, 2, 1, 5)):
+        for two in (False, True):
+            paths = [random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
+                                      extra_edges=1) for tag in "ab"[:1 + two]]
+            g = GeometricGraph(d=d, vertices={k: v for p in paths for k, v in p.vertices.items()},
+                               edges=[e for p in paths for e in p.edges])
+            F = build(g, fit_grid([g], 1.0)).graph
+            occupied = list(F.nodes_at)
+            centers = rng.sample(occupied, min(6, len(occupied)))
+            centers += [Cell(tuple(rng.randint(-2 * F.grid.L, 2 * F.grid.L) for _ in range(d)))
+                        for _ in range(3)]
+            for c in centers:
+                # random pairs merge late; a node and its neighbours merge early
+                us = [rng.randrange(len(F.ids)) for _ in range(12)]
+                vs = [rng.randrange(len(F.ids)) for _ in range(12)]
+                near = rng.randrange(len(F.ids))
+                for pairs in ((us, vs), ([near] * len(F.adj[near]), list(F.adj[near]))):
+                    before = dict(calls)
+                    got = F.merge_radii(c, *pairs)
+                    assert got == sweep_reference.merge_radii(F, c, *pairs), (d, c)
+                    infinite += got.count(math.inf)
+                    if calls["scan"] > before["scan"]:
+                        sweeps["switched"] += 1
+                    elif calls["shell"] > before["shell"]:
+                        sweeps["shell only"] += 1
+                for r in range(F.saturation(c) + 2):
+                    got, want = F.slice(c, r), sweep_reference.slice_labeling(F, c, r)
+                    assert (got.component_count, got._members, got._lab) == \
+                        (want.component_count, want._members, want._lab), (d, c, r)
+    assert sweeps["shell only"] >= 20 and sweeps["switched"] >= 20 and infinite >= 10, \
+        (sweeps, infinite)
 
 
 # -- set_at -------------------------------------------------------------------------

@@ -8,6 +8,7 @@ written directly from the comparability predicate.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -26,7 +27,9 @@ from mapperbound.grid import (
     edge_cell,
     faces,
     is_open,
+    ring_cells,
     saturation_steps,
+    star_box,
     star_ring,
     star_saturation,
     thicken,
@@ -235,6 +238,24 @@ def test_star_ring_and_saturation_match_the_set_algebra_exhaustively():
         grid = GridSpec(3, 1.0, L)
         for c in symmetry_representatives(grid):
             assert_box_chain(grid, c)
+
+
+def test_ring_cells_partition_the_grid_by_star_ring_exhaustively():
+    # every center and every r up to saturation + 1: ring r lists each cell of
+    # star_ring r exactly once, the rings partition the grid, and star_box(r)
+    # holds rings 0..r
+    for d, top in [(1, 4), (2, 3), (3, 2)]:
+        for L in range(1, top + 1):
+            grid = GridSpec(d, 1.0, L)
+            cells = list(all_cells(grid))
+            for c in cells:
+                seen: dict[Cell, int] = {}
+                for r in range(star_saturation(grid, c) + 2):
+                    for t in ring_cells(grid, c, r):
+                        assert grid.contains(t) and t not in seen, (grid, c, r, t)
+                        seen[t] = r
+                    assert math.prod(map(len, star_box(grid, c, r))) == len(seen), (grid, c, r)
+                assert seen == {t: star_ring(c, t) for t in cells}, (grid, c)
 
 
 @given(st.integers(0, 10_000))
