@@ -120,9 +120,9 @@ def fit_grid(graphs: Sequence[GeometricGraph], delta: float) -> GridSpec:
     dims = {g.d for g in graphs}
     if len(dims) != 1:
         raise IngestError("all graphs must share one codomain dimension")
+    if not 0 < delta < float("inf"):
+        raise IngestError("delta must be positive and finite")
     dfrac = _as_fraction(delta)
-    if dfrac <= 0:
-        raise IngestError("delta must be positive")
     peak = Fraction(0)
     for g in graphs:
         for val in g.vertices.values():

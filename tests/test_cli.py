@@ -409,41 +409,47 @@ def test_malformed_bound_and_check_inputs_exit_2(name, command, bound_bundle, wo
     assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
 
-@pytest.mark.parametrize("text,grid,fragment", [
-    ("[1, 2]", None, "a geometric graph must be dict, not list"),
-    ('{"d": 1.0, "vertices": [], "edges": []}', None, "graph d must be int, not Fraction"),
-    ('{"d": "1", "vertices": [], "edges": []}', None, "graph d must be int, not str"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
-     '{"d": 1, "delta": 1.0, "L": 2.5}', "grid L must be int, not float"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}', "[]",
-     "a grid must be dict, not list"),
-    ('{"d": 1, "vertices": [{"id": ["v"], "f": [0.5]}], "edges": []}', None,
+_VERTEX = '{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}'
+_DELTA = "delta must be positive and finite"
+
+
+@pytest.mark.parametrize("text,grid,delta,fragment", [
+    ("[1, 2]", None, "1.0", "a geometric graph must be dict, not list"),
+    ('{"d": 1.0, "vertices": [], "edges": []}', None, "1.0", "graph d must be int, not Fraction"),
+    ('{"d": "1", "vertices": [], "edges": []}', None, "1.0", "graph d must be int, not str"),
+    (_VERTEX, '{"d": 1, "delta": 1.0, "L": 2.5}', "1.0", "grid L must be int, not float"),
+    (_VERTEX, "[]", "1.0", "a grid must be dict, not list"),
+    ('{"d": 1, "vertices": [{"id": ["v"], "f": [0.5]}], "edges": []}', None, "1.0",
      "a vertex id must be str, not list"),
     ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}, {"id": "w", "f": [1.5]}], '
-     '"edges": [["v", ["w"]]]}', None, "edges must be pairs of str"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": [true]}], "edges": []}', None,
+     '"edges": [["v", ["w"]]]}', None, "1.0", "edges must be pairs of str"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [true]}], "edges": []}', None, "1.0",
      "unsupported value type bool"),
     ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}, {"id": "v", "f": [3.5]}], "edges": []}',
-     None, "duplicate vertex id 'v'"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": 0.5}], "edges": []}', None,
+     None, "1.0", "duplicate vertex id 'v'"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": 0.5}], "edges": []}', None, "1.0",
      "a vertex f must be list, not Fraction"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
-     '{"d": 1, "delta": null, "L": 2}', "grid delta must be a number, not NoneType"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
-     '{"d": 1, "delta": true, "L": 2}', "grid delta must be a number, not bool"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
-     '{"d": 1, "delta": "1.0", "L": 2}', "grid delta must be a number, not str"),
-    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}',
-     '{"d": 1, "delta": 1e400, "L": 2}', "delta must be positive and finite"),
+    (_VERTEX, '{"d": 1, "delta": null, "L": 2}', "1.0", "grid delta must be a number, not NoneType"),
+    (_VERTEX, '{"d": 1, "delta": true, "L": 2}', "1.0", "grid delta must be a number, not bool"),
+    (_VERTEX, '{"d": 1, "delta": "1.0", "L": 2}', "1.0", "grid delta must be a number, not str"),
+    (_VERTEX, '{"d": 1, "delta": 1e400, "L": 2}', "1.0", _DELTA),
+    (_VERTEX, None, "inf", _DELTA),
+    (_VERTEX, None, "nan", _DELTA),
+    (_VERTEX, None, "-1", _DELTA),
 ], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
         "edge-end-list", "value-bool", "vertex-id-repeated", "value-not-list", "grid-delta-null", "grid-delta-bool",
-        "grid-delta-string", "grid-delta-huge"])
-def test_malformed_ingest_inputs_exit_2(text, grid, fragment, workdir, capsys):
-    argv = ["ingest", "--input", write(workdir / "in.json", text), "--delta", "1.0",
-            "--output", str(workdir / "out.json")]
+        "grid-delta-string", "grid-delta-huge", "delta-inf", "delta-nan", "delta-negative"])
+def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, capsys):
+    # without a grid file, `oracle --mode pi0` reads the graph and fits its
+    # grid to --delta as `ingest` does, and must refuse the same inputs
+    src = write(workdir / "in.json", text)
+    runs = [["ingest", "--input", src, "--delta", delta, "--output", str(workdir / "out.json")]]
     if grid is not None:
-        argv += ["--grid", write(workdir / "grid.json", grid)]
-    rc, stdout, err = run(capsys, argv)
-    assert (rc, stdout) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+        runs[0] += ["--grid", write(workdir / "grid.json", grid)]
+    else:
+        runs.append(["oracle", "--mode", "pi0", "--f", src, "--delta", delta])
+    for argv in runs:
+        rc, stdout, err = run(capsys, argv)
+        assert (rc, stdout) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
     assert not (workdir / "out.json").exists()
