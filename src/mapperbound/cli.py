@@ -15,6 +15,11 @@ Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
 validated on load; an invalid cosheaf or assignment exits 2 with one stdout
 JSON line holding "error" and "violations".
+
+main pauses the cyclic garbage collector for the one command it runs and
+then restores the caller's setting: a command builds large acyclic JSON trees
+and node and link lists, which the collector would traverse again and again
+although reference counting frees them.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import sys
@@ -81,7 +87,12 @@ def _load_geometric(path: str) -> ingest.GeometricGraph:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     g = _load_geometric(args.input)
+    if args.grid and not 0 < args.delta < math.inf:
+        raise ingest.IngestError("delta must be positive and finite")
     grid = _load_grid(args.grid) if args.grid else ingest.fit_grid([g], args.delta)
+    if grid.delta != args.delta:
+        raise ingest.IngestError(
+            f"--delta {args.delta} differs from the grid file's delta {grid.delta}")
     F = ingest.build_cosheaf(g, grid)
     Path(args.output).write_text(cosheaf.to_json(F))
     _emit({
@@ -188,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("ingest", help="build a cosheaf file from a geometric graph")
     q.add_argument("--input", required=True)
-    q.add_argument("--delta", type=float, required=True)
+    q.add_argument("--delta", type=float, required=True,
+                   help="grid step; with --grid, must equal that grid's delta")
     q.add_argument("--grid", help="reuse a grid (GridSpec JSON or any file with a grid key)")
     q.add_argument("--output", required=True)
     q.set_defaults(func=cmd_ingest)
@@ -227,6 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _Invalid as exc:
@@ -235,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -436,10 +436,14 @@ def diameter(F: CosheafGraph, center: Cell, m: int):
 
 
 def to_json_obj(F: CosheafGraph) -> dict:
+    """The wire form of F.  The nodes of one cell are consecutive and share one
+    "cell" list, converted once per block: read the object or dump it, but do
+    not edit one node's cell in place."""
     return {
         "grid": F.grid.to_wire(),
         "nodes": [
-            {"id": nid, "cell": cell_to_wire(c)} for nid, c in zip(F.ids, F.cells)
+            {"id": F.ids[i], "cell": w}
+            for c, block in F.nodes_at.items() for w in [cell_to_wire(c)] for i in block
         ],
         "links": sorted(
             [F.ids[ci], F.ids[pi]] for ci, pi in F._raw_links

@@ -15,13 +15,17 @@ containment.
 
 Generic position is not assumed.  Values sitting exactly on grid hyperplanes
 get degenerate carrier coordinates, and an edge lying inside a hyperplane is
-carried by a lower-dimensional cell.  All crossing parameters are computed
-with exact rational arithmetic so carrier classification is bit-stable.
+carried by a lower-dimensional cell.  Crossing parameters are exact: on one
+edge every cut is keyed by the integer t * P, where P is the least common
+multiple of the crossing axes' parameter denominators, so cuts sort and merge
+as ints and carrier classification is bit-stable; each distinct cut becomes
+one Fraction t for the edge's spans.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 import json
 from dataclasses import dataclass, field
@@ -210,7 +214,7 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
         pu, pv = vertex_piece[u], vertex_piece[v]
         cur = list(carrier[pu])  # the carrier of the segment being walked
         step = [0] * g.d
-        cuts: dict[Fraction, list[tuple[int, int]]] = {}
+        crossed = []
         for a, (x, y) in enumerate(zip(scaled[u], scaled[v])):
             nx, dx, ny, dy = x.numerator, x.denominator, y.numerator, y.denominator
             den = ny * dx - nx * dy  # the level l is crossed at t = (l*dx - nx)*dy / den
@@ -223,16 +227,24 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
                 levels = range(nx // dx + 1, -(-ny // dy))
             else:
                 levels = range(-(-nx // dx) - 1, ny // dy, -1)
+            crossed.append((a, nx, dx, dy, den, levels))
+        # each cut is keyed by the exact integer t * P, with P the lcm of the
+        # |den|; P // den is exact and carries the sign of den
+        P = math.lcm(*(c[4] for c in crossed))
+        cuts: dict[int, list[tuple[int, int]]] = {}
+        for a, nx, dx, dy, den, levels in crossed:
+            m = dy * (P // den)
             for l in levels:
-                cuts.setdefault(Fraction((l * dx - nx) * dy, den), []).append((a, l))
+                cuts.setdefault((l * dx - nx) * m, []).append((a, l))
         seg, t0 = len(carrier), _ZERO
         carrier.append(tuple(cur))
         spans = [(_ZERO, _ZERO, pu)]
         joins.setdefault(carrier[pu], []).append((pu, seg))
-        for t in sorted(cuts):
+        for key in sorted(cuts):
             # cuts on several axes at one t are one point piece
+            t = Fraction(key, P)
             point = cur[:]
-            for a, l in cuts[t]:
+            for a, l in cuts[key]:
                 point[a] = 2 * l
                 cur[a] = 2 * l + step[a]
             carrier += (tuple(point), tuple(cur))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mapperbound.assignment import assignment_to_json
+from mapperbound import cli
 from mapperbound.cli import main
 from mapperbound.ingest import graph_to_json
 
@@ -436,9 +438,13 @@ _DELTA = "delta must be positive and finite"
     (_VERTEX, None, "inf", _DELTA),
     (_VERTEX, None, "nan", _DELTA),
     (_VERTEX, None, "-1", _DELTA),
+    (_VERTEX, '{"d": 1, "delta": 1.0, "L": 2}', "0.25",
+     "--delta 0.25 differs from the grid file's delta 1.0"),
+    (_VERTEX, '{"d": 1, "delta": 1.0, "L": 2}', "inf", _DELTA),
 ], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
         "edge-end-list", "value-bool", "vertex-id-repeated", "value-not-list", "grid-delta-null", "grid-delta-bool",
-        "grid-delta-string", "grid-delta-huge", "delta-inf", "delta-nan", "delta-negative"])
+        "grid-delta-string", "grid-delta-huge", "delta-inf", "delta-nan", "delta-negative",
+        "delta-differs-from-grid", "delta-inf-with-grid"])
 def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, capsys):
     # without a grid file, `oracle --mode pi0` reads the graph and fits its
     # grid to --delta as `ingest` does, and must refuse the same inputs
@@ -453,3 +459,59 @@ def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, ca
         assert (rc, stdout) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
     assert not (workdir / "out.json").exists()
+
+
+# -- the cyclic collector -------------------------------------------------------------
+
+
+def _set_collector(on: bool) -> None:
+    if on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_restores_it(collecting, bound_bundle, workdir, capsys,
+                                                   monkeypatch):
+    # main runs its command with the collector off and leaves it as the
+    # caller had it, however the command ends
+    f, g, m = bound_bundle
+    common = ["--f", f, "--g", g, "--assignment", m]
+    broken = write(workdir / "broken.json", json.dumps({"n": 1, "phi": {}, "psi": {}}))
+    runs = [
+        (0, ["check", *common, "--k", "1"]),
+        (1, ["check", *common, "--k", "0"]),
+        (2, ["bound", "--f", f, "--g", g, "--assignment", broken]),  # invalid input
+        (2, ["ingest", "--input", write(workdir / "in.json", _VERTEX), "--delta", "-1",
+             "--output", str(workdir / "out.json")]),  # ValueError
+    ]
+    seen = []
+
+    def boom(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    parser = cli.build_parser()
+    parse = parser.parse_args
+
+    def parse_to_boom(argv=None):
+        args = parse(argv)
+        args.func = boom
+        return args
+
+    was = gc.isenabled()
+    try:
+        for want, argv in runs:
+            _set_collector(collecting)
+            assert run(capsys, argv)[0] == want, argv
+            assert gc.isenabled() is collecting, argv
+        # an exception that escapes the command
+        monkeypatch.setattr(parser, "parse_args", parse_to_boom)
+        _set_collector(collecting)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["export-dot", "--f", f])
+        assert gc.isenabled() is collecting
+        assert seen == [False]
+    finally:
+        _set_collector(was)

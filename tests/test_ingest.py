@@ -358,13 +358,50 @@ def _lookup(fn, *args):
         return f"IngestError: {exc}"
 
 
-def test_walk_matches_midpoint_subdivision():
-    rng = random.Random(41)
-    for trial, d in enumerate([1] * 30 + [2] * 20 + [3] * 8):
+def _coprime_axes(rng: random.Random, d: int, n: int) -> GeometricGraph:
+    """A path plus a chord whose values on axis a are m / k_a, with pairwise
+    coprime k_a: an edge's crossing denominators differ by axis, and their lcm
+    differs from each of them."""
+    ks = rng.sample([3, 7, 10, 11], d)
+    verts = {f"w{i}": tuple(Fraction(rng.randint(-3 * k, 3 * k), k) for k in ks)
+             for i in range(n)}
+    edges = [(f"w{i - 1}", f"w{i}") for i in range(1, n)]
+    return GeometricGraph(d=d, vertices=verts, edges=edges + [tuple(rng.sample(sorted(verts), 2))])
+
+
+def _coincident_cuts(rng: random.Random, d: int, n: int) -> GeometricGraph:
+    """A path plus a chord with values s_a * r + o_a for one r per vertex,
+    slopes s_a in {1, -1, 2, -2} and integer offsets o_a: an edge crosses
+    hyperplanes of several axes at one t, in both directions."""
+    den = rng.choice([1, 2, 3, 10])
+    slopes = [rng.choice([1, -1, 2, -2]) for _ in range(d)]
+    offsets = [rng.randint(-1, 1) for _ in range(d)]
+    verts = {}
+    for i in range(n):
+        r = Fraction(rng.randint(-2 * den, 2 * den), den)
+        verts[f"w{i}"] = tuple(s * r + o for s, o in zip(slopes, offsets))
+    edges = [(f"w{i - 1}", f"w{i}") for i in range(1, n)]
+    return GeometricGraph(d=d, vertices=verts, edges=edges + [tuple(rng.sample(sorted(verts), 2))])
+
+
+def _walk_trials(rng: random.Random):
+    """(d, kind, graph) per trial of the walk test; kind is the denominator
+    of the random trials."""
+    for d in [1] * 30 + [2] * 20 + [3] * 8:
         # denominators of 1 and 2 put values, and whole edges, on hyperplanes
         denom = rng.choice([1, 2, 3, 10])
-        g = random_geometric(rng, "w", rng.randint(2, 7 if d < 3 else 4), d=d, denom=denom,
-                             spread=3 * denom, extra_edges=rng.randint(0, 2))
+        yield d, denom, random_geometric(rng, "w", rng.randint(2, 7 if d < 3 else 4), d=d,
+                                         denom=denom, spread=3 * denom,
+                                         extra_edges=rng.randint(0, 2))
+    for d in [2] * 10 + [3] * 6:
+        yield d, "coprime", _coprime_axes(rng, d, rng.randint(2, 6 if d < 3 else 4))
+    for d in [2] * 10 + [3] * 6:
+        yield d, "coincident", _coincident_cuts(rng, d, rng.randint(2, 6 if d < 3 else 4))
+
+
+def test_walk_matches_midpoint_subdivision():
+    rng = random.Random(41)
+    for trial, (d, kind, g) in enumerate(_walk_trials(rng)):
         g = _degenerate_extras(rng, g)
         grid = fit_grid([g], rng.choice([1.0, 0.5]))
         peak = max(abs(x) for val in g.vertices.values() for x in val)
@@ -373,7 +410,7 @@ def test_walk_matches_midpoint_subdivision():
             grid = GridSpec(d, grid.delta, grid.L - 1)
         got = build(g, grid)
         nodes, links, piece_node, vertex_piece, edge_chain = _midpoint_build(g, grid)
-        where = (trial, d, denom)
+        where = (trial, d, kind)
         assert to_json(got.graph) == to_json(CosheafGraph(grid, nodes, links)), where
         assert got._piece_node == piece_node, where
         assert got._vertex_piece == vertex_piece, where
