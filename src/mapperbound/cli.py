@@ -126,7 +126,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    caps = oracle.TinyCaps(max_nodes_per_side=args.cap) if args.cap else oracle.TinyCaps()
+    caps = oracle.TinyCaps() if args.cap is None else oracle.TinyCaps(max_nodes_per_side=args.cap)
     if args.mode in ("exact", "full-loss") and not args.g:
         raise ValueError(f"--g is required for {args.mode}")
     if args.mode == "exact":

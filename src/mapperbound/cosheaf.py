@@ -194,14 +194,14 @@ class CosheafGraph:
         members = sorted(nodes)
         parent = [-1] * len(self.ids)
         _join(parent, self.adj, members)
-        lab = [-2] * len(self.ids)
+        lab: dict[int, int] = {}
         ids: dict[int, int] = {}  # component id of each root, in order of least member
         for i in members:
             r = i
             while parent[r] != r:
                 parent[r] = r = parent[parent[r]]
             lab[i] = ids.setdefault(r, len(ids))
-        return SliceLabeling(graph=self, component_count=len(ids), _lab=lab, _members=members)
+        return SliceLabeling(graph=self, component_count=len(ids), _lab=lab)
 
     def slice(self, center: Cell, radius: int) -> "SliceLabeling":
         """Label the connected components of the portion of the graph carried
@@ -298,37 +298,35 @@ class SliceLabeling:
     """Component labeling of the nodes carried by an open cell set.
 
     Component ids are numbered in order of each component's least member in
-    the canonical node order, so labelings are deterministic.  The label array
-    holds -2 for non-members and the component id for members.
+    the canonical node order, so labelings are deterministic.  The labels map
+    each member's node index to its component id, in canonical order.
     """
 
     graph: CosheafGraph
     component_count: int
-    _lab: list[int] = field(repr=False, default_factory=list)
-    _members: list[int] = field(repr=False, default_factory=list)
+    _lab: dict[int, int] = field(repr=False, default_factory=dict)
 
     def is_member(self, node_id: str) -> bool:
-        i = self.graph.index.get(node_id)
-        return i is not None and self._lab[i] >= 0
+        return self.graph.index.get(node_id) in self._lab
 
     def component_of(self, node_id: str) -> int:
-        i = self.graph.index.get(node_id)
-        if i is None or self._lab[i] < 0:
+        k = self._lab.get(self.graph.index.get(node_id))
+        if k is None:
             raise CosheafError(f"node {node_id!r} is not a member of this slice")
-        return self._lab[i]
+        return k
 
     def members(self) -> list[str]:
-        return [self.graph.ids[i] for i in self._members]
+        return [self.graph.ids[i] for i in self._lab]
 
     def member_indices(self) -> list[int]:
-        return list(self._members)
+        return list(self._lab)
 
     def representatives(self) -> list[str]:
-        """One node id per component: the first member in canonical order."""
+        """One node id per component, in id order: its first member in canonical order."""
         seen: dict[int, str] = {}
-        for i in self._members:
-            seen.setdefault(self._lab[i], self.graph.ids[i])
-        return [seen[k] for k in sorted(seen)]
+        for i, k in self._lab.items():
+            seen.setdefault(k, self.graph.ids[i])
+        return list(seen.values())
 
 
 def validate(F: CosheafGraph) -> list[str]:

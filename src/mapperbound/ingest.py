@@ -15,11 +15,11 @@ containment.
 
 Generic position is not assumed.  Values sitting exactly on grid hyperplanes
 get degenerate carrier coordinates, and an edge lying inside a hyperplane is
-carried by a lower-dimensional cell.  Crossing parameters are exact: on one
+carried by a lower-dimensional cell.  The walk runs in exact integers: each
+coordinate is a pair (n, d) with n / d its value in grid steps, and on one
 edge every cut is keyed by the integer t * P, where P is the least common
 multiple of the crossing axes' parameter denominators, so cuts sort and merge
-as ints and carrier classification is bit-stable; each distinct cut becomes
-one Fraction t for the edge's spans.
+as ints, carriers are bit-stable, and spans are integers over P.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from typing import Sequence
 from .cosheaf import CosheafGraph, _cell_token
 # star is unused here but stays importable: the benchmark's tracer wraps it
 from .grid import Cell, GridSpec, cell_sort_key, star, wire, wire_pairs  # noqa: F401
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class IngestError(ValueError):
@@ -145,7 +143,8 @@ class MapperBuild:
     grid: GridSpec
     _piece_node: dict[tuple[Cell, int], str] = field(repr=False, default_factory=dict)
     _vertex_piece: dict[str, int] = field(repr=False, default_factory=dict)
-    _edge_chain: dict[tuple[str, str], list[tuple[Fraction, Fraction, int]]] = field(
+    # per edge either way round: (P, spans), span (k0, k1, piece) covering t in [k0/P, k1/P]
+    _edge_chain: dict[tuple[str, str], tuple[int, list[tuple[int, int, int]]]] = field(
         repr=False, default_factory=dict)
 
     def node_of_vertex(self, c: Cell, vertex_id: str) -> str:
@@ -159,14 +158,16 @@ class MapperBuild:
         return nid
 
     def node_on_edge(self, c: Cell, edge: tuple[str, str], t) -> str:
-        """The element over basic_open(c) containing the edge point at parameter t."""
+        """The element over basic_open(c) holding the edge point at parameter t."""
         t = _as_fraction(t)
-        spans = self._edge_chain.get(edge)
-        if spans is None:
+        chain = self._edge_chain.get(edge)
+        if chain is None:
             raise IngestError(f"unknown edge {edge!r}")
-        # the first span ending at or after t; at a cut that is the segment before it
-        i = bisect_left(spans, t, key=lambda s: s[1])
-        if i == len(spans) or spans[i][0] > t:
+        P, spans = chain
+        x, d = t.numerator * P, t.denominator  # t * P = x / d, compared as k * d against x
+        # the first span ending at or after t * P; at a cut, the segment before it
+        i = bisect_left(spans, x, key=lambda s: s[1] * d)
+        if i == len(spans) or spans[i][0] * d > x:
             raise IngestError(f"parameter {t} outside [0, 1]")
         nid = self._piece_node.get((c, spans[i][2]))
         if nid is None:
@@ -188,35 +189,32 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
     """Subdivide, classify carriers, and glue components per basic open."""
     if g.d != grid.d:
         raise IngestError(f"graph dimension {g.d} does not match grid dimension {grid.d}")
-    dfrac = _as_fraction(grid.delta)
-    bound = grid.L * dfrac
-    values = g.vertices
-    for vid, val in sorted(values.items()):
-        if any(abs(x) > bound for x in val):
-            raise IngestError(f"vertex {vid!r} has a value outside the grid box")
+    # x / delta (delta = p / q) is the unreduced pair (n, d) = (x.numerator*q, x.denominator*p);
+    # d > 0, and floor, ceil, crossing levels and the sign of den do not need reduction
+    p, q = _as_fraction(grid.delta).as_integer_ratio()
 
     # pieces are the vertices by id, then each edge's segments and cut points
     # in order along it; carrier[p] is the doubled coordinates of p's cell
     carrier: list[tuple[int, ...]] = []
-    scaled: dict[str, tuple[Fraction, ...]] = {}
+    steps: dict[str, tuple[tuple[int, int], ...]] = {}
     vertex_piece: dict[str, int] = {}
-    for vid in sorted(values):
-        q = scaled[vid] = tuple(x / dfrac for x in values[vid])
+    for vid, val in sorted(g.vertices.items()):
+        nd = steps[vid] = tuple((x.numerator * q, x.denominator * p) for x in val)
+        if any(abs(n) > grid.L * d for n, d in nd):
+            raise IngestError(f"vertex {vid!r} has a value outside the grid box")
         vertex_piece[vid] = len(carrier)
-        carrier.append(tuple(2 * (x.numerator // x.denominator) + (x.denominator != 1)
-                             for x in q))
+        carrier.append(tuple(2 * (n // d) + (n % d != 0) for n, d in nd))
 
     # each chain adjacency joins a segment and its end point, so both lie over
     # the star of exactly the faces of the point's carrier: bucket it there
     joins: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    edge_chain: dict[tuple[str, str], list[tuple[Fraction, Fraction, int]]] = {}
+    edge_chain: dict[tuple[str, str], tuple[int, list[tuple[int, int, int]]]] = {}
     for u, v in g.edges:
         pu, pv = vertex_piece[u], vertex_piece[v]
         cur = list(carrier[pu])  # the carrier of the segment being walked
         step = [0] * g.d
         crossed = []
-        for a, (x, y) in enumerate(zip(scaled[u], scaled[v])):
-            nx, dx, ny, dy = x.numerator, x.denominator, y.numerator, y.denominator
+        for a, ((nx, dx), (ny, dy)) in enumerate(zip(steps[u], steps[v])):
             den = ny * dx - nx * dy  # the level l is crossed at t = (l*dx - nx)*dy / den
             if den == 0:
                 continue
@@ -236,25 +234,24 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
             m = dy * (P // den)
             for l in levels:
                 cuts.setdefault((l * dx - nx) * m, []).append((a, l))
-        seg, t0 = len(carrier), _ZERO
+        seg, k0 = len(carrier), 0
         carrier.append(tuple(cur))
-        spans = [(_ZERO, _ZERO, pu)]
+        spans = [(0, 0, pu)]
         joins.setdefault(carrier[pu], []).append((pu, seg))
         for key in sorted(cuts):
             # cuts on several axes at one t are one point piece
-            t = Fraction(key, P)
             point = cur[:]
             for a, l in cuts[key]:
                 point[a] = 2 * l
                 cur[a] = 2 * l + step[a]
             carrier += (tuple(point), tuple(cur))
-            spans += ((t0, t, seg), (t, t, seg + 1))
+            spans += ((k0, key, seg), (key, key, seg + 1))
             joins.setdefault(carrier[seg + 1], []).extend(((seg, seg + 1), (seg + 1, seg + 2)))
-            seg, t0 = seg + 2, t
-        spans += ((t0, _ONE, seg), (_ONE, _ONE, pv))
+            seg, k0 = seg + 2, key
+        spans += ((k0, P, seg), (P, P, pv))
         joins.setdefault(carrier[pv], []).append((seg, pv))
-        edge_chain.setdefault((u, v), spans)
-        edge_chain.setdefault((v, u), spans)
+        edge_chain.setdefault((u, v), (P, spans))
+        edge_chain.setdefault((v, u), (P, spans))
 
     # the members over basic_open(c) are the pieces whose carrier has c as a face
     by_carrier: dict[tuple[int, ...], list[int]] = {}

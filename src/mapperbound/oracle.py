@@ -20,8 +20,8 @@ the graph's face-image rows.  Within one call each cell's step and each set's
 step is computed once, and the full loss measures each parallelogram node pair
 once per larger open set, gathered over all the open sets strictly inside it.
 None of them calls CosheafGraph.slice, set_at or merge_radii, which the paths
-they check run, nor the grid's closed forms of a thickened star.  All enumerations enforce hard caps; exceeding a cap raises,
-never truncates.
+they check run, nor the grid's closed forms of a thickened star.  All
+enumerations enforce hard caps; exceeding a cap raises, never truncates.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .grid import (
     thicken,
 )
 from .ingest import GeometricGraph, _as_fraction
+
+MAX_OPENS = 50_000  # full_loss's cap on the open sets it enumerates
 
 
 class OracleCapError(ValueError):
@@ -308,7 +310,6 @@ def full_loss(
     G: CosheafGraph,
     a: Assignment,
     caps: TinyCaps = TinyCaps(),
-    max_opens: int = 50_000,
 ) -> FullLossReport:
     """The loss over every pair of nested open sets, with phi and psi extended
     from the pointers component-wise through covering basic opens.
@@ -326,7 +327,7 @@ def full_loss(
     measured once.  The value is a maximum, so the order is free.
     """
     check_tiny(F, G, caps)
-    opens = [S for S in enumerate_opens(F.grid, cap=max_opens) if S]
+    opens = [S for S in enumerate_opens(F.grid, cap=MAX_OPENS) if S]
     n = a.n
 
     labF, labG = _labelers(F, G)
@@ -483,6 +484,8 @@ def exhaustive_interleaving(
     """Smallest n <= n_max admitting a basis assignment with zero loss at
     slack 0, i.e. the interleaving distance of the instance as an integer;
     None when every n up to n_max fails."""
+    if n_max < 0:
+        raise ValueError("n_max must be a natural number")
     check_tiny(F, G, caps)
     checks_F = _pair_checks(F)
     checks_G = _pair_checks(G)

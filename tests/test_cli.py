@@ -275,6 +275,19 @@ def test_oracle_exact_cap_exceeded(bound_bundle, capsys):
     assert rc == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("mode, extra, message", [
+    ("exact", ["--cap", "0"], "F has 13 nodes, cap is 0"),
+    ("exact", ["--cap", "-3"], "F has 13 nodes, cap is -3"),
+    ("full-loss", ["--cap", "0"], "F has 13 nodes, cap is 0"),
+    ("exact", ["--cap", "20", "--n-max", "-1"], "n_max must be a natural number"),
+], ids=["exact-cap-0", "exact-cap-negative", "full-loss-cap-0", "exact-n-max-negative"])
+def test_oracle_bad_limits_exit_2(mode, extra, message, bound_bundle, capsys):
+    f, g, m = bound_bundle
+    rc, stdout, err = run(capsys, ["oracle", "--mode", mode, "--f", f, "--g", g,
+                                   "--assignment", m, *extra])
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+
+
 def test_oracle_pi0_mode(workdir, capsys):
     a = write(workdir / "a.json", graph_to_json(split_graph()))
     b = write(workdir / "b.json", graph_to_json(strand_graph()))

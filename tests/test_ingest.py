@@ -414,11 +414,13 @@ def test_walk_matches_midpoint_subdivision():
         assert to_json(got.graph) == to_json(CosheafGraph(grid, nodes, links)), where
         assert got._piece_node == piece_node, where
         assert got._vertex_piece == vertex_piece, where
-        assert got._edge_chain == edge_chain, where
+        assert {e: [(Fraction(lo, P), Fraction(hi, P), p) for lo, hi, p in spans]
+                for e, (P, spans) in got._edge_chain.items()} == edge_chain, where
 
         # each piece is queried over every cell it lies over, and over one random cell
         ref = MapperBuild(graph=got.graph, source=g, grid=grid, _piece_node=piece_node,
-                          _vertex_piece=vertex_piece, _edge_chain=edge_chain)
+                          _vertex_piece=vertex_piece,
+                          _edge_chain={e: (1, spans) for e, spans in edge_chain.items()})
         over: dict[int, list[Cell]] = {}
         for c, p in piece_node:
             over.setdefault(p, []).append(c)
@@ -430,5 +432,10 @@ def test_walk_matches_midpoint_subdivision():
             for lo, hi, p in spans:
                 t = (lo + hi) / 2
                 for c in over[p] + [rng.choice(occupied)]:
+                    assert _lookup(got.node_on_edge, c, e, t) == \
+                        _lookup(ref.node_on_edge, c, e, t), (where, e, t, c)
+            # parameters outside [0, 1], and a float, over every cell the edge lies over
+            for t in (Fraction(-1, 7), Fraction(8, 7), 0.3):
+                for c in {c for _, _, p in spans for c in over[p]}:
                     assert _lookup(got.node_on_edge, c, e, t) == \
                         _lookup(ref.node_on_edge, c, e, t), (where, e, t, c)

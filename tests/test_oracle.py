@@ -243,6 +243,14 @@ def test_caps_are_hard_errors(hook_lam):
         full_loss(bF.graph, bG.graph, Assignment(0, {}, {}))
 
 
+def test_exhaustive_interleaving_refuses_a_negative_n_max(hook_lam):
+    bF, bG = hook_lam
+    caps = TinyCaps(max_nodes_per_side=20)
+    with pytest.raises(ValueError, match="^n_max must be a natural number$"):
+        exhaustive_interleaving(bF.graph, bG.graph, -1, caps)
+    assert exhaustive_interleaving(bF.graph, bG.graph, 0, caps) is None
+
+
 def test_oracles_call_a_missing_face_image_a_cosheaf_error():
     # an edge element whose end points carry nothing is bad input, not a cap
     e = CosheafGraph(GridSpec(1, 1.0, 1), [("e", Cell((1,)))], [])
