@@ -36,7 +36,6 @@ delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from .cosheaf import CosheafGraph, _slack, fmt_extended
 from .grid import (Cell, cell_sort_key, cell_to_wire, closure, faces, ring_cells, star_ring,
@@ -75,10 +74,10 @@ class Assignment:
     def from_json_obj(cls, obj: dict) -> "Assignment":
         wire(obj, dict, "an assignment", AssignmentError)
         for side in ("phi", "psi"):
-            for nid, tgt in wire(obj[side], dict, side, AssignmentError).items():
+            for nid, tgt in wire(obj.get(side), dict, side, AssignmentError).items():
                 if type(tgt) is not str:
                     raise AssignmentError(f"{side}({nid}) must be str, not {type(tgt).__name__}")
-        return cls(n=wire(obj["n"], int, "assignment n", AssignmentError),
+        return cls(n=wire(obj.get("n"), int, "assignment n", AssignmentError),
                    phi=dict(obj["phi"]), psi=dict(obj["psi"]))
 
     @classmethod
@@ -129,14 +128,11 @@ class LossResult:
     dim: int
 
     def to_json_obj(self) -> dict:
-        rb = self.reeb_bound
-        if rb is not None and math.isinf(rb):
-            rb = "inf"
         return {
             "n": self.n,
             "L_B": fmt_extended(self.L_B),
             "bound": fmt_extended(self.bound),
-            "reeb_bound": rb,
+            "reeb_bound": fmt_extended(self.reeb_bound),
             "witnesses": [w.to_json_obj() for w in self.witnesses],
         }
 

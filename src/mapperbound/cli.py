@@ -3,7 +3,7 @@
 Subcommands: ingest, bound, check, oracle, export-dot.  All JSON output is
 key-sorted and newline-terminated so fixtures diff cleanly; identical inputs
 produce byte-identical output.  The --jobs flag of bound and check is parsed
-and ignored.
+and ignored; it stays because the benchmark's workloads pass it.
 
 bound and check read the merge radii of the library's one diagram-check
 core, which validates the assignment before scoring it.  The oracle's exact
@@ -13,8 +13,8 @@ here, so that the oracle stays independent of the core.
 
 Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
-validated on load; an invalid cosheaf or assignment exits 2 with one stdout
-JSON line holding "error" and "violations".
+validated on load.  An invalid cosheaf, or an AssignmentError carrying
+violations, exits 2 with one stdout JSON line of "error" and "violations".
 
 main pauses the cyclic garbage collector for the one command it runs and
 then restores the caller's setting: a command builds large acyclic JSON trees
@@ -25,7 +25,6 @@ although reference counting frees them.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import json
@@ -44,17 +43,6 @@ class _Invalid(Exception):
     def __init__(self, error: str, violations: list[str]) -> None:
         super().__init__(error)
         self.body = {"error": error, "violations": violations}
-
-
-@contextlib.contextmanager
-def _assignment_violations():
-    """Report an AssignmentError that carries violations as invalid input."""
-    try:
-        yield
-    except asg.AssignmentError as exc:
-        if not exc.violations:
-            raise
-        raise _Invalid("invalid assignment", exc.violations) from None
 
 
 def _emit(obj: dict) -> None:
@@ -109,8 +97,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     F = _load_cosheaf(args.f)
     G = _load_cosheaf(args.g)
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
-    with _assignment_violations():
-        result = asg.basis_loss(F, G, a)
+    result = asg.basis_loss(F, G, a)
     sys.stdout.write(asg.result_to_json(result))
     return 3 if math.isinf(result.L_B) else 0
 
@@ -119,8 +106,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     F = _load_cosheaf(args.f)
     G = _load_cosheaf(args.g)
     a = asg.Assignment.from_json_obj(_load_json(args.assignment))
-    with _assignment_violations():
-        ok, witnesses = asg.loss_report(F, G, a, args.k)
+    ok, witnesses = asg.loss_report(F, G, a, args.k)
     _emit({"k": args.k, "pass": ok, "witnesses": [w.to_json_obj() for w in witnesses]})
     return 0 if ok else 1
 
@@ -148,7 +134,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         a = asg.Assignment.from_json_obj(_load_json(args.assignment))
         problems = asg.validate_assignment(F, G, a)
         if problems:
-            raise _Invalid("invalid assignment", problems)
+            raise asg.AssignmentError("invalid assignment", problems)
         rep = oracle.full_loss(F, G, a, caps)
         _emit({"oracle": {
             "mode": "full-loss",
@@ -247,7 +233,10 @@ def main(argv: list[str] | None = None) -> int:
         _emit(exc.body)
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        if isinstance(exc, asg.AssignmentError) and exc.violations:
+            _emit({"error": "invalid assignment", "violations": exc.violations})
+        else:
+            sys.stderr.write(f"error: {exc}\n")
         return 2
     finally:
         if collecting:

@@ -21,11 +21,12 @@ of the thickened set.
 Components only merge as the radius grows, so two nodes have a least radius
 at which they share a component: their merge radius, an ultrametric.  One
 merge_radii sweep gives it for many pairs; every diagram check, distance and
-diameter read it.  slice takes its nodes from the same rings, and slice and
-set_at label with the same union-find step.
+diameter read it.  slice takes its nodes from the same rings and labels them
+with the same union-find step.
 
-Extended naturals are represented as plain ints with float("inf") as the top
-element; arithmetic saturates automatically.
+Extended naturals (merge radii, slacks, L_B) are ints with INFINITE =
+float("inf") as the top element, so arithmetic saturates; fmt_extended writes
+INFINITE as "inf", its one JSON form.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .grid import (
     cell_to_wire,
     faces,
     is_face,
-    is_open,
     saturation_steps,
     shell_cells,
     star_box,
@@ -63,9 +63,10 @@ def _slack(r, step: int, n: int):
     return r if math.isinf(r) else max(0, -(-r // step) - n)
 
 
-def fmt_extended(x) -> int | str:
-    """JSON form of an extended natural: an int or the string "inf"."""
-    return "inf" if math.isinf(x) else int(x)
+def fmt_extended(x):
+    """JSON form of a value that may be INFINITE: "inf" for INFINITE, x itself
+    otherwise."""
+    return "inf" if x == INFINITE else x
 
 
 class CosheafError(ValueError):
@@ -270,14 +271,6 @@ class CosheafGraph:
             pending = still
         return out
 
-    def set_at(self, cells: Iterable[Cell]) -> "SliceLabeling":
-        """Components of the sub-object carried by an arbitrary open cell set;
-        realizes the image of the cosheaf on that set."""
-        s = frozenset(cells)
-        if not is_open(self.grid, s):
-            raise CosheafError("set_at requires a coface-closed cell set")
-        return self._labeling(i for c in s for i in self.nodes_at.get(c, ()))
-
 
 def _join(parent: list[int], adj: list[tuple[int, ...]], nodes: Iterable[int]) -> None:
     """Add `nodes` to the union-find forest `parent` (-1 marks a node outside
@@ -454,15 +447,15 @@ def to_json(F: CosheafGraph) -> str:
 
 
 def from_json_obj(obj: dict) -> CosheafGraph:
-    grid = GridSpec.from_wire(wire(obj, dict, "a cosheaf", CosheafError)["grid"])
+    grid = GridSpec.from_wire(wire(obj, dict, "a cosheaf", CosheafError).get("grid"))
     # files list nodes cell by cell, so a run of equal wire cells is parsed
     # once; the constructor checks each distinct cell against the grid
     nodes: list[tuple[str, Cell]] = []
     raw = c = None
-    for n in wire(obj["nodes"], list, "cosheaf nodes", CosheafError):
-        if wire(n, dict, "a node", CosheafError)["cell"] != raw or c is None:
-            raw, c = n["cell"], cell_from_wire(n["cell"])
-        nodes.append((wire(n["id"], str, "a node id", CosheafError), c))
+    for n in wire(obj.get("nodes"), list, "cosheaf nodes", CosheafError):
+        if wire(n, dict, "a node", CosheafError).get("cell") != raw or c is None:
+            raw, c = n.get("cell"), cell_from_wire(n.get("cell"))
+        nodes.append((wire(n.get("id"), str, "a node id", CosheafError), c))
     return CosheafGraph(grid, nodes, wire_pairs(obj.get("links", []), "links", CosheafError))
 
 

@@ -123,11 +123,11 @@ class GridSpec:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "GridSpec":
-        delta = wire(obj, dict, "a grid")["delta"]
+        delta = wire(obj, dict, "a grid").get("delta")
         if type(delta) not in (int, float):
             raise ValueError(f"grid delta must be a number, not {type(delta).__name__}")
-        return cls(d=wire(obj["d"], int, "grid d"), delta=float(delta),
-                   L=wire(obj["L"], int, "grid L"))
+        return cls(d=wire(obj.get("d"), int, "grid d"), delta=float(delta),
+                   L=wire(obj.get("L"), int, "grid L"))
 
 
 def wire(v, kind: type, what: str, error: type[ValueError] = ValueError):
@@ -151,7 +151,7 @@ def cell_to_wire(c: Cell) -> list[dict]:
     return [{"deg": l} if kind == "deg" else {"nondeg": l} for kind, l in c.intervals()]
 
 
-def cell_from_wire(entries: list[dict], grid: GridSpec | None = None) -> Cell:
+def cell_from_wire(entries: list[dict]) -> Cell:
     coords = []
     for e in wire(entries, list, "a cell"):
         if "deg" in wire(e, dict, "a cell interval"):
@@ -160,10 +160,7 @@ def cell_from_wire(entries: list[dict], grid: GridSpec | None = None) -> Cell:
             coords.append(2 * wire(e["nondeg"], int, "cell nondeg") + 1)
         else:
             raise ValueError(f"bad cell interval {e!r}")
-    c = Cell(tuple(coords))
-    if grid is not None:
-        grid.check_cell(c)
-    return c
+    return Cell(tuple(coords))
 
 
 def all_cells(grid: GridSpec) -> Iterator[Cell]:

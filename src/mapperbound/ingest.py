@@ -95,14 +95,17 @@ class GeometricGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GeometricGraph":
-        d = wire(wire(obj, dict, "a geometric graph", IngestError)["d"], int, "graph d", IngestError)
+        d = wire(wire(obj, dict, "a geometric graph", IngestError).get("d"), int, "graph d",
+                 IngestError)
         vertices = {}
-        for v in wire(obj["vertices"], list, "graph vertices", IngestError):
-            vid = wire(wire(v, dict, "a vertex", IngestError)["id"], str, "a vertex id", IngestError)
+        for v in wire(obj.get("vertices"), list, "graph vertices", IngestError):
+            vid = wire(wire(v, dict, "a vertex", IngestError).get("id"), str, "a vertex id",
+                       IngestError)
             if vid in vertices:
                 raise IngestError(f"duplicate vertex id {vid!r}")
-            vertices[vid] = tuple(map(_as_fraction, wire(v["f"], list, "a vertex f", IngestError)))
-        return cls(d=d, vertices=vertices, edges=wire_pairs(obj["edges"], "edges", IngestError))
+            f = wire(v.get("f"), list, "a vertex f", IngestError)
+            vertices[vid] = tuple(map(_as_fraction, f))
+        return cls(d=d, vertices=vertices, edges=wire_pairs(obj.get("edges"), "edges", IngestError))
 
     @classmethod
     def from_json(cls, text: str) -> "GeometricGraph":

@@ -1,9 +1,9 @@
 """Slow verifiers for desk-scale cross-checking.
 
 The geometric recomputation (segment arithmetic over realized open sets)
-shares no code with the cosheaf module and reads only the PL input, not the
-ingest that builds the cosheaf.  A vertex is a member when one hash probe finds
-its carrier cell (2*floor(x/delta) on a grid line, plus 1 off it) in the set.
+shares no code with the cosheaf module or with ingest: it reads only the PL
+input, a GeometricGraph.  A vertex is a member when one hash probe finds its
+carrier cell (2*floor(x/delta) on a grid line, plus 1 off it) in the set.
 An edge whose endpoint carriers miss the set's box on some axis is skipped;
 any other edge is cut at the hyperplanes within one step of the box, in order
 of the exact edge parameter, and its points and open segments are walked with
@@ -19,9 +19,9 @@ too: each node descends one stored link at a time to the face, never reading
 the graph's face-image rows.  Within one call each cell's step and each set's
 step is computed once, and the full loss measures each parallelogram node pair
 once per larger open set, gathered over all the open sets strictly inside it.
-None of them calls CosheafGraph.slice, set_at or merge_radii, which the paths
-they check run, nor the grid's closed forms of a thickened star.  All
-enumerations enforce hard caps; exceeding a cap raises, never truncates.
+None of them calls CosheafGraph.slice or merge_radii, which the paths they
+check run, nor the grid's closed forms of a thickened star.  All enumerations
+enforce hard caps; exceeding a cap raises, never truncates.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .grid import (
     Cell, GridSpec, all_cells, basic_open, cell_sort_key, cofaces, faces, is_face, is_open,
     thicken,
 )
-from .ingest import GeometricGraph, _as_fraction
+from .ingest import GeometricGraph
 
 MAX_OPENS = 50_000  # full_loss's cap on the open sets it enumerates
 
@@ -62,7 +62,7 @@ def geometric_pi0(
     representative point per component."""
     if not is_open(grid, cells):
         raise ValueError("geometric_pi0 requires an open cell set")
-    dfrac = _as_fraction(grid.delta)
+    dfrac = Fraction(str(grid.delta))
     members = {c.coords for c in cells}
     if not members:
         return 0, []
@@ -350,7 +350,7 @@ def full_loss(
             for i, j in pairs[T]:
                 mid = other.at(thick[T])[j]
                 d = lab.node_distance(thick2[T], i, back[(thick[T], mid)])
-                worst = max(worst, d if math.isinf(d) else (int(d) + 1) // 2)
+                worst = max(worst, d if math.isinf(d) else (d + 1) // 2)
             # parallelograms for every strictly smaller S, each node pair once
             labT = lab.at(T)
             gathered = set().union(*(pairs[S] for S in below))

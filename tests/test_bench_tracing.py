@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -27,3 +28,22 @@ def test_every_tracing_target_resolves():
             assert hasattr(owner, part), (module, attr)
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_every_unread_import_is_a_tracing_target():
+    # a name a module imports but never reads is dead, unless the tracer wraps
+    # that binding; then removing it would break the traced benchmark run
+    targets: dict[str, set[str]] = {}
+    for module, attr, _ in _tracing_module().TARGETS:
+        targets.setdefault(module.rpartition(".")[2], set()).add(attr)
+    src = Path(__file__).resolve().parent.parent / "src" / "mapperbound"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported - read <= targets.get(path.stem, set()), path.name

@@ -383,6 +383,21 @@ def _first(key, field, value):
     return edit
 
 
+def _without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _grid_without(key):
+    return lambda obj: {**obj, "grid": _without(key)(obj["grid"])}
+
+
+def _first_without(key, field):
+    def edit(obj):
+        del obj[key][0][field]
+        return obj
+    return edit
+
+
 # (file edited, edit, fragment the stderr message must hold)
 MALFORMED = {
     "n-float": ("A", _edit("n", 1.7), "assignment n must be int, not float"),
@@ -406,6 +421,20 @@ MALFORMED = {
     "node-not-dict": ("F", lambda obj: {**obj, "nodes": [["a"]]}, "a node must be dict, not list"),
     "link-end-list": ("F", _first("links", 1, ["a"]), "links must be pairs of str"),
     "cosheaf-list": ("F", lambda obj: [], "a cosheaf must be dict, not list"),
+    # a missing key is named as an explicit null would be
+    "n-missing": ("A", _without("n"), "assignment n must be int, not NoneType"),
+    "phi-missing": ("A", _without("phi"), "phi must be dict, not NoneType"),
+    "psi-missing": ("A", _without("psi"), "psi must be dict, not NoneType"),
+    "grid-missing": ("F", _without("grid"), "a grid must be dict, not NoneType"),
+    "grid-d-missing": ("F", _grid_without("d"), "grid d must be int, not NoneType"),
+    "grid-delta-missing": ("F", _grid_without("delta"),
+                           "grid delta must be a number, not NoneType"),
+    "grid-L-missing": ("F", _grid_without("L"), "grid L must be int, not NoneType"),
+    "nodes-missing": ("F", _without("nodes"), "cosheaf nodes must be list, not NoneType"),
+    "node-id-missing": ("F", _first_without("nodes", "id"),
+                        "a node id must be str, not NoneType"),
+    "node-cell-missing": ("F", _first_without("nodes", "cell"),
+                          "a cell must be list, not NoneType"),
 }
 
 
@@ -454,10 +483,20 @@ _DELTA = "delta must be positive and finite"
     (_VERTEX, '{"d": 1, "delta": 1.0, "L": 2}', "0.25",
      "--delta 0.25 differs from the grid file's delta 1.0"),
     (_VERTEX, '{"d": 1, "delta": 1.0, "L": 2}', "inf", _DELTA),
+    ('{"vertices": [], "edges": []}', None, "1.0", "graph d must be int, not NoneType"),
+    ('{"d": 1, "edges": []}', None, "1.0", "graph vertices must be list, not NoneType"),
+    ('{"d": 1, "vertices": [{"f": [0.5]}], "edges": []}', None, "1.0",
+     "a vertex id must be str, not NoneType"),
+    ('{"d": 1, "vertices": [{"id": "v"}], "edges": []}', None, "1.0",
+     "a vertex f must be list, not NoneType"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}]}', None, "1.0",
+     "edges must be list, not NoneType"),
+    (_VERTEX, '{"d": 1, "L": 2}', "1.0", "grid delta must be a number, not NoneType"),
 ], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
         "edge-end-list", "value-bool", "vertex-id-repeated", "value-not-list", "grid-delta-null", "grid-delta-bool",
         "grid-delta-string", "grid-delta-huge", "delta-inf", "delta-nan", "delta-negative",
-        "delta-differs-from-grid", "delta-inf-with-grid"])
+        "delta-differs-from-grid", "delta-inf-with-grid", "d-missing", "vertices-missing",
+        "vertex-id-missing", "f-missing", "edges-missing", "grid-delta-missing"])
 def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, capsys):
     # without a grid file, `oracle --mode pi0` reads the graph and fits its
     # grid to --delta as `ingest` does, and must refuse the same inputs

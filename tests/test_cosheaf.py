@@ -24,8 +24,9 @@ from mapperbound import (
 from mapperbound import cosheaf
 from mapperbound.assignment import AssignmentError
 from mapperbound.cosheaf import CosheafError, from_json, to_dot, to_json
-from mapperbound.grid import Cell, all_cells, basic_open, cell, cell_sort_key, faces, is_face, thicken
+from mapperbound.grid import Cell, basic_open, cell, cell_sort_key, faces, is_face, thicken
 from mapperbound.ingest import build
+from mapperbound.oracle import _components
 
 import sweep_reference
 from conftest import random_geometric
@@ -234,35 +235,22 @@ def test_merge_radii_and_slice_match_the_scan_sweep(monkeypatch):
         (sweeps, infinite)
 
 
-# -- set_at -------------------------------------------------------------------------
+# -- slices of basic opens and their thickenings --------------------------------------
 
 
 def test_set_at_on_basic_open_bijects_with_elements(fork):
     F = fork.graph
     for c in F.occupied_cells():
-        lab = F.set_at(basic_open(F.grid, c))
-        assert lab.component_count == len(F.elements_of(c))
+        assert F.slice(c, 0).component_count == len(F.elements_of(c))
 
 
 def test_set_at_agrees_with_slice(fork):
+    # oracle._components labels the cell set on its own, from the raw links
     F = fork.graph
     grid = F.grid
     for c, r in [(V(0), 1), (V(5), 2), (E(1), 1)]:
-        cells = thicken(grid, basic_open(grid, c), r)
-        assert F.set_at(cells).component_count == F.slice(c, r).component_count
-
-
-def test_set_at_disjoint_union_adds_counts(fork):
-    F = fork.graph
-    grid = F.grid
-    s = basic_open(grid, V(0)) | basic_open(grid, V(5))
-    assert F.set_at(s).component_count == (
-        F.slice(V(0), 0).component_count + F.slice(V(5), 0).component_count)
-
-
-def test_set_at_rejects_non_open(fork):
-    with pytest.raises(CosheafError):
-        fork.graph.set_at(frozenset({V(0)}))
+        roots = _components(F, thicken(grid, basic_open(grid, c), r))
+        assert F.slice(c, r).component_count == len(set(roots) - {-1})
 
 
 # -- the slice metric ----------------------------------------------------------------
@@ -415,8 +403,8 @@ def test_connected_input_gives_connected_cosheaf():
         g = random_geometric(rng, "c", rng.randint(2, 6))
         grid = fit_grid([g], 1.0)
         F = build(g, grid).graph
-        lab = F.set_at(frozenset(all_cells(grid)))
-        assert lab.component_count == 1
+        c = F.occupied_cells()[0]
+        assert F.slice(c, F.saturation(c)).component_count == 1
 
 
 def _descend(up: dict, cells: list, i: int, f) -> int | None:

@@ -529,7 +529,7 @@ def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, 
         raise AssertionError("the oracles must not use the library's labelling")
 
     # neither the library's labelling nor its face-image rows
-    for name in ("slice", "set_at", "merge_radii", "_face_images", "face_image"):
+    for name in ("slice", "merge_radii", "_face_images", "face_image"):
         monkeypatch.setattr(CosheafGraph, name, refuse)
     # nor the closed forms of thickened stars that the library's paths use
     for module in (grid_module, cosheaf_module, assignment_module, oracle_module):
@@ -557,7 +557,7 @@ def test_oracle_source_names_no_library_labelling():
         if path.name != "cosheaf.py":
             assert not names & {"_lab", "_members"}, path.name
         if path.name == "oracle.py":
-            assert not names & {"slice", "set_at", "merge_radii", "_face_images", "face_image"}
+            assert not names & {"slice", "merge_radii", "_face_images", "face_image"}
             names |= {node.id for node in nodes if isinstance(node, ast.Name)}
             names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
                       for alias in node.names}
@@ -572,7 +572,7 @@ def test_oracle_source_names_no_ingest_build():
     from_ingest = {alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) for alias in node.names
                    if node.module == "ingest" or alias.name == "ingest"}
-    assert from_ingest == {"GeometricGraph", "_as_fraction"}
+    assert from_ingest == {"GeometricGraph"}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not names & {"build", "build_cosheaf", "node_on_edge", "node_of_vertex",
