@@ -65,7 +65,10 @@ class GeometricGraph:
         self.edges = sorted(map(tuple, self.edges))
         norm = {}
         for vid, val in self.vertices.items():
-            vec = tuple(_as_fraction(x) for x in val)
+            for x in val:
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise IngestError(f"vertex {vid!r} has value {x}, which is not finite")
+            vec = tuple(map(_as_fraction, val))
             if len(vec) != self.d:
                 raise IngestError(f"vertex {vid!r} has {len(vec)} coordinates, expected {self.d}")
             norm[vid] = vec
@@ -104,7 +107,7 @@ class GeometricGraph:
             if vid in vertices:
                 raise IngestError(f"duplicate vertex id {vid!r}")
             f = wire(v.get("f"), list, "a vertex f", IngestError)
-            vertices[vid] = tuple(map(_as_fraction, f))
+            vertices[vid] = f  # the constructor converts and checks each value
         return cls(d=d, vertices=vertices, edges=wire_pairs(obj.get("edges"), "edges", IngestError))
 
     @classmethod

@@ -6,8 +6,10 @@ input, a GeometricGraph.  A vertex is a member when one hash probe finds its
 carrier cell (2*floor(x/delta) on a grid line, plus 1 off it) in the set.
 An edge whose endpoint carriers miss the set's box on some axis is skipped;
 any other edge is cut at the hyperplanes within one step of the box, in order
-of the exact edge parameter, and its points and open segments are walked with
-their carrier cells tracked in integers.  Maximal runs of member pieces are
+of an exact integer key, and its points and open segments are walked with
+their carrier cells tracked in integers.  A cut at edge parameter t has key
+t*P, P the common denominator of the edge's cut parameters; only a
+component's midpoint becomes a Fraction.  Maximal runs of member pieces are
 the edge's pieces.  The per-cell interval arithmetic it replaced is the
 reference in tests/pi0_reference.py.  The full loss over every open set of
 the Alexandroff topology, the exhaustive search over component-level basis
@@ -47,13 +49,6 @@ class OracleCapError(ValueError):
 # -- geometric recomputation of component counts --------------------------------
 
 
-def _carrier(x: Fraction, delta: Fraction) -> int:
-    """Doubled coordinate of the elementary interval holding x: 2l on the grid
-    line l*delta, 2l+1 inside (l*delta, (l+1)*delta)."""
-    fl, rem = divmod(x.numerator * delta.denominator, x.denominator * delta.numerator)
-    return 2 * fl + (rem != 0)
-
-
 def geometric_pi0(
     g: GeometricGraph, grid: GridSpec, cells: frozenset[Cell]
 ) -> tuple[int, list[tuple]]:
@@ -62,13 +57,11 @@ def geometric_pi0(
     representative point per component."""
     if not is_open(grid, cells):
         raise ValueError("geometric_pi0 requires an open cell set")
-    dfrac = Fraction(str(grid.delta))
+    dn, dd = Fraction(str(grid.delta)).as_integer_ratio()
     members = {c.coords for c in cells}
     if not members:
         return 0, []
     box = [(min(ms), max(ms)) for ms in zip(*members)]  # per axis, doubled coords
-    carrier = {vid: tuple(_carrier(x, dfrac) for x in val) for vid, val in g.vertices.items()}
-
     parent: dict[tuple, tuple] = {}
 
     def find(x):
@@ -84,30 +77,47 @@ def geometric_pi0(
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    for vid in sorted(g.vertices):
-        if carrier[vid] in members:
-            key = ("v", vid)
-            parent[key] = key
+    # each vertex's carrier cell in doubled coordinates: 2l on the grid line
+    # l*delta, 2l+1 inside (l*delta, (l+1)*delta)
+    carrier = {}
+    for vid, val in g.vertices.items():
+        m = []
+        for x in val:
+            fl, rem = divmod(x.numerator * dd, x.denominator * dn)
+            m.append(2 * fl + (rem != 0))
+        carrier[vid] = m = tuple(m)
+        if m in members:
+            parent["v", vid] = ("v", vid)
 
-    zero, one = Fraction(0), Fraction(1)
-    piece_info: dict[tuple, tuple] = {}
+    midpoint: dict[tuple, tuple[int, int]] = {}  # per edge piece, as (n, d)
     for eidx, (u, v) in enumerate(g.edges):
         mu, mv = carrier[u], carrier[v]
         if any(max(p, q) < lo or min(p, q) > hi for p, q, (lo, hi) in zip(mu, mv, box)):
             continue
         # the cuts strictly inside the edge at the hyperplanes 2l within one
-        # step of the box; at t = 1 the end point takes v's carrier
-        cuts: dict[Fraction, list[tuple[int, int]]] = {one: list(enumerate(mv))}
+        # step of the box.  On an axis where the edge runs from x = xn/xd to
+        # y = yn/yd it meets l*delta at t = (l*A - B) / C.  A cut is keyed by
+        # the integer t*P, P the lcm of C over the axes with cuts (P // C is
+        # exact whatever C's sign), so the edge runs from key 0 to key P
+        axes = []
         for a, (x, y, p, q, (lo, hi)) in enumerate(zip(g.vertices[u], g.vertices[v], mu, mv, box)):
             first, last = max(min(p, q) + 1, lo - 1), min(max(p, q) - 1, hi + 1)
-            for l in range((first + 1) // 2, last // 2 + 1):
-                cuts.setdefault((l * dfrac - x) / (y - x), []).append((a, 2 * l))
+            levels = range((first + 1) // 2, last // 2 + 1)
+            if levels:
+                (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
+                axes.append((a, levels, dn * xd * yd, xn * dd * yd, dd * (yn * xd - xn * yd)))
+        P = math.lcm(*(C for *_, C in axes))
+        # at key P the end point takes v's carrier
+        cuts: dict[int, list[tuple[int, int]]] = {P: list(enumerate(mv))}
+        for a, levels, A, B, C in axes:
+            for l in levels:
+                cuts.setdefault((l * A - B) * (P // C), []).append((a, 2 * l))
         # pieces in order: point 0, then an (open segment, point) pair per cut;
         # m is the carrier cell, moved off each point along the edge (where
         # the carriers of u and v differ on an axis, so do its values)
         step = [(q > p) - (q < p) for p, q in zip(mu, mv)]
-        m, prev = list(mu), zero
-        pieces = [(zero, zero, True, mu in members)]
+        m, prev = list(mu), 0
+        pieces = [(0, 0, True, mu in members)]
         for t in sorted(cuts):
             m = [c if c % 2 else c + s for c, s in zip(m, step)]
             pieces.append((prev, t, False, tuple(m) in members))
@@ -123,14 +133,13 @@ def geometric_pi0(
             elif inside:
                 runs.append((lo, hi, point, point))
             in_run = inside
-        for j, piece in enumerate(runs):
+        for j, (lo, hi, lc, hc) in enumerate(runs):
             key = ("e", eidx, j)
             parent[key] = key
-            piece_info[key] = piece
-            lo, hi, lc, hc = piece
+            midpoint[key] = (lo + hi, 2 * P)
             if lo == 0 and lc and ("v", u) in parent:
                 union(key, ("v", u))
-            if hi == 1 and hc and ("v", v) in parent:
+            if hi == P and hc and ("v", v) in parent:
                 union(key, ("v", v))
 
     roots: dict[tuple, tuple] = {}
@@ -142,11 +151,8 @@ def geometric_pi0(
         if key[0] == "v":
             reps.append(("vertex", key[1]))
         else:
-            eidx, j = key[1], key[2]
-            lo, hi, _, _ = piece_info[key]
-            mid = (lo + hi) / 2
-            u, v = g.edges[eidx]
-            reps.append(("edge", u, v, str(mid)))
+            u, v = g.edges[key[1]]
+            reps.append(("edge", u, v, str(Fraction(*midpoint[key]))))
     return len(roots), reps
 
 

@@ -492,11 +492,16 @@ _DELTA = "delta must be positive and finite"
     ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}]}', None, "1.0",
      "edges must be list, not NoneType"),
     (_VERTEX, '{"d": 1, "L": 2}', "1.0", "grid delta must be a number, not NoneType"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [NaN]}], "edges": []}', None, "1.0",
+     "vertex 'v' has value nan, which is not finite"),
+    ('{"d": 2, "vertices": [{"id": "w", "f": [0.5, Infinity]}], "edges": []}', None, "1.0",
+     "vertex 'w' has value inf, which is not finite"),
 ], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
         "edge-end-list", "value-bool", "vertex-id-repeated", "value-not-list", "grid-delta-null", "grid-delta-bool",
         "grid-delta-string", "grid-delta-huge", "delta-inf", "delta-nan", "delta-negative",
         "delta-differs-from-grid", "delta-inf-with-grid", "d-missing", "vertices-missing",
-        "vertex-id-missing", "f-missing", "edges-missing", "grid-delta-missing"])
+        "vertex-id-missing", "f-missing", "edges-missing", "grid-delta-missing", "value-nan",
+        "value-infinity"])
 def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, capsys):
     # without a grid file, `oracle --mode pi0` reads the graph and fits its
     # grid to --delta as `ingest` does, and must refuse the same inputs

@@ -122,6 +122,11 @@ def test_self_loop_rejected():
         GeometricGraph(d=1, vertices={"a": (1,)}, edges=[("a", "a")])
 
 
+def test_non_finite_value_names_the_vertex():
+    with pytest.raises(IngestError, match="^vertex 'p' has value nan, which is not finite$"):
+        GeometricGraph(d=2, vertices={"p": (Fraction(1, 2), float("nan"))}, edges=[])
+
+
 def test_out_of_box_value_names_the_vertex():
     g = one_vertex(99)
     with pytest.raises(IngestError, match="'p'"):

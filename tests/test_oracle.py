@@ -119,7 +119,7 @@ def test_pi0_on_hyperplane_vertex():
 # -- geometric pi0 against the per-cell reference -------------------------------------
 
 
-H = Fraction(1, 2)
+H, THIRD, FIFTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)
 
 HAND_MADE = {
     # an edge inside the hyperplane x = 1 that ends on the grid point (1, 1)
@@ -142,6 +142,19 @@ HAND_MADE = {
         edges=[("lo", "hi"), ("mid", "hi")]),
     "crossing-2d": GeometricGraph(
         d=2, vertices={"a": (-5 * H, -2), "b": (5 * H, 1)}, edges=[("a", "b")]),
+    # through the grid point 0 at t = 1/3 on every axis, from ends whose
+    # denominators differ, so the axes' cut denominators do too
+    "common-t-2d": GeometricGraph(
+        d=2, vertices={"a": (-H, -THIRD), "b": (1, 2 * THIRD)}, edges=[("a", "b")]),
+    "common-t-3d": GeometricGraph(
+        d=3, vertices={"a": (-H, -THIRD, -FIFTH), "b": (1, 2 * THIRD, 2 * FIFTH)},
+        edges=[("a", "b")]),
+    # the same edges run downward on every axis
+    "downward-2d": GeometricGraph(
+        d=2, vertices={"a": (1, 2 * THIRD), "b": (-H, -THIRD)}, edges=[("a", "b")]),
+    "downward-3d": GeometricGraph(
+        d=3, vertices={"a": (1, 2 * THIRD, 2 * FIFTH), "b": (-H, -THIRD, -FIFTH)},
+        edges=[("a", "b")]),
 }
 
 
@@ -174,7 +187,8 @@ def _corner_pairs(grid: GridSpec, rng: random.Random):
                 yield basic_open(grid, c) | basic_open(grid, near)
 
 
-@pytest.mark.parametrize("delta", [1.0, 0.5])
+# 0.3 = 3/10 puts a numerator other than 1 into every cut parameter
+@pytest.mark.parametrize("delta", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("name", sorted(HAND_MADE))
 def test_pi0_matches_reference_on_hand_made_edges(name, delta):
     g = HAND_MADE[name]
@@ -198,6 +212,34 @@ def test_pi0_matches_reference_on_random_inputs(d, delta):
         grid = fit_grid([g], delta)
         for cells in _pi0_sets(grid, rng):
             assert geometric_pi0(g, grid, cells) == reference_pi0(g, grid, cells), cells
+
+
+def test_pi0_builds_no_fraction_per_cut(monkeypatch):
+    # the edge walk keys its cuts in integers: one call builds delta's
+    # Fraction and one midpoint per edge component, however many cuts it
+    # makes.  Counting Fraction.__new__ also counts the results of Fraction
+    # arithmetic, which build through it before Python 3.12
+    rng = random.Random(17)
+    L, denom = 4, 10
+    verts = {}
+    for s in range(200):
+        verts[f"s{s}a"] = (Fraction(-L * denom + rng.randint(1, denom - 1), denom),)
+        verts[f"s{s}b"] = (Fraction(L * denom - rng.randint(1, denom - 1), denom),)
+    g = GeometricGraph(d=1, vertices=verts, edges=[(f"s{s}a", f"s{s}b") for s in range(200)])
+    grid = fit_grid([g], 1.0)
+    built, new = [], Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for c in (V(0), E(1), V(L - 1)):
+        for r in (0, 2):
+            built.clear()
+            count, _ = geometric_pi0(g, grid, thicken(grid, basic_open(grid, c), r))
+            assert count == 200
+            assert len(built) <= 1 + count
 
 
 # -- open-set enumeration --------------------------------------------------------------
