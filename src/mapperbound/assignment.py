@@ -38,19 +38,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .cosheaf import CosheafGraph, _slack, fmt_extended
-from .grid import (Cell, cell_sort_key, cell_to_wire, closure, faces, ring_cells, star_ring,
-                   thicken, wire)
+from .grid import (Cell, InvalidInput, cell_sort_key, cell_to_wire, closure, faces, ring_cells,
+                   star_ring, thicken, wire)
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
 
 
-class AssignmentError(ValueError):
-    """Refused input.  When the pointer maps themselves are invalid,
-    `violations` holds validate_assignment's messages."""
-
-    def __init__(self, message: str, violations: list[str] | None = None) -> None:
-        super().__init__(message)
-        self.violations = violations or []
+class AssignmentError(InvalidInput):
+    """A refused assignment or loss query.  When the pointer maps themselves
+    are invalid, the subject is "invalid assignment" and the violations are
+    validate_assignment's messages."""
 
 
 @dataclass
@@ -158,6 +155,7 @@ def _violations(F: CosheafGraph, G: CosheafGraph, a: Assignment,
         raise AssignmentError("both cosheaves must live on the same grid")
     out: list[str] = []
     for side, src, dst, ptr, idx in (("phi", F, G, a.phi, phi), ("psi", G, F, a.psi, psi)):
+        missing = 0
         for c, block in src.nodes_at.items():
             fits: dict[Cell, bool] = {}  # one membership test per target cell
             for i in block:
@@ -165,6 +163,7 @@ def _violations(F: CosheafGraph, G: CosheafGraph, a: Assignment,
                 if j is None:
                     nid = src.ids[i]
                     tgt = ptr.get(nid)
+                    missing += tgt is None
                     out.append(f"{side} is missing node {nid}" if tgt is None
                                else f"{side}({nid}) = {tgt} is not a node of the target")
                     continue
@@ -176,12 +175,16 @@ def _violations(F: CosheafGraph, G: CosheafGraph, a: Assignment,
                     nid = src.ids[i]
                     out.append(
                         f"{side}({nid}) = {ptr[nid]} lies outside the level-{a.n} radius")
+        # a key naming no node of src is possible only with more keys than pointing nodes
+        if len(ptr) > len(src.ids) - missing:
+            out += sorted(f"{side} has unknown node {k}" for k in ptr if k not in src.index)
     return out
 
 
 def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> list[str]:
-    """Empty iff the pointer maps are total on occupied cells and respect the
-    level-n radius constraint.  Raises on grid mismatch."""
+    """Empty iff the keys of phi and psi are exactly the nodes of F and of G
+    and every pointer names a node of the other graph within the level-n
+    radius.  Raises on grid mismatch."""
     return _violations(F, G, a, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
 
 
@@ -191,7 +194,7 @@ def _prepare(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> tuple[list[int]
     phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
     problems = _violations(F, G, a, phi, psi)
     if problems:
-        raise AssignmentError("invalid assignment: " + "; ".join(problems), problems)
+        raise AssignmentError("invalid assignment", problems)
     return phi, psi
 
 

@@ -8,13 +8,14 @@ and ignored; it stays because the benchmark's workloads pass it.
 bound and check read the merge radii of the library's one diagram-check
 core, which validates the assignment before scoring it.  The oracle's exact
 and full-loss modes label components on their own, and its pi0 mode compares
-slice component counts with the geometry; full-loss validates its assignment
-here, so that the oracle stays independent of the core.
+slice component counts with the geometry; full-loss refuses its assignment
+through the core's resolver, and the oracle stays independent of the core.
 
 Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
-validated on load.  An invalid cosheaf, or an AssignmentError carrying
-violations, exits 2 with one stdout JSON line of "error" and "violations".
+validated on load.  main reports all invalid input: an InvalidInput carrying
+violations prints one stdout JSON line {"error": subject, "violations": [...]},
+any other refusal one "error: " line on stderr.
 
 main pauses the cyclic garbage collector for the one command it runs and
 then restores the caller's setting: a command builds large acyclic JSON trees
@@ -34,15 +35,7 @@ from pathlib import Path
 
 from . import assignment as asg
 from . import cosheaf, ingest, oracle
-from .grid import GridSpec, basic_open, thicken
-
-
-class _Invalid(Exception):
-    """Input that failed validation: exit 2 with its violations on stdout."""
-
-    def __init__(self, error: str, violations: list[str]) -> None:
-        super().__init__(error)
-        self.body = {"error": error, "violations": violations}
+from .grid import GridSpec, InvalidInput, basic_open, thicken
 
 
 def _emit(obj: dict) -> None:
@@ -58,7 +51,7 @@ def _load_cosheaf(path: str) -> cosheaf.CosheafGraph:
     F = cosheaf.from_json_obj(_load_json(path))
     problems = cosheaf.validate(F)
     if problems:
-        raise _Invalid(f"invalid cosheaf {path}", problems)
+        raise cosheaf.CosheafError(f"invalid cosheaf {path}", problems)
     return F
 
 
@@ -132,9 +125,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         F = _load_cosheaf(args.f)
         G = _load_cosheaf(args.g)
         a = asg.Assignment.from_json_obj(_load_json(args.assignment))
-        problems = asg.validate_assignment(F, G, a)
-        if problems:
-            raise asg.AssignmentError("invalid assignment", problems)
+        asg._prepare(F, G, a)
         rep = oracle.full_loss(F, G, a, caps)
         _emit({"oracle": {
             "mode": "full-loss",
@@ -229,12 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except _Invalid as exc:
-        _emit(exc.body)
-        return 2
     except (ValueError, KeyError, OSError) as exc:
-        if isinstance(exc, asg.AssignmentError) and exc.violations:
-            _emit({"error": "invalid assignment", "violations": exc.violations})
+        if isinstance(exc, InvalidInput) and exc.violations:
+            _emit({"error": exc.subject, "violations": exc.violations})
         else:
             sys.stderr.write(f"error: {exc}\n")
         return 2

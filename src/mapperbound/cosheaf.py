@@ -40,6 +40,7 @@ from typing import Iterable, Iterator
 from .grid import (
     Cell,
     GridSpec,
+    InvalidInput,
     cell_from_wire,
     cell_sort_key,
     cell_to_wire,
@@ -69,8 +70,8 @@ def fmt_extended(x):
     return "inf" if x == INFINITE else x
 
 
-class CosheafError(ValueError):
-    pass
+class CosheafError(InvalidInput):
+    """A cosheaf refused on reading or building, or by validate (its violations)."""
 
 
 class CosheafGraph:

@@ -130,6 +130,17 @@ class GridSpec:
                    L=wire(obj.get("L"), int, "grid L"))
 
 
+class InvalidInput(ValueError):
+    """Refused input: `subject` names it, `violations` lists the rules it
+    breaks (possibly none).  The message is the subject, then ": " and the
+    violations joined by "; " if there are any."""
+
+    def __init__(self, subject: str, violations: list[str] | None = None) -> None:
+        super().__init__(f"{subject}: {'; '.join(violations)}" if violations else subject)
+        self.subject = subject
+        self.violations = violations or []
+
+
 def wire(v, kind: type, what: str, error: type[ValueError] = ValueError):
     """v, if JSON read it as a `kind` (dict, list, str or int); otherwise
     raises `error` naming `what`.  Types match exactly, so a bool is no int."""

@@ -61,6 +61,8 @@ class GeometricGraph:
     edges: list[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise IngestError(f"graph d must be at least 1, not {self.d}")
         # one edge order, so a graph and its JSON round trip build alike
         self.edges = sorted(map(tuple, self.edges))
         norm = {}
@@ -128,6 +130,8 @@ def fit_grid(graphs: Sequence[GeometricGraph], delta: float) -> GridSpec:
     dims = {g.d for g in graphs}
     if len(dims) != 1:
         raise IngestError("all graphs must share one codomain dimension")
+    if isinstance(delta, bool) or not isinstance(delta, (int, float, Fraction)):
+        raise IngestError(f"delta must be a number, not {type(delta).__name__}")
     if not 0 < delta < float("inf"):
         raise IngestError("delta must be positive and finite")
     dfrac = _as_fraction(delta)

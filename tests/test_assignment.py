@@ -109,6 +109,49 @@ def test_every_loss_entry_point_refuses_an_invalid_assignment(chase):
         assert err.value.violations == want
 
 
+def test_unknown_pointer_keys_reported_after_each_side(chase):
+    # keys that name no node of the source are refused, one message per key
+    # in sorted order after that side's per-node messages, and every loss
+    # entry point raises with them
+    F, G, a = chase
+    psi = dict(a.psi, **{"also-bogus": "nowhere"})
+    del psi["g4"]  # as many keys as G has nodes
+    bad = Assignment(n=1, phi=dict(a.phi, b="g3", zz="x", ghost="x"), psi=psi)
+    want = validate_assignment(F, G, bad)
+    assert want[1:] == ["phi has unknown node ghost", "phi has unknown node zz",
+                        "psi is missing node g4", "psi has unknown node also-bogus"]
+    assert "radius" in want[0] and want[0].startswith("phi(b)")
+    for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0)):
+        with pytest.raises(AssignmentError) as err:
+            call()
+        assert err.value.violations == want
+        assert str(err.value) == "invalid assignment: " + "; ".join(want)
+
+
+def test_refuses_negative_levels_slacks_and_deltas(chase):
+    F, G, a = chase
+    with pytest.raises(AssignmentError, match="^assignment level n must be a natural number$"):
+        Assignment(n=-1, phi={}, psi={})
+    with pytest.raises(AssignmentError, match="^promotion step must be a natural number$"):
+        promote(a, -1)
+    with pytest.raises(AssignmentError, match="^slack k must be a natural number$"):
+        loss_at(F, G, a, -1)
+    res = basis_loss(F, G, a)
+    for delta in (0, -1.0):
+        with pytest.raises(AssignmentError, match="^delta must be positive$"):
+            reeb_bound(res, delta)
+
+
+@pytest.mark.parametrize("check", [check_parallelogram_left, check_parallelogram_right],
+                         ids=["left", "right"])
+@pytest.mark.parametrize("sigma, tau", [(V(0), V(0)), (E(0), E(0)), (V(2), E(0)), (E(0), V(0))],
+                         ids=["same-vertex", "same-edge", "not-a-face", "coface"])
+def test_parallelograms_need_a_proper_face(check, sigma, tau, chase):
+    F, G, a = chase
+    with pytest.raises(AssignmentError, match="^sigma must be a proper face of tau$"):
+        check(F, G, a, sigma, tau, 0)
+
+
 def test_grid_mismatch_raises(chase, fork):
     F, G, a = chase
     with pytest.raises(AssignmentError):
@@ -143,12 +186,13 @@ def reference_violations(F, G, a) -> list[str]:
                 out.append(f"{side}({nid}) = {tgt} is not a node of the target")
             elif dst.cell_of(tgt) not in thicken(grid, basic_open(grid, src.cell_of(nid)), a.n):
                 out.append(f"{side}({nid}) = {tgt} lies outside the level-{a.n} radius")
+        out += sorted(f"{side} has unknown node {k}" for k in ptr if k not in src.index)
     return out
 
 
 def test_validate_assignment_matches_the_set_algebra_reference():
     rng = random.Random(67)
-    outside = 0
+    outside = unknown = 0
     for _ in range(30):
         d = rng.choice([1, 2])
         gA = random_geometric(rng, "a", rng.randint(2, 5), d=d)
@@ -162,11 +206,14 @@ def test_validate_assignment_matches_the_set_algebra_reference():
             del phi[rng.choice(F.ids)]
         if rng.random() < 0.3:
             psi[rng.choice(G.ids)] = "nowhere"
+        if rng.random() < 0.3:
+            rng.choice([phi, psi])[f"ghost{rng.randint(0, 9)}"] = rng.choice(G.ids)
         a = Assignment(n=rng.randint(0, 2), phi=phi, psi=psi)
         want = reference_violations(F, G, a)
         assert validate_assignment(F, G, a) == want
         outside += sum("radius" in m for m in want)
-    assert outside > 0
+        unknown += sum("unknown" in m for m in want)
+    assert outside > 0 and unknown > 0
 
 
 # -- the pointer chases of the narrative example --------------------------------------

@@ -341,6 +341,50 @@ def test_oracle_full_loss_refuses_an_invalid_assignment(workdir, capsys):
         assert json.loads(stdout) == {"error": "invalid assignment", "violations": problems}
 
 
+@pytest.mark.parametrize("cmd", [["bound"], ["check", "--k", "1"],
+                                 ["oracle", "--mode", "full-loss", "--cap", "20"]],
+                         ids=["bound", "check", "oracle-full-loss"])
+def test_pointer_keys_that_are_not_nodes_exit_2(cmd, bound_bundle, workdir, capsys):
+    # a pointer map may name only nodes of its source graph
+    f, g, m = bound_bundle
+    obj = json.loads(Path(m).read_text())
+    obj["phi"]["no-such-node"] = next(iter(obj["psi"]))
+    obj["psi"]["also-bogus"] = "x"
+    bad = write(workdir / "bogus.json", json.dumps(obj))
+    rc, stdout, err = run(capsys, [*cmd, "--f", f, "--g", g, "--assignment", bad])
+    assert (rc, err) == (2, "")
+    assert json.loads(stdout) == {"error": "invalid assignment", "violations": [
+        "phi has unknown node no-such-node", "psi has unknown node also-bogus"]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "exact", "--f", "F"], "--g is required for exact"),
+    (["--mode", "full-loss", "--f", "F", "--assignment", "A"], "--g is required for full-loss"),
+    (["--mode", "full-loss", "--f", "F", "--g", "G"], "--assignment is required for full-loss"),
+], ids=["exact-without-g", "full-loss-without-g", "full-loss-without-assignment"])
+def test_oracle_missing_inputs_exit_2(argv, message, bound_bundle, capsys):
+    files = dict(zip("FGA", bound_bundle))
+    rc, stdout, err = run(capsys, ["oracle", *(files.get(x, x) for x in argv)])
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+
+
+def test_oracle_pi0_reports_disagreements_and_exits_1(workdir, capsys, monkeypatch):
+    # a geometry that always counts one component more disagrees with every sample
+    from mapperbound import oracle
+
+    real = oracle.geometric_pi0
+    monkeypatch.setattr(oracle, "geometric_pi0",
+                        lambda *args: (real(*args)[0] + 1, None))
+    a = write(workdir / "a.json", graph_to_json(split_graph()))
+    rc, stdout, _ = run(capsys, ["oracle", "--mode", "pi0", "--f", a, "--delta", "1.0"])
+    rep = json.loads(stdout)["oracle"]
+    assert rc == 1 and rep["agreements"] == 0
+    assert len(rep["disagreements"]) == rep["samples"] > 0
+    first = rep["disagreements"][0]
+    assert sorted(first) == ["cell", "pi0", "radius", "slice"]
+    assert first["pi0"] == first["slice"] + 1 and first["radius"] == 0
+
+
 # -- export-dot -------------------------------------------------------------------------
 
 
@@ -420,6 +464,8 @@ MALFORMED = {
     "node-id-list": ("F", _first("nodes", "id", ["a"]), "a node id must be str, not list"),
     "node-not-dict": ("F", lambda obj: {**obj, "nodes": [["a"]]}, "a node must be dict, not list"),
     "link-end-list": ("F", _first("links", 1, ["a"]), "links must be pairs of str"),
+    "node-id-repeated": ("F", lambda obj: {**obj, "nodes": [obj["nodes"][0], *obj["nodes"]]},
+                         "duplicate node ids"),
     "cosheaf-list": ("F", lambda obj: [], "a cosheaf must be dict, not list"),
     # a missing key is named as an explicit null would be
     "n-missing": ("A", _without("n"), "assignment n must be int, not NoneType"),
@@ -496,12 +542,20 @@ _DELTA = "delta must be positive and finite"
      "vertex 'v' has value nan, which is not finite"),
     ('{"d": 2, "vertices": [{"id": "w", "f": [0.5, Infinity]}], "edges": []}', None, "1.0",
      "vertex 'w' has value inf, which is not finite"),
+    ('{"d": 0, "vertices": [{"id": "v", "f": []}], "edges": []}', None, "1.0",
+     "graph d must be at least 1, not 0"),
+    ('{"d": -1, "vertices": [{"id": "a", "f": [0.5]}], "edges": []}', None, "1.0",
+     "graph d must be at least 1, not -1"),
+    ('{"d": 2, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}', None, "1.0",
+     "vertex 'v' has 1 coordinates, expected 2"),
+    ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": [["v", "w"]]}', None, "1.0",
+     "edge ('v', 'w') names unknown vertex"),
 ], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
         "edge-end-list", "value-bool", "vertex-id-repeated", "value-not-list", "grid-delta-null", "grid-delta-bool",
         "grid-delta-string", "grid-delta-huge", "delta-inf", "delta-nan", "delta-negative",
         "delta-differs-from-grid", "delta-inf-with-grid", "d-missing", "vertices-missing",
         "vertex-id-missing", "f-missing", "edges-missing", "grid-delta-missing", "value-nan",
-        "value-infinity"])
+        "value-infinity", "d-zero", "d-negative", "vertex-coordinates", "edge-unknown-vertex"])
 def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, capsys):
     # without a grid file, `oracle --mode pi0` reads the graph and fits its
     # grid to --delta as `ingest` does, and must refuse the same inputs

@@ -303,6 +303,17 @@ def test_distance_contraction_exact(fork):
         assert moved == want
 
 
+def test_slice_and_distance_refuse_bad_queries(fork):
+    F = fork.graph
+    with pytest.raises(ValueError, match="^radius must be a natural number$"):
+        F.slice(V(0), -1)
+    a = fork.node_of_vertex(V(0), "x1")
+    w = fork.node_of_vertex(V(5), "y1")  # outside the 0-slice at V(0)
+    for x, y in ((a, w), (a, "ghost"), ("ghost", a)):
+        with pytest.raises(CosheafError, match="are not both members of this slice$"):
+            distance(F, V(0), 0, x, y)
+
+
 def test_distance_infinite(split):
     bF, _ = split
     a = bF.node_of_vertex(V(0), "a1")

@@ -130,6 +130,13 @@ def test_thicken_zero_is_identity():
     assert thicken(G2, s, 0) == s
 
 
+def test_refuses_negative_thickening_and_unknown_interval_kinds():
+    with pytest.raises(ValueError, match="^thickening level must be a natural number$"):
+        thicken(G1, basic_open(G1, vertex_cell(0)), -1)
+    with pytest.raises(ValueError, match="^unknown interval kind 'bad'$"):
+        cell(("bad", 0))
+
+
 def product_thickened_star(grid: GridSpec, c: Cell, n: int) -> frozenset[Cell]:
     # independent oracle: thickening a basic open factors per axis, and on one
     # axis the star of a point spans doubled coordinates [m-1, m+1] while an

@@ -54,6 +54,18 @@ def test_fit_grid_rejects_empty():
         fit_grid([GeometricGraph(d=1, vertices={}, edges=[])], 1.0)
 
 
+def test_fit_grid_refuses_a_delta_that_is_no_number():
+    for delta, name in (("1.0", "str"), (True, "bool"), (None, "NoneType")):
+        with pytest.raises(IngestError, match=f"^delta must be a number, not {name}$"):
+            fit_grid([one_vertex(0)], delta)
+
+
+def test_fit_grid_refuses_mixed_dimensions():
+    flat = GeometricGraph(d=2, vertices={"q": (0, 0)}, edges=[])
+    with pytest.raises(IngestError, match="^all graphs must share one codomain dimension$"):
+        fit_grid([one_vertex(0), flat], 1.0)
+
+
 # -- carrier classification ------------------------------------------------------------
 
 
@@ -120,6 +132,17 @@ def test_node_on_edge_takes_the_first_listing_either_way_round():
 def test_self_loop_rejected():
     with pytest.raises(IngestError):
         GeometricGraph(d=1, vertices={"a": (1,)}, edges=[("a", "a")])
+
+
+def test_graph_refuses_a_dimension_below_one():
+    for d in (0, -1):
+        with pytest.raises(IngestError, match=f"^graph d must be at least 1, not {d}$"):
+            GeometricGraph(d=d, vertices={"a": ()}, edges=[])
+
+
+def test_node_of_vertex_refuses_an_unknown_vertex(listing):
+    with pytest.raises(IngestError, match="^unknown vertex 'ghost'$"):
+        listing.node_of_vertex(V(2), "ghost")
 
 
 def test_non_finite_value_names_the_vertex():

@@ -285,6 +285,25 @@ def test_caps_are_hard_errors(hook_lam):
         full_loss(bF.graph, bG.graph, Assignment(0, {}, {}))
 
 
+def _twin_points(x) -> CosheafGraph:
+    # two vertices at one value: two components over every cell near it
+    g = GeometricGraph(d=1, vertices={"a": (x,), "b": (x,)}, edges=[])
+    return build(g, fit_grid([g], 1.0)).graph
+
+
+def test_candidate_caps_are_hard_errors():
+    # six nodes of two options each: 64 pointer maps per side before the
+    # parallelograms keep 4 (16 pairs), so a cap of 20 stops the enumeration
+    F = _twin_points(Fraction(1, 2))
+    with pytest.raises(OracleCapError, match="^assignment enumeration exceeded the candidate cap$"):
+        exhaustive_interleaving(F, F, 1, TinyCaps(max_candidates=20))
+    # two nodes over one point: all 4 pointer maps per side pass, 16 pairs to try
+    P = _twin_points(0)
+    with pytest.raises(OracleCapError, match="^assignment enumeration exceeded the candidate cap$"):
+        exhaustive_interleaving(P, P, 1, TinyCaps(max_candidates=4))
+    assert exhaustive_interleaving(P, P, 1, TinyCaps(max_candidates=16)) == 0
+
+
 def test_exhaustive_interleaving_refuses_a_negative_n_max(hook_lam):
     bF, bG = hook_lam
     caps = TinyCaps(max_nodes_per_side=20)
