@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -96,7 +97,9 @@ class CosheafGraph:
         self.ids: list[str] = [nid for c in order for nid in sorted(by_cell[c])]
         self.cells: list[Cell] = [c for c in order for _ in by_cell[c]]
         if len(set(self.ids)) != len(self.ids):
-            raise CosheafError("duplicate node ids")
+            counts = Counter(self.ids)
+            nid = next(nid for nid, k in counts.items() if k > 1)
+            raise CosheafError(f"duplicate node ids: {nid!r} occurs {counts[nid]} times")
         self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
         self.nodes_at: dict[Cell, list[int]] = {}
         for i, c in enumerate(self.cells):

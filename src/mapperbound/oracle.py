@@ -14,16 +14,22 @@ the edge's pieces.  The per-cell interval arithmetic it replaced is the
 reference in tests/pi0_reference.py.  The full loss over every open set of
 the Alexandroff topology, the exhaustive search over component-level basis
 assignments and the reference slack of every basis diagram label components
-themselves: cell sets come from the set algebra (thicken of single cells,
-whose unions give one thickening step of a set) and components from a
-union-find over the graph's stored links.  They compose their own face images
-too: each node descends one stored link at a time to the face, never reading
-the graph's face-image rows.  Within one call each cell's step and each set's
-step is computed once, and the full loss measures each parallelogram node pair
-once per larger open set, gathered over all the open sets strictly inside it.
-None of them calls CosheafGraph.slice or merge_radii, which the paths they
-check run, nor the grid's closed forms of a thickened star.  All enumerations
-enforce hard caps; exceeding a cap raises, never truncates.
+themselves, on cell sets held as int bitmasks: each call numbers the grid's
+cells once, in decreasing dimension and then canonical order, and gives each
+cell one bit.  A cell's one-step thickening comes from the set algebra
+(thicken of the cell alone), a set's step is the OR of its cells' steps, and
+components come from a union-find over the graph's stored links.  They
+compose their own face images too: each node descends one stored link at a
+time to the face, never reading the graph's face-image rows.  Within one
+call each cell's step and each set's step is computed once, and the full
+loss measures each parallelogram node pair once per larger open set,
+gathered from its covers, the opens one cell smaller; the lemma in its
+docstring shows that these give the value over every pair of nested opens.
+The all-pairs loop this replaced is the reference in
+tests/full_loss_reference.py.  None of them calls CosheafGraph.slice or
+merge_radii, which the paths they check run, nor the grid's closed forms of a
+thickened star.  All enumerations enforce hard caps; exceeding a cap raises,
+never truncates.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
+
 from .assignment import Assignment
 from .cosheaf import INFINITE, CosheafError, CosheafGraph
 from .grid import (
@@ -156,33 +164,79 @@ def geometric_pi0(
     return len(roots), reps
 
 
+# -- cell sets as bitmasks -------------------------------------------------------
+
+
+class _CellIndex:
+    """One bit per cell of a grid, for one call.
+
+    Cells are listed in decreasing dimension, then by cell_sort_key, and cell
+    number i is bit 1 << i, so a cell set is the int of its cells' bits.  Per
+    cell the index holds masks of its one-step thickening (thicken of the cell
+    alone), its proper cofaces and its proper faces.  It also memoises each
+    set's step and each thickened star for the labelers that share it.
+    """
+
+    def __init__(self, grid: GridSpec):
+        self.cells = sorted(all_cells(grid), key=lambda c: (-c.dim, cell_sort_key(c)))
+        self.bit = {c: 1 << i for i, c in enumerate(self.cells)}
+        self.full = (1 << len(self.cells)) - 1
+        self.step = [self.mask(thicken(grid, frozenset({c}), 1)) for c in self.cells]
+        self.cof = [self.mask(cofaces(grid, c)) for c in self.cells]
+        self.face = [self.mask(faces(c)) for c in self.cells]
+        self.grown: dict[int, int] = {}  # thicken(S, 1) per set S
+        self.stars: dict[tuple[Cell, int], int] = {}
+
+    def mask(self, cells: Iterable[Cell]) -> int:
+        m = 0
+        for c in cells:
+            m |= self.bit[c]
+        return m
+
+    def members(self, mask: int) -> frozenset[Cell]:
+        return frozenset(self.cells[i] for i in _bits(mask))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The numbers of the cells in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # -- open set enumeration --------------------------------------------------------
 
 
 def enumerate_opens(grid: GridSpec, cap: int = 1_000_000) -> list[frozenset[Cell]]:
-    """Every coface-closed cell set, each exactly once.  Cells are decided in
-    decreasing dimension so a cell may join only when all its cofaces did."""
-    cells = sorted(all_cells(grid), key=lambda c: (-c.dim, cell_sort_key(c)))
-    cof = {c: cofaces(grid, c) for c in cells}
-    out: list[frozenset[Cell]] = []
+    """Every coface-closed cell set, each exactly once, ordered by size and
+    then by the sorted keys of its cells."""
+    ix = _CellIndex(grid)
+    return sorted(map(ix.members, _open_masks(ix, cap)),
+                  key=lambda s: (len(s), sorted(map(cell_sort_key, s))))
 
-    def rec(i: int, chosen: set[Cell]) -> None:
+
+def _open_masks(ix: _CellIndex, cap: int) -> list[int]:
+    """Every open set of the index's grid as a mask, in no useful order.
+    Cells are decided in the index's order, decreasing dimension, so a cell
+    may join only when all its cofaces did."""
+    cof, count = ix.cof, len(ix.cells)
+    out: list[int] = []
+
+    def rec(i: int, chosen: int) -> None:
         if len(out) > cap:
             raise OracleCapError(f"open-set enumeration exceeded the cap of {cap}")
-        if i == len(cells):
-            out.append(frozenset(chosen))
+        if i == count:
+            out.append(chosen)
             return
-        c = cells[i]
         rec(i + 1, chosen)
-        if cof[c] <= chosen:
-            chosen.add(c)
-            rec(i + 1, chosen)
-            chosen.remove(c)
+        if not cof[i] & ~chosen:
+            rec(i + 1, chosen | 1 << i)
 
-    rec(0, set())
+    rec(0, 0)
     if len(out) > cap:
         raise OracleCapError(f"open-set enumeration exceeded the cap of {cap}")
-    return sorted(out, key=lambda s: (len(s), sorted(map(cell_sort_key, s))))
+    return out
 
 
 # -- tiny instance guards --------------------------------------------------------
@@ -217,70 +271,71 @@ class FullLossReport:
 
 
 class _Labeler:
-    """Components of one graph's nodes over open cell sets, cached per set.
+    """Components of one graph's nodes over open cell sets, keyed by mask
+    and cached per set.
 
     A node belongs to a set when its carrier cell does; two members join when
     a stored link connects them.  A member is labelled with the least member
     of its component, a non-member with -1.
     """
 
-    def __init__(self, graph: CosheafGraph):
-        self.graph = graph
-        self.cache: dict[frozenset[Cell], list[int]] = {}
-        self.stars: dict[tuple[Cell, int], frozenset[Cell]] = {}
-        self.steps: dict[Cell, frozenset[Cell]] = {}  # thicken({c}, 1) per cell c
-        self.grown: dict[frozenset[Cell], frozenset[Cell]] = {}  # thicken(S, 1) per set S
-        self.total = graph.grid.cell_count()
+    def __init__(self, graph: CosheafGraph, ix: _CellIndex):
+        self.graph, self.ix = graph, ix
+        self.bits = [ix.bit[c] for c in graph.cells]  # per node, its cell's bit
+        self.cache: dict[int, list[int]] = {}
 
-    def at(self, cells: frozenset[Cell]) -> list[int]:
+    def at(self, cells: int) -> list[int]:
         lab = self.cache.get(cells)
         if lab is None:
-            lab = self.cache[cells] = _components(self.graph, cells)
+            lab = self.cache[cells] = _components(self.graph, self.bits, cells)
         return lab
 
-    def star(self, c: Cell, r: int) -> frozenset[Cell]:
+    def star(self, c: Cell, r: int) -> int:
         """The r-thickened basic open of c, thickened one step at a time."""
-        hit = self.stars.get((c, r))
+        hit = self.ix.stars.get((c, r))
         if hit is None:
-            hit = basic_open(self.graph.grid, c) if r == 0 else self.grow(self.star(c, r - 1))
-            self.stars[c, r] = hit
+            hit = (self.ix.mask(basic_open(self.graph.grid, c)) if r == 0
+                   else self.grow(self.star(c, r - 1)))
+            self.ix.stars[c, r] = hit
         return hit
 
-    def grow(self, cells: frozenset[Cell], n: int = 1) -> frozenset[Cell]:
+    def grow(self, cells: int, n: int = 1) -> int:
         """thicken(cells, n), one memoised step at a time.  A step is the union
         of the cells' own steps: closure and star distribute over unions."""
+        grown, step = self.ix.grown, self.ix.step
         for _ in range(n):
-            hit = self.grown.get(cells)
+            hit = grown.get(cells)
             if hit is None:
-                for c in cells.difference(self.steps):
-                    self.steps[c] = thicken(self.graph.grid, frozenset({c}), 1)
-                hit = self.grown[cells] = frozenset().union(*map(self.steps.__getitem__, cells))
+                hit = 0
+                for i in _bits(cells):
+                    hit |= step[i]
+                grown[cells] = hit
             cells = hit
         return cells
 
-    def node_distance(self, cells: frozenset[Cell], i: int, j: int):
+    def node_distance(self, cells: int, i: int, j: int):
         """Least extra thickening of `cells` merging nodes i and j."""
         k = 0
         while True:
             lab = self.at(cells)
             if lab[i] >= 0 and lab[i] == lab[j]:
                 return k
-            if len(cells) == self.total:
+            if cells == self.ix.full:
                 return INFINITE
             cells = self.grow(cells)
             k += 1
 
 
 def _labelers(F: CosheafGraph, G: CosheafGraph) -> tuple[_Labeler, _Labeler]:
-    """Labelers of F and G that share the thickened cell sets of their grid."""
-    labF, labG = _Labeler(F), _Labeler(G)
-    labG.stars, labG.steps, labG.grown = labF.stars, labF.steps, labF.grown
-    return labF, labG
+    """Labelers of F and G that share one cell index of their grid."""
+    ix = _CellIndex(F.grid)
+    return _Labeler(F, ix), _Labeler(G, ix)
 
 
-def _components(graph: CosheafGraph, cells: frozenset[Cell]) -> list[int]:
-    """Per node: the least node of its component over `cells`, -1 outside."""
-    root = [i if c in cells else -1 for i, c in enumerate(graph.cells)]
+def _components(graph: CosheafGraph, bits: list[int], cells: int) -> list[int]:
+    """Per node: the least node of its component over `cells`, -1 outside.
+    bits[i] is the bit of node i's cell."""
+    root = [i if b & cells else -1 for i, b in enumerate(bits)]
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -300,7 +355,7 @@ def _extension(labeler_src: _Labeler, labeler_dst: _Labeler, ptr: list[int], ope
     the source over S maps through the pointer of its least member.  Returns
     ({(S, least member) -> dst node index}, all members agreed)."""
     consistent = True
-    chosen: dict[tuple[frozenset[Cell], int], int] = {}
+    chosen: dict[tuple[int, int], int] = {}
     for S in opens:
         target = labeler_dst.at(thick[S])
         for i, c in enumerate(labeler_src.at(S)):
@@ -326,17 +381,38 @@ def full_loss(
     By construction the value is at least the basis loss of the same
     assignment.
 
-    Each open set is thickened by n steps of the labelers' shared step memo,
-    so each set's step is computed once per call.  The parallelograms of all
-    S strictly inside a larger T chase the same node pairs over thick[T] again
-    and again; they are gathered per T and side and each distinct pair is
-    measured once.  The value is a maximum, so the order is free.
+    Open sets are cell masks of one per-call index, each thickened by n
+    steps of its shared step memo.  The value is a maximum, so the order of
+    the opens is free.  Per open T and side, the triangles read the labels
+    over T's two thickenings once, and a node pair is measured only when
+    those labels do not already join it.
+
+    The parallelograms of an open S inside T are gathered from T's covers
+    only: the opens T minus one cell c that has no face in T, which are
+    exactly the opens one cell smaller than T.  That gives the value over
+    every S strictly inside T.  Write d_U for the merge distance of the
+    target graph over the thickening of U.  A parallelogram (S, T) on a
+    component of S with least member i measures d_T(p_T, p_S), where p_U
+    is the node that the component of i over U maps to.  Take opens
+    S < S' < T.  The component of i over S' maps to p_S', and its least
+    member lies in the same component as i over T, so the (S', T) value is
+    d_T(p_T, p_S').  Merge distance is an ultrametric, and it only falls as
+    the set grows, so
+        d_T(p_T, p_S) <= max(d_T(p_T, p_S'), d_T(p_S', p_S))
+                      <= max(d_T(p_T, p_S'), d_S'(p_S', p_S)),
+    the larger of the (S', T) and (S, S') values.  Every S strictly inside T
+    is reached from T through a chain of covers: remove a cell c of T - S of
+    least dimension.  Its proper faces have lower dimension, so none lies in
+    T - S, and none lies in S either, since S is open and would then hold c.
+    So c has no face in T, and induction down the chain bounds each (S, T)
+    value by the cover values that full_loss measures.
     """
     check_tiny(F, G, caps)
-    opens = [S for S in enumerate_opens(F.grid, cap=MAX_OPENS) if S]
+    labF, labG = _labelers(F, G)
+    face = labF.ix.face
+    opens = [S for S in _open_masks(labF.ix, MAX_OPENS) if S]
     n = a.n
 
-    labF, labG = _labelers(F, G)
     phi = [G.index[a.phi[nid]] for nid in F.ids]
     psi = [F.index[a.psi[nid]] for nid in G.ids]
     thick = {S: labF.grow(S, n) for S in opens}
@@ -350,18 +426,22 @@ def full_loss(
     chased = [{S: frozenset((i, there[S, i]) for i in _component_reps(lab.at(S)))
                for S in opens} for lab, _, there, _ in sides]
     for T in opens:
-        below = [S for S in opens if S < T]
+        covers = [S for c in _bits(T) if not face[c] & T and (S := T ^ 1 << c)]
+        once, twice = thick[T], thick2[T]
         for (lab, other, there, back), pairs in zip(sides, chased):
             # triangles at T
+            mid, far = other.at(once), lab.at(twice)
             for i, j in pairs[T]:
-                mid = other.at(thick[T])[j]
-                d = lab.node_distance(thick2[T], i, back[(thick[T], mid)])
-                worst = max(worst, d if math.isinf(d) else (d + 1) // 2)
-            # parallelograms for every strictly smaller S, each node pair once
+                k = back[once, mid[j]]
+                if far[i] < 0 or far[i] != far[k]:
+                    d = lab.node_distance(twice, i, k)
+                    worst = max(worst, d if math.isinf(d) else (d + 1) // 2)
+            # parallelograms for every cover S, each node pair once
             labT = lab.at(T)
-            gathered = set().union(*(pairs[S] for S in below))
+            gathered = set().union(*(pairs[S] for S in covers))
             for p, q in {(there[T, labT[i]], j) for i, j in gathered}:
-                worst = max(worst, other.node_distance(thick[T], p, q))
+                if mid[p] < 0 or mid[p] != mid[q]:
+                    worst = max(worst, other.node_distance(once, p, q))
         if math.isinf(worst):
             break
 

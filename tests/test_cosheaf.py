@@ -26,7 +26,7 @@ from mapperbound.assignment import AssignmentError
 from mapperbound.cosheaf import CosheafError, from_json, to_dot, to_json
 from mapperbound.grid import Cell, basic_open, cell, cell_sort_key, faces, is_face, thicken
 from mapperbound.ingest import build
-from mapperbound.oracle import _components
+from mapperbound.oracle import _CellIndex, _components
 
 import sweep_reference
 from conftest import random_geometric
@@ -123,6 +123,17 @@ def test_unknown_link_target_rejected():
     grid = GridSpec(1, 1.0, 2)
     with pytest.raises(CosheafError):
         CosheafGraph(grid, [("p0", V(0))], [("p0", "ghost")])
+
+
+def test_duplicate_node_ids_are_named():
+    # the first repeated id in canonical node order (cells by cell_sort_key,
+    # vertices before edges in 1-D), with the number of its copies
+    grid = GridSpec(1, 1.0, 2)
+    nodes = [("a", E(0)), ("z", V(1)), ("a", E(1)), ("z", V(0)), ("a", V(2))]
+    with pytest.raises(CosheafError, match="^duplicate node ids: 'z' occurs 2 times$"):
+        CosheafGraph(grid, nodes, [])
+    with pytest.raises(CosheafError, match="^duplicate node ids: 'a' occurs 3 times$"):
+        CosheafGraph(grid, [n for n in nodes if n != ("z", V(0))], [])
 
 
 # -- slices and components ---------------------------------------------------------
@@ -248,8 +259,10 @@ def test_set_at_agrees_with_slice(fork):
     # oracle._components labels the cell set on its own, from the raw links
     F = fork.graph
     grid = F.grid
+    ix = _CellIndex(grid)
+    bits = [ix.bit[c] for c in F.cells]
     for c, r in [(V(0), 1), (V(5), 2), (E(1), 1)]:
-        roots = _components(F, thicken(grid, basic_open(grid, c), r))
+        roots = _components(F, bits, ix.mask(thicken(grid, basic_open(grid, c), r)))
         assert F.slice(c, r).component_count == len(set(roots) - {-1})
 
 

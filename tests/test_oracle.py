@@ -44,17 +44,19 @@ from mapperbound.assignment import Witness
 from mapperbound.cosheaf import CosheafError, CosheafGraph
 from mapperbound.grid import Cell, all_cells, basic_open, faces, is_open, thicken
 from mapperbound.ingest import build, build_cosheaf
-from mapperbound.oracle import OracleCapError, _Labeler, reference_loss
+from mapperbound.oracle import OracleCapError, _CellIndex, _Labeler, reference_loss
 
 from conftest import (
     feasible_level,
     fork_graph,
     hook_lam_assignment,
+    hook_lam_pair,
     random_assignment,
     random_geometric,
     split_graph,
     split_pair,
 )
+from full_loss_reference import reference_full_loss
 from pi0_reference import reference_pi0
 
 V = vertex_cell
@@ -417,17 +419,47 @@ def test_full_loss_split_pair_is_infinite():
     assert (rep.value, rep.consistent_extension, rep.opens) == (math.inf, False, 609)
 
 
+def full_loss_pairs():
+    """golden_batch(), the split pair, hook/lambda, then seeded random 1-D
+    pairs with chords at L <= 2.  The 2-D grid at L = 1 already has 24,897
+    nonempty opens, too many for the all-pairs reference."""
+    yield from golden_batch()
+    bF, bG = split_pair()
+    yield bF.graph, bG.graph, random_assignment(bF.graph, bG.graph, 1, random.Random(2))
+    bF, bG = hook_lam_pair()
+    yield bF.graph, bG.graph, hook_lam_assignment(bF, bG)
+    rng = random.Random(223)
+    for _ in range(40):
+        gA, gB = (random_geometric(rng, tag, 5, extra_edges=rng.randint(0, 2))
+                  for tag in "ab")
+        grid = fit_grid([gA, gB], 1.0)
+        F, G = build(gA, grid).graph, build(gB, grid).graph
+        yield F, G, random_assignment(F, G, feasible_level(F, G), rng)
+
+
+def test_full_loss_matches_the_all_pairs_reference():
+    # gathering a larger open's parallelograms from its covers only gives the
+    # value of gathering them from every open strictly inside it
+    caps = TinyCaps(max_nodes_per_side=40)
+    got = [(astuple(full_loss(F, G, a, caps)), astuple(reference_full_loss(F, G, a, caps)))
+           for F, G, a in full_loss_pairs()]
+    assert [fast for fast, _ in got] == [ref for _, ref in got]
+    assert got[64][0] == (math.inf, False, 609) and got[65][0] == (1, False, 4180)
+    assert sum(fast[0] >= 2 for fast, _ in got[66:]) >= 5
+
+
 @pytest.mark.parametrize("d,L", [(1, 1), (1, 2), (2, 1)])
 def test_labeler_growth_matches_thicken(d, L):
     grid = GridSpec(d, 1.0, L)
-    lab = _Labeler(CosheafGraph(grid, [], []))
+    ix = _CellIndex(grid)
+    lab = _Labeler(CosheafGraph(grid, [], []), ix)
     opens = enumerate_opens(grid)
     # one step of every open set; a thickened open set is open again
     step = {S: thicken(grid, S, 1) for S in opens}
     for S in opens:
         want = S
         for n in range(4):
-            assert lab.grow(S, n) == want
+            assert ix.members(lab.grow(ix.mask(S), n)) == want
             want = step[want]
 
 
@@ -479,6 +511,20 @@ def test_exhaustive_below_certified_bound():
             continue
         got = exhaustive_interleaving(F, G, int(n + lb), caps)
         assert got is not None and got <= n + lb
+
+
+# exhaustive_interleaving(F, G, 2L) on golden_batch(), captured while the
+# labelers still keyed cell sets by frozenset
+EXHAUSTIVE_BATCH = [
+    1, 2, 2, 2, 1, 2, 1, 2, 1, 1, 1, 2, 1, 1, 1, 2, 1, 2, 2, 1, 1, 1, 2, 2, 2, 1, 1, 0, 1, 2, 2, 1,
+    2, 2, 1, 1, 1, 1, 0, 2, 1, 1, 1, 1, 0, 1, 2, 1, 2, 2, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1,
+]
+
+
+def test_exhaustive_golden_batch():
+    caps = TinyCaps(max_nodes_per_side=24)
+    got = [exhaustive_interleaving(F, G, 2 * F.grid.L, caps) for F, G, _ in golden_batch()]
+    assert got == EXHAUSTIVE_BATCH
 
 
 # -- reference slacks against the library -----------------------------------------------
@@ -547,7 +593,7 @@ def test_distance_matches_thickening_one_step_at_a_time():
     checked = 0
     for F, G, _ in reference_pairs():
         for graph in (F, G):
-            lab = _Labeler(graph)
+            lab = _Labeler(graph, _CellIndex(graph.grid))
             centers = sorted({f for c in graph.occupied_cells() for f in faces(c) | {c}})
             for c in rng.sample(centers, min(3, len(centers))):
                 for m in (0, 1, 2):
