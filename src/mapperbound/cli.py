@@ -8,8 +8,8 @@ and ignored; it stays because the benchmark's workloads pass it.
 bound and check read the merge radii of the library's one diagram-check
 core, which validates the assignment before scoring it.  The oracle's exact
 and full-loss modes label components on their own, and its pi0 mode compares
-slice component counts with the geometry; full-loss refuses its assignment
-through the core's resolver, and the oracle stays independent of the core.
+slice component counts with the geometry; full-loss refuses an invalid
+assignment itself, with the core's messages but without the core's code.
 
 Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
@@ -125,7 +125,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         F = _load_cosheaf(args.f)
         G = _load_cosheaf(args.g)
         a = asg.Assignment.from_json_obj(_load_json(args.assignment))
-        asg._prepare(F, G, a)
         rep = oracle.full_loss(F, G, a, caps)
         _emit({"oracle": {
             "mode": "full-loss",

@@ -36,6 +36,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 from .grid import (
@@ -447,7 +448,17 @@ def to_json_obj(F: CosheafGraph) -> dict:
 
 
 def to_json(F: CosheafGraph) -> str:
-    return json.dumps(to_json_obj(F), sort_keys=True) + "\n"
+    """Exactly json.dumps(to_json_obj(F), sort_keys=True) + "\n", written block by
+    block: one '{"cell": ..., "id": ' prefix per cell, ids escaped as json.dumps
+    escapes them, links sorted by their ids and only then escaped."""
+    ids, enc = F.ids, encode_basestring_ascii
+    nodes = ", ".join(head + enc(ids[i]) + "}" for c, block in F.nodes_at.items()
+                      for head in ['{"cell": ' + json.dumps(cell_to_wire(c)) + ', "id": ']
+                      for i in block)
+    links = ", ".join(f"[{enc(a)}, {enc(b)}]"
+                      for a, b in sorted((ids[ci], ids[pi]) for ci, pi in F._raw_links))
+    grid = json.dumps(F.grid.to_wire(), sort_keys=True)
+    return f'{{"grid": {grid}, "links": [{links}], "nodes": [{nodes}]}}\n'
 
 
 def from_json_obj(obj: dict) -> CosheafGraph:

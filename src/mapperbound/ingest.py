@@ -7,11 +7,11 @@ hyperplane {x_a = l*delta}, and a walk over its cuts in order of the edge
 parameter gives every piece (open subsegment or point) its carrier, the
 unique cell containing it: a cut on axis a at level l is a point with
 doubled coordinate 2l on that axis, the segment after it gets 2l +- 1 by
-direction, and cuts on several axes at one parameter are one point.  Then
-for each cell sigma a disjoint-set union over the pieces carried inside the
-star of sigma, joined only by the chain adjacencies bucketed under sigma,
-yields the elements, and the inclusion-induced maps fall out of component
-containment.
+direction, and cuts on several axes at one parameter are one point.  Adjacent
+pieces with one carrier join once, into a class; for each cell sigma a
+union-find over the classes inside the star of sigma, joined by the other
+chain adjacencies bucketed under sigma, yields the elements and is kept to
+locate points.  The inclusion-induced maps fall out of component containment.
 
 Generic position is not assumed.  Values sitting exactly on grid hyperplanes
 get degenerate carrier coordinates, and an edge lying inside a hyperplane is
@@ -151,18 +151,25 @@ class MapperBuild:
     graph: CosheafGraph
     source: GeometricGraph
     grid: GridSpec
-    _piece_node: dict[tuple[Cell, int], str] = field(repr=False, default_factory=dict)
-    _vertex_piece: dict[str, int] = field(repr=False, default_factory=dict)
+    # per occupied cell: its union-find forest over the classes lying over it
+    # (non-root to parent) and each root's node id; a root is its least piece
+    _forests: dict[Cell, tuple[dict[int, int], dict[int, str]]] = field(repr=False)
+    _class: list[int] = field(repr=False)  # per piece, its class's least piece
+    _vertex_piece: dict[str, int] = field(repr=False)
     # per edge either way round: (P, spans), span (k0, k1, piece) covering t in [k0/P, k1/P]
-    _edge_chain: dict[tuple[str, str], tuple[int, list[tuple[int, int, int]]]] = field(
-        repr=False, default_factory=dict)
+    _edge_chain: dict[tuple[str, str], tuple[int, list[tuple[int, int, int]]]] = field(repr=False)
+
+    def _node(self, c: Cell, p: int) -> str | None:
+        """The node over basic_open(c) holding piece p, None if p is not over it."""
+        up, node_of = self._forests.get(c, ({}, {}))
+        return node_of.get(_root(up, self._class[p]))
 
     def node_of_vertex(self, c: Cell, vertex_id: str) -> str:
         """The element over basic_open(c) whose component contains the vertex."""
         p = self._vertex_piece.get(vertex_id)
         if p is None:
             raise IngestError(f"unknown vertex {vertex_id!r}")
-        nid = self._piece_node.get((c, p))
+        nid = self._node(c, p)
         if nid is None:
             raise IngestError(f"vertex {vertex_id!r} does not lie over basic_open({c!r})")
         return nid
@@ -179,7 +186,7 @@ class MapperBuild:
         i = bisect_left(spans, x, key=lambda s: s[1] * d)
         if i == len(spans) or spans[i][0] * d > x:
             raise IngestError(f"parameter {t} outside [0, 1]")
-        nid = self._piece_node.get((c, spans[i][2]))
+        nid = self._node(c, spans[i][2])
         if nid is None:
             raise IngestError(f"edge point t={t} does not lie over basic_open({c!r})")
         return nid
@@ -215,8 +222,12 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
         vertex_piece[vid] = len(carrier)
         carrier.append(tuple(2 * (n // d) + (n % d != 0) for n, d in nd))
 
-    # each chain adjacency joins a segment and its end point, so both lie over
-    # the star of exactly the faces of the point's carrier: bucket it there
+    # each chain adjacency joins a segment and its end point.  If both have one
+    # carrier (only at an edge's end vertex: a cut point's segments leave its
+    # hyperplanes) they lie over the same cells and join once, into a class
+    # named by its least piece; any other adjacency lies over the star of
+    # exactly the faces of the point's carrier: bucket it there
+    classes: dict[int, int] = {}
     joins: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     edge_chain: dict[tuple[str, str], tuple[int, list[tuple[int, int, int]]]] = {}
     for u, v in g.edges:
@@ -247,7 +258,6 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
         seg, k0 = len(carrier), 0
         carrier.append(tuple(cur))
         spans = [(0, 0, pu)]
-        joins.setdefault(carrier[pu], []).append((pu, seg))
         for key in sorted(cuts):
             # cuts on several axes at one t are one point piece
             point = cur[:]
@@ -259,18 +269,24 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
             joins.setdefault(carrier[seg + 1], []).extend(((seg, seg + 1), (seg + 1, seg + 2)))
             seg, k0 = seg + 2, key
         spans += ((k0, P, seg), (P, P, pv))
-        joins.setdefault(carrier[pv], []).append((seg, pv))
+        for end, s in ((pu, spans[1][2]), (pv, seg)):  # each end vertex and its segment
+            if carrier[end] != carrier[s]:
+                joins.setdefault(carrier[end], []).append((end, s))
+            elif (a := _root(classes, end)) != (b := _root(classes, s)):
+                classes[max(a, b)] = min(a, b)
         edge_chain.setdefault((u, v), (P, spans))
         edge_chain.setdefault((v, u), (P, spans))
 
-    # the members over basic_open(c) are the pieces whose carrier has c as a face
+    # the members over basic_open(c) are the classes whose carrier has c as a face
+    cls = [_root(classes, p) if p in classes else p for p in range(len(carrier))]
     by_carrier: dict[tuple[int, ...], list[int]] = {}
     for p, c in enumerate(carrier):
-        by_carrier.setdefault(c, []).append(p)
+        if cls[p] == p:
+            by_carrier.setdefault(c, []).append(p)
     members: dict[Cell, list[int]] = {}
     pairs: dict[Cell, list[tuple[int, int]]] = {}
     for c, ps in by_carrier.items():
-        js = joins.get(c)
+        js = [(cls[a], cls[b]) for a, b in joins.get(c, ())]
         for f in itertools.product(*((m,) if m % 2 == 0 else (m - 1, m, m + 1) for m in c)):
             f = Cell(f)
             members.setdefault(f, []).extend(ps)
@@ -280,7 +296,7 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
     # faces sort before their cofaces, so each cell's faces are numbered first
     nodes: list[tuple[str, Cell]] = []
     links: list[tuple[str, str]] = []
-    piece_node: dict[tuple[Cell, int], str] = {}
+    forests: dict[Cell, tuple[dict[int, int], dict[int, str]]] = {}
     for c in sorted(members, key=cell_sort_key):
         up: dict[int, int] = {}
         for a, b in pairs.get(c, ()):
@@ -289,30 +305,22 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
                 up[max(a, b)] = min(a, b)  # a component's root stays its least piece
         token = _cell_token(c)
         node_of: dict[int, str] = {}
-        for p in sorted(members[c]):
-            r = _root(up, p)
-            nid = node_of.get(r)
-            if nid is None:
-                nid = node_of[r] = f"{token}#{len(node_of)}"
+        for r in sorted(members[c]):
+            if r not in up:
+                node_of[r] = nid = f"{token}#{len(node_of)}"
                 nodes.append((nid, c))
-            piece_node[(c, p)] = nid
-        # every piece of a node lies over each face too: its least piece finds the image
+        forests[c] = up, node_of
+        # every piece of a node lies over each face too: its root finds the image
         co = c.coords
         for a, m in enumerate(co):
             if m % 2:
                 for e in (m - 1, m + 1):
-                    f = Cell(co[:a] + (e,) + co[a + 1:])
-                    links += ((nid, piece_node[(f, r)]) for r, nid in node_of.items())
+                    fup, fnode = forests[Cell(co[:a] + (e,) + co[a + 1:])]
+                    links += ((nid, fnode[_root(fup, r)]) for r, nid in node_of.items())
 
-    graph = CosheafGraph(grid, nodes, links)
-    return MapperBuild(
-        graph=graph,
-        source=g,
-        grid=grid,
-        _piece_node=piece_node,
-        _vertex_piece=vertex_piece,
-        _edge_chain=edge_chain,
-    )
+    return MapperBuild(graph=CosheafGraph(grid, nodes, links), source=g, grid=grid,
+                       _forests=forests, _class=cls, _vertex_piece=vertex_piece,
+                       _edge_chain=edge_chain)
 
 
 def build_cosheaf(g: GeometricGraph, grid: GridSpec) -> CosheafGraph:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .assignment import Assignment
+from .assignment import Assignment, AssignmentError
 from .cosheaf import INFINITE, CosheafError, CosheafGraph
 from .grid import (
     Cell, GridSpec, all_cells, basic_open, cell_sort_key, cofaces, faces, is_face, is_open,
@@ -366,6 +366,27 @@ def _extension(labeler_src: _Labeler, labeler_dst: _Labeler, ptr: list[int], ope
     return chosen, consistent
 
 
+def _pointers(labF: _Labeler, labG: _Labeler, a: Assignment) -> list[list[int]]:
+    """phi and psi as node indices of the other graph.  Raises AssignmentError
+    with validate_assignment's messages, each radius read as a bit of the
+    source cell's n-thickened star."""
+    out, idx = [], []
+    for side, lab, ptr, other in (("phi", labF, a.phi, labG), ("psi", labG, a.psi, labF)):
+        src, dst = lab.graph, other.graph
+        idx.append([])
+        for nid, c in zip(src.ids, src.cells):
+            idx[-1].append(j := dst.index.get(tgt := ptr.get(nid)))
+            if j is None:
+                out.append(f"{side} is missing node {nid}" if tgt is None
+                           else f"{side}({nid}) = {tgt} is not a node of the target")
+            elif not lab.star(c, a.n) & lab.ix.bit[dst.cells[j]]:
+                out.append(f"{side}({nid}) = {tgt} lies outside the level-{a.n} radius")
+        out += sorted(f"{side} has unknown node {k}" for k in ptr if k not in src.index)
+    if out:
+        raise AssignmentError("invalid assignment", out)
+    return idx
+
+
 def full_loss(
     F: CosheafGraph,
     G: CosheafGraph,
@@ -379,7 +400,8 @@ def full_loss(
     when members disagree about the target component the report flags it, and
     the value is still the loss of that concrete unnatural transformation.
     By construction the value is at least the basis loss of the same
-    assignment.
+    assignment.  An invalid assignment raises AssignmentError with
+    validate_assignment's messages, checked on the oracle's own star masks.
 
     Open sets are cell masks of one per-call index, each thickened by n
     steps of its shared step memo.  The value is a maximum, so the order of
@@ -409,12 +431,11 @@ def full_loss(
     """
     check_tiny(F, G, caps)
     labF, labG = _labelers(F, G)
+    phi, psi = _pointers(labF, labG, a)
     face = labF.ix.face
     opens = [S for S in _open_masks(labF.ix, MAX_OPENS) if S]
     n = a.n
 
-    phi = [G.index[a.phi[nid]] for nid in F.ids]
-    psi = [F.index[a.psi[nid]] for nid in G.ids]
     thick = {S: labF.grow(S, n) for S in opens}
     thick2 = {S: labF.grow(thick[S], n) for S in opens}
     ext_phi, ok_phi = _extension(labF, labG, phi, opens, thick)

@@ -28,6 +28,7 @@ from mapperbound import (
 from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json
 from mapperbound.grid import Cell, basic_open, faces, thicken
 from mapperbound.ingest import build
+from mapperbound.oracle import TinyCaps, full_loss
 
 from conftest import (
     feasible_level,
@@ -91,6 +92,11 @@ def test_totality_violation_reported(chase):
         basis_loss(F, G, partial)
 
 
+# the chase pair is past the oracles' default caps; its assignment is refused
+# before any open set is enumerated
+CHASE_CAPS = TinyCaps(max_nodes_per_side=19, max_L=5)
+
+
 def test_every_loss_entry_point_refuses_an_invalid_assignment(chase):
     # the loss is defined for assignments only: each entry point validates
     # first and raises with validate_assignment's messages
@@ -99,7 +105,7 @@ def test_every_loss_entry_point_refuses_an_invalid_assignment(chase):
     want = validate_assignment(F, G, bad)
     assert len(want) == 2 and all("radius" in m for m in want)
     for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0),
-                 lambda: loss_report(F, G, bad, 1),
+                 lambda: loss_report(F, G, bad, 1), lambda: full_loss(F, G, bad, CHASE_CAPS),
                  lambda: check_parallelogram_left(F, G, bad, V(0), E(0), 0),
                  lambda: check_parallelogram_right(F, G, bad, V(0), E(0), 0),
                  lambda: check_triangle_down(F, G, bad, V(0), 0),
@@ -121,11 +127,44 @@ def test_unknown_pointer_keys_reported_after_each_side(chase):
     assert want[1:] == ["phi has unknown node ghost", "phi has unknown node zz",
                         "psi is missing node g4", "psi has unknown node also-bogus"]
     assert "radius" in want[0] and want[0].startswith("phi(b)")
-    for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0)):
+    for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0),
+                 lambda: full_loss(F, G, bad, CHASE_CAPS)):
         with pytest.raises(AssignmentError) as err:
             call()
         assert err.value.violations == want
         assert str(err.value) == "invalid assignment: " + "; ".join(want)
+
+
+def test_full_loss_names_the_pointers_validation_names():
+    # the oracle checks pointers on its own star masks: on random tiny pairs in
+    # 1-D and 2-D with pointers sent anywhere, dropped or renamed, it names
+    # exactly the offending nodes validate_assignment names, in its order
+    rng = random.Random(29)
+    caps = TinyCaps(max_nodes_per_side=200)
+    kinds = {"radius": 0, "missing": 0, "target": 0, "unknown": 0}
+    for trial in range(40):
+        d = 1 if trial % 2 else 2
+        gA = random_geometric(rng, "a", rng.randint(2, 4), d=d, spread=12)
+        gB = random_geometric(rng, "b", rng.randint(2, 4), d=d, spread=12)
+        grid = fit_grid([gA, gB], 1.0)
+        F, G = build(gA, grid).graph, build(gB, grid).graph
+        n = rng.randint(0, 1)
+        phi = {i: rng.choice(G.ids) for i in F.ids}
+        psi = {j: rng.choice(F.ids) for j in G.ids}
+        del phi[rng.choice(F.ids)]  # at least one violation, so no loss is computed
+        if rng.random() < 0.5:
+            psi[rng.choice(G.ids)] = "nowhere"
+        if rng.random() < 0.5:
+            psi["ghost"] = rng.choice(F.ids)
+        bad = Assignment(n=n, phi=phi, psi=psi)
+        want = validate_assignment(F, G, bad)
+        with pytest.raises(AssignmentError) as err:
+            full_loss(F, G, bad, caps)
+        assert err.value.violations == want, trial
+        for m in want:
+            kinds["radius" if "radius" in m else "missing" if "missing" in m
+                  else "target" if "target" in m else "unknown"] += 1
+    assert all(kinds.values()), kinds
 
 
 def test_refuses_negative_levels_slacks_and_deltas(chase):

@@ -376,6 +376,33 @@ def test_json_round_trip(listing):
     assert to_json(from_json(json.dumps(obj))) == text
 
 
+def test_to_json_writes_what_json_dumps_writes():
+    # the block writer's text is json.dumps of the wire object, byte for byte
+    def dumped(F):
+        return json.dumps(cosheaf.to_json_obj(F), sort_keys=True) + "\n"
+
+    rng = random.Random(43)
+    for trial in range(24):
+        d = 1 + trial % 3
+        g = random_geometric(rng, "r", rng.randint(2, 6 if d < 3 else 4), d=d,
+                             extra_edges=rng.randint(0, 2))
+        F = build(g, fit_grid([g], rng.choice([1.0, 0.5]))).graph
+        assert to_json(F) == dumped(F), trial
+    grid = GridSpec(2, 0.5, 2)
+    # ids that need escaping, and ids whose escaped order differs from their
+    # own: '!' and ' ' sort before the closing quote, and an escaped non-ASCII
+    # character starts with a backslash, which sorts before '~'
+    odd = ['a"', "a\\", "a\n", "\u00e9", "\u2028", "x", "x!", "x y", "~", "\x7f", "z\u00e9",
+           "z", "z~"]
+    vertices = [(f"v{k % 2}{nid}", Cell((2 * (k % 2), 0))) for k, nid in enumerate(odd)]
+    edges = [(nid, Cell((1, 0))) for nid in odd]
+    links = [(e, rng.choice(vertices)[0]) for e, _ in edges for _ in range(2)]
+    for nodes, ls in (([], []), (vertices, []), (vertices + edges, links)):
+        rng.shuffle(nodes)
+        F = CosheafGraph(grid, nodes, ls)
+        assert to_json(F) == dumped(F), (len(nodes), len(ls))
+
+
 def test_dot_export_stable(listing):
     F = listing.graph
     dot = to_dot(F)

@@ -12,7 +12,7 @@ from mapperbound import (
     CosheafGraph, GeometricGraph, GridSpec, fit_grid, validate, vertex_cell, edge_cell)
 from mapperbound.cosheaf import _cell_token, to_json
 from mapperbound.grid import Cell, basic_open, cell_sort_key, closure, faces, is_face, thicken
-from mapperbound.ingest import IngestError, MapperBuild, build, build_cosheaf, graph_to_json
+from mapperbound.ingest import IngestError, build, build_cosheaf, graph_to_json
 from mapperbound.oracle import geometric_pi0
 
 from conftest import LISTING_EDGES, LISTING_HEIGHTS, listing_graph, random_geometric
@@ -386,6 +386,57 @@ def _lookup(fn, *args):
         return f"IngestError: {exc}"
 
 
+class _MidpointLookups:
+    """node_of_vertex and node_on_edge read from the midpoint reference's
+    (cell, piece) table and Fraction spans, by a linear scan, with build's
+    error messages."""
+
+    def __init__(self, piece_node, vertex_piece, edge_chain):
+        self.piece_node, self.vertex_piece, self.edge_chain = piece_node, vertex_piece, edge_chain
+
+    def node_of_vertex(self, c, vertex_id):
+        if vertex_id not in self.vertex_piece:
+            raise IngestError(f"unknown vertex {vertex_id!r}")
+        nid = self.piece_node.get((c, self.vertex_piece[vertex_id]))
+        if nid is None:
+            raise IngestError(f"vertex {vertex_id!r} does not lie over basic_open({c!r})")
+        return nid
+
+    def node_on_edge(self, c, edge, t):
+        t = Fraction(str(t)) if isinstance(t, float) else Fraction(t)
+        if edge not in self.edge_chain:
+            raise IngestError(f"unknown edge {edge!r}")
+        # the first span ending at or after t; at a cut, the segment before it
+        hit = next(((lo, p) for lo, hi, p in self.edge_chain[edge] if hi >= t), None)
+        if hit is None or hit[0] > t:
+            raise IngestError(f"parameter {t} outside [0, 1]")
+        nid = self.piece_node.get((c, hit[1]))
+        if nid is None:
+            raise IngestError(f"edge point t={t} does not lie over basic_open({c!r})")
+        return nid
+
+
+def _shared_carriers(rng: random.Random, d: int) -> GeometricGraph:
+    """Chain adjacencies whose two pieces share a carrier: a polyline of
+    several vertices inside one open cell, a vertex of degree 3 there with
+    one edge leaving the cell, and an edge lying in the hyperplane
+    {x_0 = l}, which crosses other hyperplanes or not."""
+    base = [rng.randint(-2, 1) for _ in range(d)]
+    verts = {f"w{i}": tuple(b + Fraction(rng.randint(1, 9), 10) for b in base)
+             for i in range(rng.randint(3, 5))}
+    edges = [(f"w{i - 1}", f"w{i}") for i in range(1, len(verts))]
+    verts["out"] = tuple(Fraction(rng.randint(-25, 25), 10) for _ in range(d))
+    edges += [("w1", "out"), ("w1", "w0")] if rng.random() < 0.5 else [("w1", "out")]
+    level = rng.randint(-2, 2)
+    for end in ("h0", "h1"):
+        verts[end] = (Fraction(level),) + tuple(Fraction(rng.randint(-5, 5), 2)
+                                                for _ in range(d - 1))
+    edges.append(("h0", "h1"))
+    if rng.random() < 0.5:
+        edges.append(("h1", "w0"))
+    return GeometricGraph(d=d, vertices=verts, edges=edges)
+
+
 def _coprime_axes(rng: random.Random, d: int, n: int) -> GeometricGraph:
     """A path plus a chord whose values on axis a are m / k_a, with pairwise
     coprime k_a: an edge's crossing denominators differ by axis, and their lcm
@@ -425,6 +476,8 @@ def _walk_trials(rng: random.Random):
         yield d, "coprime", _coprime_axes(rng, d, rng.randint(2, 6 if d < 3 else 4))
     for d in [2] * 10 + [3] * 6:
         yield d, "coincident", _coincident_cuts(rng, d, rng.randint(2, 6 if d < 3 else 4))
+    for d in [1] * 6 + [2] * 10 + [3] * 6:
+        yield d, "shared", _shared_carriers(rng, d)
 
 
 def test_walk_matches_midpoint_subdivision():
@@ -440,19 +493,20 @@ def test_walk_matches_midpoint_subdivision():
         nodes, links, piece_node, vertex_piece, edge_chain = _midpoint_build(g, grid)
         where = (trial, d, kind)
         assert to_json(got.graph) == to_json(CosheafGraph(grid, nodes, links)), where
-        assert got._piece_node == piece_node, where
         assert got._vertex_piece == vertex_piece, where
         assert {e: [(Fraction(lo, P), Fraction(hi, P), p) for lo, hi, p in spans]
                 for e, (P, spans) in got._edge_chain.items()} == edge_chain, where
+        # every piece resolves over every occupied cell to the reference's node
+        # there, or to none where the reference has none
+        occupied = got.graph.occupied_cells()
+        assert {(c, p): got._node(c, p) for p in range(len(got._class)) for c in occupied} == \
+            {(c, p): piece_node.get((c, p)) for p in range(len(got._class)) for c in occupied}, where
 
         # each piece is queried over every cell it lies over, and over one random cell
-        ref = MapperBuild(graph=got.graph, source=g, grid=grid, _piece_node=piece_node,
-                          _vertex_piece=vertex_piece,
-                          _edge_chain={e: (1, spans) for e, spans in edge_chain.items()})
+        ref = _MidpointLookups(piece_node, vertex_piece, edge_chain)
         over: dict[int, list[Cell]] = {}
         for c, p in piece_node:
             over.setdefault(p, []).append(c)
-        occupied = got.graph.occupied_cells()
         for vid, p in vertex_piece.items():
             for c in over[p] + [rng.choice(occupied)]:
                 assert _lookup(got.node_of_vertex, c, vid) == _lookup(ref.node_of_vertex, c, vid)
