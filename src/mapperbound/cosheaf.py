@@ -304,9 +304,6 @@ class SliceLabeling:
     component_count: int
     _lab: dict[int, int] = field(repr=False, default_factory=dict)
 
-    def is_member(self, node_id: str) -> bool:
-        return self.graph.index.get(node_id) in self._lab
-
     def component_of(self, node_id: str) -> int:
         k = self._lab.get(self.graph.index.get(node_id))
         if k is None:

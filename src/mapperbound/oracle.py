@@ -22,10 +22,10 @@ components come from a union-find over the graph's stored links.  They
 compose their own face images too: each node descends one stored link at a
 time to the face, never reading the graph's face-image rows.  Within one
 call each cell's step and each set's step is computed once, and the full
-loss measures each parallelogram node pair once per larger open set,
-gathered from its covers, the opens one cell smaller; the lemma in its
-docstring shows that these give the value over every pair of nested opens.
-The all-pairs loop this replaced is the reference in
+loss measures the parallelograms of each open against one parent only, the
+open without its last cell in the index's order; the proof in its docstring
+shows that these give the value over every pair of nested opens.  The
+all-pairs loop this replaced is the reference in
 tests/full_loss_reference.py.  None of them calls CosheafGraph.slice or
 merge_radii, which the paths they check run, nor the grid's closed forms of a
 thickened star.  All enumerations enforce hard caps; exceeding a cap raises,
@@ -173,8 +173,8 @@ class _CellIndex:
     Cells are listed in decreasing dimension, then by cell_sort_key, and cell
     number i is bit 1 << i, so a cell set is the int of its cells' bits.  Per
     cell the index holds masks of its one-step thickening (thicken of the cell
-    alone), its proper cofaces and its proper faces.  It also memoises each
-    set's step and each thickened star for the labelers that share it.
+    alone) and its proper cofaces.  It also memoises each set's step and each
+    thickened star for the labelers that share it.
     """
 
     def __init__(self, grid: GridSpec):
@@ -183,7 +183,6 @@ class _CellIndex:
         self.full = (1 << len(self.cells)) - 1
         self.step = [self.mask(thicken(grid, frozenset({c}), 1)) for c in self.cells]
         self.cof = [self.mask(cofaces(grid, c)) for c in self.cells]
-        self.face = [self.mask(faces(c)) for c in self.cells]
         self.grown: dict[int, int] = {}  # thicken(S, 1) per set S
         self.stars: dict[tuple[Cell, int], int] = {}
 
@@ -353,17 +352,24 @@ def _components(graph: CosheafGraph, bits: list[int], cells: int) -> list[int]:
 def _extension(labeler_src: _Labeler, labeler_dst: _Labeler, ptr: list[int], opens, thick):
     """Canonical component-level extension of a pointer map: each component of
     the source over S maps through the pointer of its least member.  Returns
-    ({(S, least member) -> dst node index}, all members agreed)."""
+    ({S: {least member: dst node index}} per open S, all members agreed)."""
     consistent = True
-    chosen: dict[tuple[int, int], int] = {}
+    chosen: dict[int, dict[int, int]] = {}
     for S in opens:
         target = labeler_dst.at(thick[S])
+        here = chosen[S] = {}
         for i, c in enumerate(labeler_src.at(S)):
             if c == i:
-                chosen[(S, c)] = ptr[i]
-            elif c >= 0 and target[chosen[(S, c)]] != target[ptr[i]]:
+                here[c] = ptr[i]
+            elif c >= 0 and target[here[c]] != target[ptr[i]]:
                 consistent = False
     return chosen, consistent
+
+
+def _parent(T: int) -> int:
+    """T without its last cell in the index's order, one of least dimension,
+    so no face of it lies in T: an open again, or 0."""
+    return T ^ 1 << (T.bit_length() - 1)
 
 
 def _pointers(labF: _Labeler, labG: _Labeler, a: Assignment) -> list[list[int]]:
@@ -409,30 +415,36 @@ def full_loss(
     over T's two thickenings once, and a node pair is measured only when
     those labels do not already join it.
 
-    The parallelograms of an open S inside T are gathered from T's covers
-    only: the opens T minus one cell c that has no face in T, which are
-    exactly the opens one cell smaller than T.  That gives the value over
-    every S strictly inside T.  Write d_U for the merge distance of the
-    target graph over the thickening of U.  A parallelogram (S, T) on a
-    component of S with least member i measures d_T(p_T, p_S), where p_U
-    is the node that the component of i over U maps to.  Take opens
-    S < S' < T.  The component of i over S' maps to p_S', and its least
-    member lies in the same component as i over T, so the (S', T) value is
-    d_T(p_T, p_S').  Merge distance is an ultrametric, and it only falls as
-    the set grows, so
-        d_T(p_T, p_S) <= max(d_T(p_T, p_S'), d_T(p_S', p_S))
-                      <= max(d_T(p_T, p_S'), d_S'(p_S', p_S)),
-    the larger of the (S', T) and (S, S') values.  Every S strictly inside T
-    is reached from T through a chain of covers: remove a cell c of T - S of
-    least dimension.  Its proper faces have lower dimension, so none lies in
-    T - S, and none lies in S either, since S is open and would then hold c.
-    So c has no face in T, and induction down the chain bounds each (S, T)
-    value by the cover values that full_loss measures.
+    The parallelograms of an open T are measured against one parent only,
+    P(T) = T ^ 1 << (T.bit_length() - 1), T without its last cell c in the
+    index's order.  That gives the value over every S strictly inside T.
+    Write d_U for the merge distance of the target over the thickening of U,
+    and p_U(i) for the node that the component of node i over U maps to.
+    The parallelogram (S, T) at the component of S with least member i
+    measures d_T(p_T(i), p_S(i)); val(S, T) is the largest over S.  Merge
+    distance is an ultrametric that only falls as the set grows.  For opens
+    S < S' < T the least member of i's component over S' lies in i's
+    component over T, so the chain inequality val(S, T) <= max(val(S, S'),
+    val(S', T)) follows from
+        d_T(p_T, p_S) <= max(d_T(p_T, p_S'), d_S'(p_S', p_S)).
+    Cells are numbered by decreasing dimension, so c has the least dimension
+    in T, none of its proper faces is in T, and P = P(T) is open.
+    Claim: every val(S, T) is at most the largest val(P(U), U).  The proof
+    is by induction on |T|.
+    (a) c is not in S.  Then S = P, or S < P and the chain inequality
+        bounds val(S, T) by val(P, T) and val(S, P), which induction bounds.
+    (b) c is in S.  R = S - c is open, as P is.  Take the least member r of
+        an R-component inside a component K of S that meets R.  r's
+        components over S and T are K's, so d_T(p_T(r), p_S(r)) is at most
+        max(d_T(p_T(r), p_R(r)), d_S(p_R(r), p_S(r))), that is at most
+        max(val(R, T), val(R, S)).  Case (a) bounds the first, as c is not
+        in R, and induction the second.  A component of S that misses R
+        lies over c alone.  All cofaces of c lie in R and no face of c lies
+        in T, so it is one node with no link inside T; its value is 0.
     """
     check_tiny(F, G, caps)
     labF, labG = _labelers(F, G)
     phi, psi = _pointers(labF, labG, a)
-    face = labF.ix.face
     opens = [S for S in _open_masks(labF.ix, MAX_OPENS) if S]
     n = a.n
 
@@ -443,36 +455,27 @@ def full_loss(
 
     worst: float | int = 0
     sides = ((labF, labG, ext_phi, ext_psi), (labG, labF, ext_psi, ext_phi))
-    # per side and open S: (least member i of a component, the node it maps to)
-    chased = [{S: frozenset((i, there[S, i]) for i in _component_reps(lab.at(S)))
-               for S in opens} for lab, _, there, _ in sides]
     for T in opens:
-        covers = [S for c in _bits(T) if not face[c] & T and (S := T ^ 1 << c)]
-        once, twice = thick[T], thick2[T]
-        for (lab, other, there, back), pairs in zip(sides, chased):
+        P, once, twice = _parent(T), thick[T], thick2[T]
+        for lab, other, there, back in sides:
             # triangles at T
-            mid, far = other.at(once), lab.at(twice)
-            for i, j in pairs[T]:
-                k = back[once, mid[j]]
+            mid, far, ahead, undo = other.at(once), lab.at(twice), there[T], back[once]
+            for i, j in ahead.items():
+                k = undo[mid[j]]
                 if far[i] < 0 or far[i] != far[k]:
                     d = lab.node_distance(twice, i, k)
                     worst = max(worst, d if math.isinf(d) else (d + 1) // 2)
-            # parallelograms for every cover S, each node pair once
-            labT = lab.at(T)
-            gathered = set().union(*(pairs[S] for S in covers))
-            for p, q in {(there[T, labT[i]], j) for i, j in gathered}:
-                if mid[p] < 0 or mid[p] != mid[q]:
-                    worst = max(worst, other.node_distance(once, p, q))
+            # parallelograms against the parent, each node pair once
+            if P:
+                labT = lab.at(T)
+                for p, q in {(ahead[labT[i]], j) for i, j in there[P].items()}:
+                    if mid[p] < 0 or mid[p] != mid[q]:
+                        worst = max(worst, other.node_distance(once, p, q))
         if math.isinf(worst):
             break
 
     return FullLossReport(value=worst, consistent_extension=ok_phi and ok_psi,
                           opens=len(opens))
-
-
-def _component_reps(lab: list[int]) -> list[int]:
-    """The least member of each component, in increasing order."""
-    return [i for i, c in enumerate(lab) if c == i]
 
 
 # -- the slack of every basis diagram ---------------------------------------------
@@ -493,8 +496,7 @@ def reference_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment,
     check_tiny(F, G, caps)
     n = a.n
     labF, labG = _labelers(F, G)
-    phi = [G.index[a.phi[x]] for x in F.ids]
-    psi = [F.index[a.psi[y]] for y in G.ids]
+    phi, psi = _pointers(labF, labG, a)
     out: dict[tuple, float | int] = {}
     for kind, src, ptr, lab in (("parallelogram_left", F, phi, labG),
                                 ("parallelogram_right", G, psi, labF)):
@@ -521,7 +523,7 @@ def _assignment_candidates(
     node has no target at all (no n-assignment exists)."""
     options: list[list[int]] = []
     for c in src.cells:
-        reps = _component_reps(dst.at(dst.star(c, n)))
+        reps = [i for i, k in enumerate(dst.at(dst.star(c, n))) if k == i]
         if not reps:
             return None
         options.append(reps)

@@ -3,8 +3,8 @@
 Open sets are frozensets of cells, and each larger open T gathers the
 parallelogram node pairs of every open S strictly inside it, found by testing
 every pair of opens for inclusion.  That is the loss over every pair of
-nested open sets taken literally; full_loss gathers only the pairs of T's
-covers, which the lemma in its docstring says gives the same value, and the
+nested open sets taken literally; full_loss measures T against one parent
+only, which the proof in its docstring says gives the same value, and the
 differential tests compare its whole report with this one.
 """
 

@@ -28,7 +28,7 @@ from mapperbound import (
 from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json
 from mapperbound.grid import Cell, basic_open, faces, thicken
 from mapperbound.ingest import build
-from mapperbound.oracle import TinyCaps, full_loss
+from mapperbound.oracle import TinyCaps, full_loss, reference_loss
 
 from conftest import (
     feasible_level,
@@ -106,6 +106,7 @@ def test_every_loss_entry_point_refuses_an_invalid_assignment(chase):
     assert len(want) == 2 and all("radius" in m for m in want)
     for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0),
                  lambda: loss_report(F, G, bad, 1), lambda: full_loss(F, G, bad, CHASE_CAPS),
+                 lambda: reference_loss(F, G, bad),
                  lambda: check_parallelogram_left(F, G, bad, V(0), E(0), 0),
                  lambda: check_parallelogram_right(F, G, bad, V(0), E(0), 0),
                  lambda: check_triangle_down(F, G, bad, V(0), 0),
@@ -128,7 +129,7 @@ def test_unknown_pointer_keys_reported_after_each_side(chase):
                         "psi is missing node g4", "psi has unknown node also-bogus"]
     assert "radius" in want[0] and want[0].startswith("phi(b)")
     for call in (lambda: basis_loss(F, G, bad), lambda: loss_at(F, G, bad, 0),
-                 lambda: full_loss(F, G, bad, CHASE_CAPS)):
+                 lambda: full_loss(F, G, bad, CHASE_CAPS), lambda: reference_loss(F, G, bad)):
         with pytest.raises(AssignmentError) as err:
             call()
         assert err.value.violations == want
@@ -136,9 +137,10 @@ def test_unknown_pointer_keys_reported_after_each_side(chase):
 
 
 def test_full_loss_names_the_pointers_validation_names():
-    # the oracle checks pointers on its own star masks: on random tiny pairs in
-    # 1-D and 2-D with pointers sent anywhere, dropped or renamed, it names
-    # exactly the offending nodes validate_assignment names, in its order
+    # the oracles check pointers on their own star masks: on random tiny pairs
+    # in 1-D and 2-D with pointers sent anywhere, dropped or renamed, full_loss
+    # and reference_loss name exactly the offending nodes validate_assignment
+    # names, in its order
     rng = random.Random(29)
     caps = TinyCaps(max_nodes_per_side=200)
     kinds = {"radius": 0, "missing": 0, "target": 0, "unknown": 0}
@@ -158,9 +160,10 @@ def test_full_loss_names_the_pointers_validation_names():
             psi["ghost"] = rng.choice(F.ids)
         bad = Assignment(n=n, phi=phi, psi=psi)
         want = validate_assignment(F, G, bad)
-        with pytest.raises(AssignmentError) as err:
-            full_loss(F, G, bad, caps)
-        assert err.value.violations == want, trial
+        for call in (full_loss, reference_loss):
+            with pytest.raises(AssignmentError) as err:
+                call(F, G, bad, caps)
+            assert err.value.violations == want, (trial, call)
         for m in want:
             kinds["radius" if "radius" in m else "missing" if "missing" in m
                   else "target" if "target" in m else "unknown"] += 1

@@ -44,7 +44,9 @@ from mapperbound.assignment import Witness
 from mapperbound.cosheaf import CosheafError, CosheafGraph
 from mapperbound.grid import Cell, all_cells, basic_open, faces, is_open, thicken
 from mapperbound.ingest import build, build_cosheaf
-from mapperbound.oracle import OracleCapError, _CellIndex, _Labeler, reference_loss
+from mapperbound.oracle import (
+    OracleCapError, _CellIndex, _Labeler, _open_masks, _parent, reference_loss,
+)
 
 from conftest import (
     feasible_level,
@@ -419,6 +421,31 @@ def test_full_loss_split_pair_is_infinite():
     assert (rep.value, rep.consistent_extension, rep.opens) == (math.inf, False, 609)
 
 
+def test_full_loss_counts_the_parallelograms_of_an_open_with_no_vertex():
+    # A plane input whose loss comes from an open with no vertex.  On the L = 1
+    # grid, F is a loop through the four squares and the box-boundary point
+    # (1, 0); G drops F's segment across -1 < x < 0, y = 0, so G's top-right
+    # and bottom-left squares meet only through (1, 0).  Pointers keep their
+    # node's id where they can, but phi sends F's node on the edge x = -1,
+    # -1 < y < 0 to G's top-right square.  Over the open of that edge and the
+    # bottom-left square, that node joins the square's, and their targets meet
+    # one step past the open's thickening.  No triangle and no parallelogram
+    # of an open holding a vertex reaches 1.  The value was checked once
+    # against the all-pairs reference.
+    H = Fraction(1, 2)
+    where = {"p1": (-H, H), "p2": (-H, -H), "p4": (H, -H), "v": (1, 0), "p3": (H, H)}
+    loop = [("p1", "p2"), ("p2", "p4"), ("p4", "v"), ("v", "p3"), ("p3", "p1")]
+    grid = GridSpec(2, 1.0, 1)
+    F, G = (build(GeometricGraph(d=2, vertices=where, edges=edges), grid).graph
+            for edges in (loop, loop[1:]))
+    phi = {x: x if x in G.index else x.split("#")[0] + "#0" for x in F.ids}
+    psi = {y: y if y in F.index else y.split("#")[0] + "#0" for y in G.ids}
+    phi.update({"-1,-1#0": "0,0+#0", "-1,-1+#0": "0+,0+#0"})
+    a = Assignment(1, phi, psi)
+    assert basis_loss(F, G, a).L_B == 1
+    assert astuple(full_loss(F, G, a, TinyCaps(max_nodes_per_side=29))) == (1, False, 24_897)
+
+
 def full_loss_pairs():
     """golden_batch(), the split pair, hook/lambda, then seeded random 1-D
     pairs with chords at L <= 2.  The 2-D grid at L = 1 already has 24,897
@@ -461,6 +488,22 @@ def test_labeler_growth_matches_thicken(d, L):
         for n in range(4):
             assert ix.members(lab.grow(ix.mask(S), n)) == want
             want = step[want]
+
+
+@pytest.mark.parametrize("d,L", [(1, 1), (1, 2), (2, 1)])
+def test_parent_drops_a_cell_with_no_face_in_the_open(d, L):
+    # full_loss measures each open's parallelograms against its parent only;
+    # the proof needs the parent open and the dropped cell faceless in T
+    grid = GridSpec(d, 1.0, L)
+    ix = _CellIndex(grid)
+    opens = [T for T in _open_masks(ix, 100_000) if T]
+    assert len(opens) == {(1, 1): 12, (1, 2): 88, (2, 1): 24_897}[d, L]
+    for T in opens:
+        P = _parent(T)
+        assert P | T == T
+        (c,) = ix.members(T ^ P)
+        assert P == 0 or is_open(grid, ix.members(P)), (T, P)
+        assert not faces(c) & ix.members(T), (T, c)
 
 
 def test_full_loss_thickens_each_cell_once(monkeypatch):
