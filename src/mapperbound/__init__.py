@@ -29,7 +29,6 @@ from .oracle import (
     exhaustive_interleaving,
     full_loss,
     geometric_pi0,
-    reference_loss,
 )
 
 __all__ = [
@@ -41,7 +40,7 @@ __all__ = [
     "check_triangle_down", "check_triangle_up",
     "loss_at", "loss_report", "promote", "reeb_bound", "validate_assignment",
     "TinyCaps", "enumerate_opens", "exhaustive_interleaving", "full_loss",
-    "geometric_pi0", "reference_loss",
+    "geometric_pi0",
 ]
 
 __version__ = "0.1.0"

@@ -12,24 +12,24 @@ t*P, P the common denominator of the edge's cut parameters; only a
 component's midpoint becomes a Fraction.  Maximal runs of member pieces are
 the edge's pieces.  The per-cell interval arithmetic it replaced is the
 reference in tests/pi0_reference.py.  The full loss over every open set of
-the Alexandroff topology, the exhaustive search over component-level basis
-assignments and the reference slack of every basis diagram label components
-themselves, on cell sets held as int bitmasks: each call numbers the grid's
-cells once, in decreasing dimension and then canonical order, and gives each
-cell one bit.  A cell's one-step thickening comes from the set algebra
-(thicken of the cell alone), a set's step is the OR of its cells' steps, and
-components come from a union-find over the graph's stored links.  They
-compose their own face images too: each node descends one stored link at a
-time to the face, never reading the graph's face-image rows.  Within one
-call each cell's step and each set's step is computed once, and the full
-loss measures the parallelograms of each open against one parent only, the
-open without its last cell in the index's order; the proof in its docstring
-shows that these give the value over every pair of nested opens.  The
-all-pairs loop this replaced is the reference in
-tests/full_loss_reference.py.  None of them calls CosheafGraph.slice or
-merge_radii, which the paths they check run, nor the grid's closed forms of a
-thickened star.  All enumerations enforce hard caps; exceeding a cap raises,
-never truncates.
+the Alexandroff topology and the exhaustive search over component-level
+basis assignments label components themselves, on cell sets held as int
+bitmasks: each call numbers the grid's cells once, in decreasing dimension
+and then canonical order, and gives each cell one bit.  A cell's one-step
+thickening comes from the set algebra (thicken of the cell alone), a set's
+step is the OR of its cells' steps, and components come from a union-find
+over the graph's stored links.  Face images come from those labels too: a
+node's image at a face is the least member of its component over the face's
+star.  The reference slack of every basis diagram runs on the same labels
+in tests/slack_reference.py.  Within one call each cell's step and each
+set's step is computed once, and the full loss measures the parallelograms
+of each open against one parent only, the open without its last cell in the
+index's order; the proof in its docstring shows that these give the value
+over every pair of nested opens.  The all-pairs loop this replaced is the
+reference in tests/full_loss_reference.py.  None of them calls
+CosheafGraph.slice or merge_radii, which the paths they check run, nor the
+grid's closed forms of a thickened star.  All enumerations enforce hard
+caps; exceeding a cap raises, never truncates.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ from typing import Iterable, Iterator
 
 from .assignment import Assignment, AssignmentError
 from .cosheaf import INFINITE, CosheafError, CosheafGraph
-from .grid import (
-    Cell, GridSpec, all_cells, basic_open, cell_sort_key, cofaces, faces, is_face, is_open,
-    thicken,
-)
+from .grid import Cell, GridSpec, all_cells, cell_sort_key, cofaces, faces, is_open, thicken
 from .ingest import GeometricGraph
 
 MAX_OPENS = 50_000  # full_loss's cap on the open sets it enumerates
@@ -150,12 +147,10 @@ def geometric_pi0(
             if hi == P and hc and ("v", v) in parent:
                 union(key, ("v", v))
 
-    roots: dict[tuple, tuple] = {}
-    for key in sorted(parent):
-        roots.setdefault(find(key), key)
+    # union keeps the least key as root, so each component's root is its least key
+    roots = sorted({find(key) for key in parent})
     reps = []
-    for root in sorted(roots):
-        key = roots[root]
+    for key in roots:
         if key[0] == "v":
             reps.append(("vertex", key[1]))
         else:
@@ -173,8 +168,8 @@ class _CellIndex:
     Cells are listed in decreasing dimension, then by cell_sort_key, and cell
     number i is bit 1 << i, so a cell set is the int of its cells' bits.  Per
     cell the index holds masks of its one-step thickening (thicken of the cell
-    alone) and its proper cofaces.  It also memoises each set's step and each
-    thickened star for the labelers that share it.
+    alone) and its proper cofaces.  It also memoises each set's step for the
+    labelers that share it.
     """
 
     def __init__(self, grid: GridSpec):
@@ -184,7 +179,6 @@ class _CellIndex:
         self.step = [self.mask(thicken(grid, frozenset({c}), 1)) for c in self.cells]
         self.cof = [self.mask(cofaces(grid, c)) for c in self.cells]
         self.grown: dict[int, int] = {}  # thicken(S, 1) per set S
-        self.stars: dict[tuple[Cell, int], int] = {}
 
     def mask(self, cells: Iterable[Cell]) -> int:
         m = 0
@@ -218,23 +212,20 @@ def enumerate_opens(grid: GridSpec, cap: int = 1_000_000) -> list[frozenset[Cell
 def _open_masks(ix: _CellIndex, cap: int) -> list[int]:
     """Every open set of the index's grid as a mask, in no useful order.
     Cells are decided in the index's order, decreasing dimension, so a cell
-    may join only when all its cofaces did."""
+    may join only when all its cofaces did.  Each pop follows the skips to a
+    leaf and stacks each branch that takes a cell instead, deepest on top."""
     cof, count = ix.cof, len(ix.cells)
     out: list[int] = []
-
-    def rec(i: int, chosen: int) -> None:
+    todo = [(0, 0)]  # (first undecided cell, chosen mask)
+    while todo:
+        i, chosen = todo.pop()
+        left = ~chosen
+        for j in range(i, count):
+            if not cof[j] & left:
+                todo.append((j + 1, chosen | 1 << j))
+        out.append(chosen)
         if len(out) > cap:
             raise OracleCapError(f"open-set enumeration exceeded the cap of {cap}")
-        if i == count:
-            out.append(chosen)
-            return
-        rec(i + 1, chosen)
-        if not cof[i] & ~chosen:
-            rec(i + 1, chosen | 1 << i)
-
-    rec(0, 0)
-    if len(out) > cap:
-        raise OracleCapError(f"open-set enumeration exceeded the cap of {cap}")
     return out
 
 
@@ -290,17 +281,14 @@ class _Labeler:
         return lab
 
     def star(self, c: Cell, r: int) -> int:
-        """The r-thickened basic open of c, thickened one step at a time."""
-        hit = self.ix.stars.get((c, r))
-        if hit is None:
-            hit = (self.ix.mask(basic_open(self.graph.grid, c)) if r == 0
-                   else self.grow(self.star(c, r - 1)))
-            self.ix.stars[c, r] = hit
-        return hit
+        """The r-thickened basic open of c: c and its cofaces, grown r steps."""
+        b = self.ix.bit[c]
+        return self.grow(self.ix.cof[b.bit_length() - 1] | b, r)
 
     def grow(self, cells: int, n: int = 1) -> int:
-        """thicken(cells, n), one memoised step at a time.  A step is the union
-        of the cells' own steps: closure and star distribute over unions."""
+        """thicken(cells, n), one memoised step at a time, stopping early at a
+        set that a step leaves as it is.  A step is the union of the cells' own
+        steps: closure and star distribute over unions."""
         grown, step = self.ix.grown, self.ix.step
         for _ in range(n):
             hit = grown.get(cells)
@@ -309,6 +297,8 @@ class _Labeler:
                 for i in _bits(cells):
                     hit |= step[i]
                 grown[cells] = hit
+            if hit == cells:
+                break
             cells = hit
         return cells
 
@@ -478,40 +468,6 @@ def full_loss(
                           opens=len(opens))
 
 
-# -- the slack of every basis diagram ---------------------------------------------
-
-
-def reference_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment,
-                   caps: TinyCaps = TinyCaps(max_nodes_per_side=300, max_L=8)
-                   ) -> dict[tuple, float | int]:
-    """The slack of every basis diagram: the least k >= 0 at which it passes,
-    keyed (kind, sigma, tau, element id) with tau None for a triangle.
-
-    Each diagram starts from the thickened star of sigma at the level it is
-    checked at (n for a parallelogram, 2n for a triangle) and grows it one
-    step at a time until its two chased nodes share a component; a triangle's
-    slack is half that growth, rounded up.  The basis loss L_B is the largest
-    value, 0 when there is none.
-    """
-    check_tiny(F, G, caps)
-    n = a.n
-    labF, labG = _labelers(F, G)
-    phi, psi = _pointers(labF, labG, a)
-    out: dict[tuple, float | int] = {}
-    for kind, src, ptr, lab in (("parallelogram_left", F, phi, labG),
-                                ("parallelogram_right", G, psi, labF)):
-        for i, j, sigma in _pair_checks(src):
-            out[kind, sigma, src.cells[i], src.ids[i]] = lab.node_distance(
-                lab.star(sigma, n), ptr[i], ptr[j])
-    for kind, lab, there, back in (("triangle_down", labF, phi, psi),
-                                   ("triangle_up", labG, psi, phi)):
-        src = lab.graph
-        for i, sigma in enumerate(src.cells):
-            d = lab.node_distance(lab.star(sigma, 2 * n), i, back[there[i]])
-            out[kind, sigma, None, src.ids[i]] = d if math.isinf(d) else (d + 1) // 2
-    return out
-
-
 # -- exhaustive interleaving search ----------------------------------------------
 
 
@@ -557,34 +513,32 @@ def _assignment_candidates(
     return found
 
 
-def _pair_checks(graph: CosheafGraph) -> list[tuple[int, int, Cell]]:
-    """(node x, its face image at sigma, sigma) for every node x and proper
-    face sigma of its cell; raises CosheafError where a node has none."""
-    up = {(i, graph.cells[j]): j for i, j in graph._raw_links}
-    out = []
+def _pair_checks(lab: _Labeler) -> list[tuple[int, int, Cell]]:
+    """(node x, its face image at sigma, sigma) for every node x of the
+    labeler's graph and proper face sigma of x's cell; raises CosheafError
+    where a node has none.
+
+    x's image at sigma is the least member of x's component over the star of
+    sigma.  That is exact on any cosheaf that passes validate:
+    - each node over a coface of sigma reaches a node over sigma by following
+      links down, and every cell on the way lies in the star of sigma, so
+      that node is in x's component;
+    - linked nodes in the star have the same image at sigma, by the path
+      independence that validate checks, so the component holds exactly one
+      node over sigma;
+    - nodes are numbered in cell_sort_key order, which puts a face before
+      each of its cofaces (on the first axis where they differ the face is
+      degenerate and the coface is not), so that node is the least member,
+      the label _components gives.
+    A least member over another cell means x has no image at sigma."""
+    graph, out = lab.graph, []
     for xi, tau in enumerate(graph.cells):
         for sigma in faces(tau):
-            xf = _descend(graph, up, xi, sigma)
-            if xf is None:
+            xf = lab.at(lab.star(sigma, 0))[xi]
+            if graph.cells[xf] != sigma:
                 raise CosheafError(f"input cosheaf is missing a face image at {sigma!r}")
             out.append((xi, xf, sigma))
     return out
-
-
-def _descend(graph: CosheafGraph, up: dict[tuple[int, Cell], int], i: int, face: Cell):
-    """The node that node i maps to at `face`, a face of its cell, following
-    the links `up` ({(child, parent cell): parent}) one codimension at a time;
-    None when no descent reaches it."""
-    c = graph.cells[i]
-    if c == face:
-        return i
-    for mid in faces(c):
-        j = up.get((i, mid))
-        if j is not None and is_face(face, mid):
-            hit = _descend(graph, up, j, face)
-            if hit is not None:
-                return hit
-    return None
 
 
 def exhaustive_interleaving(
@@ -596,9 +550,8 @@ def exhaustive_interleaving(
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
     check_tiny(F, G, caps)
-    checks_F = _pair_checks(F)
-    checks_G = _pair_checks(G)
     labF, labG = _labelers(F, G)
+    checks_F, checks_G = _pair_checks(labF), _pair_checks(labG)
 
     for n in range(n_max + 1):
         phis = _assignment_candidates(F, labG, n, checks_F, caps)

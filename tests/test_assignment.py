@@ -28,7 +28,7 @@ from mapperbound import (
 from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json
 from mapperbound.grid import Cell, basic_open, faces, thicken
 from mapperbound.ingest import build
-from mapperbound.oracle import TinyCaps, full_loss, reference_loss
+from mapperbound.oracle import TinyCaps, full_loss
 
 from conftest import (
     feasible_level,
@@ -38,6 +38,7 @@ from conftest import (
     random_geometric,
     split_pair,
 )
+from slack_reference import reference_loss
 
 V = vertex_cell
 E = edge_cell

@@ -368,6 +368,48 @@ def test_oracle_missing_inputs_exit_2(argv, message, bound_bundle, capsys):
     assert (rc, stdout, err) == (2, "", f"error: {message}\n")
 
 
+def _identity_files(workdir, graph, grid, n):
+    from mapperbound.assignment import Assignment
+    from mapperbound.cosheaf import to_json
+    from mapperbound.ingest import build_cosheaf
+
+    F = build_cosheaf(graph, grid)
+    ident = {i: i for i in F.ids}
+    return (write(workdir / "F.json", to_json(F)),
+            write(workdir / "a.json", assignment_to_json(Assignment(n, ident, dict(ident)))))
+
+
+def test_oracle_full_loss_answers_a_level_far_past_the_grid(workdir, capsys):
+    # 2000 thickening steps once went one recursive call each
+    from fractions import Fraction
+
+    from mapperbound import GeometricGraph, GridSpec
+
+    g = GeometricGraph(d=1, vertices={"p": (Fraction(-1, 2),), "q": (Fraction(3, 2),)},
+                       edges=[("p", "q")])
+    f, m = _identity_files(workdir, g, GridSpec(1, 1.0, 2), 2000)
+    rc, stdout, err = run(capsys, ["oracle", "--mode", "full-loss", "--f", f, "--g", f,
+                                   "--assignment", m])
+    assert (rc, err) == (0, "")
+    assert json.loads(stdout)["oracle"] == {
+        "mode": "full-loss", "L": 0, "consistent_extension": True, "opens": 88}
+    assert run(capsys, ["bound", "--f", f, "--g", f, "--assignment", m])[::2] == (0, "")
+
+
+def test_oracle_full_loss_reports_the_open_cap_on_a_large_grid(workdir, capsys):
+    # a 3-D grid of 2,197 cells, more than the recursion limit
+    from fractions import Fraction
+
+    from mapperbound import GeometricGraph, GridSpec
+
+    half = Fraction(1, 2)
+    g = GeometricGraph(d=3, vertices={"p": (half, half, half)}, edges=[])
+    f, m = _identity_files(workdir, g, GridSpec(3, 1.0, 3), 0)
+    rc, stdout, err = run(capsys, ["oracle", "--mode", "full-loss", "--f", f, "--g", f,
+                                   "--assignment", m, "--cap", "30"])
+    assert (rc, stdout, err) == (2, "", "error: open-set enumeration exceeded the cap of 50000\n")
+
+
 def test_oracle_pi0_reports_disagreements_and_exits_1(workdir, capsys, monkeypatch):
     # a geometry that always counts one component more disagrees with every sample
     from mapperbound import oracle

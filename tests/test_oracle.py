@@ -45,7 +45,7 @@ from mapperbound.cosheaf import CosheafError, CosheafGraph
 from mapperbound.grid import Cell, all_cells, basic_open, faces, is_open, thicken
 from mapperbound.ingest import build, build_cosheaf
 from mapperbound.oracle import (
-    OracleCapError, _CellIndex, _Labeler, _open_masks, _parent, reference_loss,
+    OracleCapError, _CellIndex, _Labeler, _open_masks, _pair_checks, _parent,
 )
 
 from conftest import (
@@ -60,6 +60,7 @@ from conftest import (
 )
 from full_loss_reference import reference_full_loss
 from pi0_reference import reference_pi0
+from slack_reference import reference_loss
 
 V = vertex_cell
 E = edge_cell
@@ -278,6 +279,12 @@ def test_enumerate_opens_cap_is_hard():
         enumerate_opens(GridSpec(1, 1.0, 3), cap=50)
 
 
+def test_enumerate_opens_cap_is_hard_past_the_recursion_limit():
+    # 2,197 cells, more than the recursion limit: the cap is reached first
+    with pytest.raises(OracleCapError, match="^open-set enumeration exceeded the cap of 10$"):
+        enumerate_opens(GridSpec(3, 1.0, 3), cap=10)
+
+
 # -- tiny caps ---------------------------------------------------------------------------
 
 
@@ -345,6 +352,23 @@ def small_pair(rng, max_vertices=4):
             return build(gA, grid).graph, build(gB, grid).graph
 
 
+def boundary_pair(rng, grid: GridSpec, max_vertices=3, chords=1):
+    """Two random PL paths with up to `chords` chords each on an explicit grid
+    of delta 1, every coordinate on the box boundary (+-L) or at an interior
+    half-step.  fit_grid never puts a vertex on the box boundary."""
+    L = grid.L
+    values = [Fraction(-L), Fraction(L)] + [Fraction(2 * k + 1, 2) for k in range(-L, L)]
+    out = []
+    for tag in "ab":
+        nv = rng.randint(2, max_vertices)
+        where = {f"{tag}{i}": tuple(rng.choice(values) for _ in range(grid.d))
+                 for i in range(nv)}
+        edges = [(f"{tag}{i - 1}", f"{tag}{i}") for i in range(1, nv)]
+        edges += [tuple(rng.sample(sorted(where), 2)) for _ in range(rng.randint(0, chords))]
+        out.append(build(GeometricGraph(d=grid.d, vertices=where, edges=edges), grid).graph)
+    return out
+
+
 def test_full_loss_identity_is_zero(fork):
     # restrict to a small instance: a two-vertex strand
     from mapperbound import GeometricGraph
@@ -355,6 +379,23 @@ def test_full_loss_identity_is_zero(fork):
     ident = Assignment(n=0, phi={i: i for i in F.ids}, psi={i: i for i in F.ids})
     rep = full_loss(F, F, ident)
     assert rep.value == 0 and rep.consistent_extension
+
+
+def test_oracles_answer_a_level_far_past_the_grid():
+    # thickening stops at a set that a step leaves as it is, so a level of
+    # 2000 steps or 10**12 steps costs what filling the grid costs
+    g = GeometricGraph(d=1, vertices={"p": (Fraction(-1, 2),), "q": (Fraction(3, 2),)},
+                       edges=[("p", "q")])
+    F = build_cosheaf(g, GridSpec(1, 1.0, 2))
+
+    def ident(n):
+        return Assignment(n=n, phi={i: i for i in F.ids}, psi={i: i for i in F.ids})
+
+    want = reference_loss(F, F, ident(3))
+    assert astuple(full_loss(F, F, ident(3))) == (0, True, 88)
+    for n in (2000, 10**12):
+        assert astuple(full_loss(F, F, ident(n))) == (0, True, 88)
+        assert reference_loss(F, F, ident(n)) == want
 
 
 def test_full_loss_dominates_basis_loss_and_promotion_zeroes_it():
@@ -570,6 +611,22 @@ def test_exhaustive_golden_batch():
     assert got == EXHAUSTIVE_BATCH
 
 
+@pytest.mark.parametrize("d,L", [(1, 2), (2, 1), (2, 2), (3, 1)])
+def test_pair_checks_read_each_face_image_off_the_labels(d, L):
+    # every node's image at every proper face of its cell, as the graph's
+    # face-image rows give it, with vertices on the box boundary too
+    rng = random.Random(109 + 10 * d + L)
+    grid = GridSpec(d, 1.0, L)
+    ix, on_box = _CellIndex(grid), 0
+    for _ in range(10):
+        for F in boundary_pair(rng, grid, max_vertices=4, chords=2):
+            want = [(x, F.index[F.face_image(F.ids[x], sigma)], sigma)
+                    for x, tau in enumerate(F.cells) for sigma in faces(tau)]
+            assert _pair_checks(_Labeler(F, ix)) == want
+            on_box += any(abs(m) == 2 * L for c in F.cells for m in c.coords)
+    assert on_box >= 10
+
+
 # -- reference slacks against the library -----------------------------------------------
 
 
@@ -674,6 +731,13 @@ def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, 
     want_lib = basis_loss(bF.graph, bG.graph, hook_lam_asg)
     want = [(exhaustive_interleaving(F, G, 4, caps), full_loss(F, G, a, caps),
              reference_loss(F, G, a), basis_loss(F, G, a)) for F, G, a in tiny]
+    # and pairs with vertices on the box boundary, against the library's slacks
+    edge = [boundary_pair(rng, GridSpec(d, 1.0, L)) for d, L in [(1, 1), (1, 2)] * 5 + [(2, 1)]]
+    edge = [(F, G, random_assignment(F, G, feasible_level(F, G), rng)) for F, G in edge]
+    want_edge = [(basis_loss(F, G, a), {
+        (w.kind, w.sigma, w.tau, w.element): s
+        for w, s in assignment_module._slacks(F, G, a.n, *assignment_module._prepare(F, G, a))})
+        for F, G, a in edge]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the oracles must not use the library's labelling")
@@ -697,6 +761,14 @@ def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, 
         got = reference_loss(F, G, a)
         assert got == slacks and max(got.values(), default=0) == lib.L_B
         assert exact <= a.n + lib.L_B <= a.n + full.value
+    edge_caps = TinyCaps(max_nodes_per_side=40)
+    for (F, G, a), (lib, slacks) in zip(edge, want_edge):
+        got = reference_loss(F, G, a)
+        assert {key: s for key, s in got.items() if s} == slacks
+        assert max(got.values(), default=0) == lib.L_B
+        exact = exhaustive_interleaving(F, G, 4, edge_caps)
+        assert exact <= a.n + lib.L_B <= a.n + full_loss(F, G, a, edge_caps).value
+    assert sum(lib.L_B > 0 for lib, _ in want_edge) >= 3
 
 
 def test_oracle_source_names_no_library_labelling():
@@ -711,7 +783,16 @@ def test_oracle_source_names_no_library_labelling():
             names |= {node.id for node in nodes if isinstance(node, ast.Name)}
             names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
                       for alias in node.names}
+            names |= {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
             assert not names & set(CLOSED_FORMS)
+            # face images come from the oracle's own labels: no stored face-image
+            # rows, no descent along links, and the links feed the union-find only
+            assert not names & {"_links", "_descend", "is_face"}
+            reads = [node for node in nodes
+                     if isinstance(node, ast.Attribute) and node.attr == "_raw_links"]
+            (union_find,) = [node for node in nodes if isinstance(node, ast.FunctionDef)
+                             and node.name == "_components"]
+            assert reads and set(reads) <= set(ast.walk(union_find))
 
 
 def test_oracle_source_names_no_ingest_build():
