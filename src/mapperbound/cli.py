@@ -15,7 +15,7 @@ Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
 validated on load.  main reports all invalid input: an InvalidInput carrying
 violations prints one stdout JSON line {"error": subject, "violations": [...]},
-any other refusal one "error: " line on stderr.
+any other refusal one "error: " line on stderr, led by a refused file's path.
 
 main pauses the cyclic garbage collector for the one command it runs and
 then restores the caller's setting: a command builds large acyclic JSON trees
@@ -31,6 +31,7 @@ import gc
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import assignment as asg
@@ -42,35 +43,33 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _read(path: str, parse, parse_float=None):
+    """parse(the JSON value in the file at `path`); a refusal of the file's
+    content is raised again with the path in front of its message."""
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh, parse_float=parse_float))
+    except ValueError as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def _load_cosheaf(path: str) -> cosheaf.CosheafGraph:
-    F = cosheaf.from_json_obj(_load_json(path))
+    F = _read(path, cosheaf.from_json_obj)
     problems = cosheaf.validate(F)
     if problems:
         raise cosheaf.CosheafError(f"invalid cosheaf {path}", problems)
     return F
 
 
-def _load_grid(path: str) -> GridSpec:
-    obj = _load_json(path)
-    if isinstance(obj, dict) and "grid" in obj:
-        obj = obj["grid"]
-    return GridSpec.from_wire(obj)
-
-
-def _load_geometric(path: str) -> ingest.GeometricGraph:
-    return ingest.GeometricGraph.from_json(Path(path).read_text())
+def _grid_of(obj) -> GridSpec:  # a GridSpec object, or any object with a grid key
+    return GridSpec.from_wire(obj.get("grid", obj) if isinstance(obj, dict) else obj)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    g = _load_geometric(args.input)
+    g = _read(args.input, ingest.GeometricGraph.from_json_obj, Fraction)
     if args.grid and not 0 < args.delta < math.inf:
         raise ingest.IngestError("delta must be positive and finite")
-    grid = _load_grid(args.grid) if args.grid else ingest.fit_grid([g], args.delta)
+    grid = _read(args.grid, _grid_of) if args.grid else ingest.fit_grid([g], args.delta)
     if grid.delta != args.delta:
         raise ingest.IngestError(
             f"--delta {args.delta} differs from the grid file's delta {grid.delta}")
@@ -89,7 +88,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     F = _load_cosheaf(args.f)
     G = _load_cosheaf(args.g)
-    a = asg.Assignment.from_json_obj(_load_json(args.assignment))
+    a = _read(args.assignment, asg.Assignment.from_json_obj)
     result = asg.basis_loss(F, G, a)
     sys.stdout.write(asg.result_to_json(result))
     return 3 if math.isinf(result.L_B) else 0
@@ -98,7 +97,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     F = _load_cosheaf(args.f)
     G = _load_cosheaf(args.g)
-    a = asg.Assignment.from_json_obj(_load_json(args.assignment))
+    a = _read(args.assignment, asg.Assignment.from_json_obj)
     ok, witnesses = asg.loss_report(F, G, a, args.k)
     _emit({"k": args.k, "pass": ok, "witnesses": [w.to_json_obj() for w in witnesses]})
     return 0 if ok else 1
@@ -124,7 +123,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             raise asg.AssignmentError("--assignment is required for full-loss")
         F = _load_cosheaf(args.f)
         G = _load_cosheaf(args.g)
-        a = asg.Assignment.from_json_obj(_load_json(args.assignment))
+        a = _read(args.assignment, asg.Assignment.from_json_obj)
         rep = oracle.full_loss(F, G, a, caps)
         _emit({"oracle": {
             "mode": "full-loss",
@@ -135,9 +134,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     # pi0: geometric graphs in, slice counts cross-checked against direct
     # segment arithmetic over every occupied cell at radii 0..2
-    graphs = [_load_geometric(args.f)]
-    if args.g:
-        graphs.append(_load_geometric(args.g))
+    graphs = [_read(path, ingest.GeometricGraph.from_json_obj, Fraction)
+              for path in (args.f, args.g) if path]
     grid = ingest.fit_grid(graphs, args.delta)
     samples = 0
     disagreements = []

@@ -9,7 +9,10 @@ node's first listed link there.  A deeper row composes, for each axis where
 the two cells differ in axis order, the row to the codimension-1 face between
 them with that face's row, and keeps each node's first image found.
 Path-independence of that composition is a validated invariant rather than
-duplicated data.
+duplicated data.  There is one build, block by block (the ids of each cell
+in, nodes numbered cell by cell, links as index pairs): the constructor groups
+(id, cell) pairs, from_json_obj takes a block per run of equal cells in a
+file, and ingest.build hands over its blocks and index pairs.
 
 Connectivity over an open cell set S is computed on the nodes whose carrier
 cell lies in S, joining two nodes when a link connects them and both carriers
@@ -37,7 +40,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .grid import (
     Cell,
@@ -81,53 +84,67 @@ class CosheafGraph:
     (child id, parent id) with the parent at a codimension-1 face of the child.
     """
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        nodes: Iterable[tuple[str, Cell]],
-        links: Iterable[tuple[str, str]],
-    ) -> None:
-        self.grid = grid
-        # nodes sharing a cell form one block of consecutive indices, ordered
-        # by (cell, id); they also share one Cell object, so per-node cell
-        # reads hit a few hot objects
+    def __init__(self, grid: GridSpec, nodes: Iterable[tuple[str, Cell]],
+                 links: Iterable[tuple[str, str]]) -> None:
         by_cell: dict[Cell, list[str]] = {}
         for nid, c in nodes:
             by_cell.setdefault(c, []).append(nid)
-        order = sorted(by_cell, key=cell_sort_key)
-        self.ids: list[str] = [nid for c in order for nid in sorted(by_cell[c])]
-        self.cells: list[Cell] = [c for c in order for _ in by_cell[c]]
-        if len(set(self.ids)) != len(self.ids):
+        self._build(grid, by_cell, list(links), named=True)
+
+    @classmethod
+    def _from_blocks(cls, grid: GridSpec, by_cell: dict, links: Sequence, named: bool):
+        F = cls.__new__(cls)
+        F._build(grid, by_cell, links, named)
+        return F
+
+    def _build(self, grid: GridSpec, by_cell: dict[Cell, list[str]], links: Sequence,
+               named: bool) -> None:
+        """The one build, block by block, from the ids of each occupied cell and
+        (child, parent) links, of ids if `named`, else of node indices.  It refuses
+        a repeated id, then an off-grid cell, then a link naming an unknown node."""
+        self.grid = grid
+        # a cell's nodes are one block of consecutive indices, ordered by
+        # (cell, id), sharing one Cell object: per-node cell reads hit few objects
+        self.ids: list[str] = []
+        self.cells: list[Cell] = []
+        self.nodes_at: dict[Cell, list[int]] = {}
+        start: list[int] = []  # per node, the first index of its block
+        for c in sorted(by_cell, key=cell_sort_key):
+            i, k = len(self.ids), len(by_cell[c])
+            self.ids += sorted(by_cell[c])
+            self.cells += [c] * k
+            self.nodes_at[c] = list(range(i, i + k))
+            start += [i] * k
+        self.index: dict[str, int] = dict(zip(self.ids, range(len(self.ids))))
+        if len(self.index) != len(self.ids):
             counts = Counter(self.ids)
             nid = next(nid for nid, k in counts.items() if k > 1)
             raise CosheafError(f"duplicate node ids: {nid!r} occurs {counts[nid]} times")
-        self.index: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
-        self.nodes_at: dict[Cell, list[int]] = {}
-        for i, c in enumerate(self.cells):
-            self.nodes_at.setdefault(c, []).append(i)
-        for c in order:
-            grid.check_cell(c)
+        for c in self.nodes_at:
+            grid.check_cell(c, CosheafError)
+        if named:
+            get = self.index.get
+            pairs = [(get(child), get(parent)) for child, parent in links]
+            for (child, parent), pair in zip(links, pairs):
+                if None in pair:
+                    raise CosheafError(f"link ({child!r}, {parent!r}) names unknown node")
+            links = pairs
 
         adj: list[list[int]] = [[] for _ in self.ids]
         # stored face images, one row per (cell, face cell) pair: the first linked
         # parent of each node over the cell, by position in its block, else None
         self._links: dict[tuple[Cell, Cell], list[int | None]] = {}
-        self._raw_links: list[tuple[int, int]] = []
-        for child, parent in links:
-            ci, pi = self.index.get(child), self.index.get(parent)
-            if ci is None or pi is None:
-                raise CosheafError(f"link ({child!r}, {parent!r}) names unknown node")
-            self._raw_links.append((ci, pi))
+        rows, cells = self._links, self.cells
+        for ci, pi in links:
             adj[ci].append(pi)
             adj[pi].append(ci)
-            key = (self.cells[ci], self.cells[pi])
-            block = self.nodes_at[key[0]]
-            row = self._links.get(key)
+            key = (cells[ci], cells[pi])
+            row = rows.get(key)
             if row is None:
-                row = self._links[key] = [None] * len(block)
-            if row[ci - block[0]] is None:
-                row[ci - block[0]] = pi
-        self._raw_links.sort()
+                row = rows[key] = [None] * len(self.nodes_at[key[0]])
+            if row[ci - start[ci]] is None:
+                row[ci - start[ci]] = pi
+        self._raw_links: list[tuple[int, int]] = sorted(links)
         # a tuple holds its items inline: one pointer hop fewer per row read in
         # the union-find sweeps, which shows once a graph outgrows the CPU caches
         self.adj: list[tuple[int, ...]] = list(map(tuple, adj))
@@ -438,9 +455,7 @@ def to_json_obj(F: CosheafGraph) -> dict:
             {"id": F.ids[i], "cell": w}
             for c, block in F.nodes_at.items() for w in [cell_to_wire(c)] for i in block
         ],
-        "links": sorted(
-            [F.ids[ci], F.ids[pi]] for ci, pi in F._raw_links
-        ),
+        "links": sorted([F.ids[ci], F.ids[pi]] for ci, pi in F._raw_links),
     }
 
 
@@ -460,15 +475,22 @@ def to_json(F: CosheafGraph) -> str:
 
 def from_json_obj(obj: dict) -> CosheafGraph:
     grid = GridSpec.from_wire(wire(obj, dict, "a cosheaf", CosheafError).get("grid"))
-    # files list nodes cell by cell, so a run of equal wire cells is parsed
-    # once; the constructor checks each distinct cell against the grid
-    nodes: list[tuple[str, Cell]] = []
-    raw = c = None
+    # files list nodes cell by cell: a run of equal wire cells is parsed once
+    # and its ids join that cell's block; wire faults come in file order
+    by_cell: dict[Cell, list[str]] = {}
+    raw = block = None
     for n in wire(obj.get("nodes"), list, "cosheaf nodes", CosheafError):
-        if wire(n, dict, "a node", CosheafError).get("cell") != raw or c is None:
-            raw, c = n.get("cell"), cell_from_wire(n.get("cell"))
-        nodes.append((wire(n.get("id"), str, "a node id", CosheafError), c))
-    return CosheafGraph(grid, nodes, wire_pairs(obj.get("links", []), "links", CosheafError))
+        if type(n) is not dict:
+            wire(n, dict, "a node", CosheafError)
+        if block is None or n.get("cell") != raw:
+            raw = n.get("cell")
+            block = by_cell.setdefault(cell_from_wire(raw, CosheafError), [])
+        nid = n.get("id")
+        if type(nid) is not str:
+            wire(nid, str, "a node id", CosheafError)
+        block.append(nid)
+    links = wire_pairs(obj.get("links", []), "links", CosheafError)
+    return CosheafGraph._from_blocks(grid, by_cell, links, named=True)
 
 
 def from_json(text: str) -> CosheafGraph:

@@ -42,13 +42,7 @@ class Cell(NamedTuple):
 
     def intervals(self) -> list[tuple[str, int]]:
         """Decode to [("deg", l) | ("nondeg", l), ...] per axis."""
-        out = []
-        for m in self.coords:
-            if m % 2 == 0:
-                out.append(("deg", m // 2))
-            else:
-                out.append(("nondeg", (m - 1) // 2))
-        return out
+        return [("nondeg" if m % 2 else "deg", m // 2) for m in self.coords]
 
     def __repr__(self) -> str:
         return "Cell(%s)" % ",".join(
@@ -61,16 +55,12 @@ def cell(*entries: tuple[str, int] | int) -> Cell:
     """Build a cell from ("deg", l) / ("nondeg", l) pairs or raw doubled ints."""
     coords = []
     for e in entries:
-        if isinstance(e, int):
-            coords.append(e)
-        else:
+        if not isinstance(e, int):
             kind, l = e
-            if kind == "deg":
-                coords.append(2 * l)
-            elif kind == "nondeg":
-                coords.append(2 * l + 1)
-            else:
+            if kind not in ("deg", "nondeg"):
                 raise ValueError(f"unknown interval kind {kind!r}")
+            e = 2 * l + (kind == "nondeg")
+        coords.append(e)
     return Cell(tuple(coords))
 
 
@@ -110,9 +100,9 @@ class GridSpec:
         co = c.coords
         return len(co) == self.d and -2 * self.L <= min(co) and max(co) <= 2 * self.L
 
-    def check_cell(self, c: Cell) -> Cell:
+    def check_cell(self, c: Cell, error: type[ValueError] = ValueError) -> Cell:
         if not self.contains(c):
-            raise ValueError(f"cell {c!r} is not a cell of this grid")
+            raise error(f"cell {c!r} is not a cell of this grid")
         return c
 
     def cell_count(self) -> int:
@@ -162,15 +152,15 @@ def cell_to_wire(c: Cell) -> list[dict]:
     return [{"deg": l} if kind == "deg" else {"nondeg": l} for kind, l in c.intervals()]
 
 
-def cell_from_wire(entries: list[dict]) -> Cell:
+def cell_from_wire(entries: list[dict], error: type[ValueError] = ValueError) -> Cell:
     coords = []
-    for e in wire(entries, list, "a cell"):
-        if "deg" in wire(e, dict, "a cell interval"):
-            coords.append(2 * wire(e["deg"], int, "cell deg"))
+    for e in wire(entries, list, "a cell", error):
+        if "deg" in wire(e, dict, "a cell interval", error):
+            coords.append(2 * wire(e["deg"], int, "cell deg", error))
         elif "nondeg" in e:
-            coords.append(2 * wire(e["nondeg"], int, "cell nondeg") + 1)
+            coords.append(2 * wire(e["nondeg"], int, "cell nondeg", error) + 1)
         else:
-            raise ValueError(f"bad cell interval {e!r}")
+            raise error(f"bad cell interval {e!r}")
     return Cell(tuple(coords))
 
 
@@ -219,9 +209,7 @@ def faces(c: Cell) -> frozenset[Cell]:
 
 def cofaces(grid: GridSpec, c: Cell) -> frozenset[Cell]:
     """All proper cofaces of c inside the grid box (boundary cells have fewer)."""
-    grid.check_cell(c)
-    prod = itertools.product(*(_axis_cofaces(m, grid.L) for m in c.coords))
-    return frozenset(Cell(t) for t in prod) - {c}
+    return basic_open(grid, c) - {c}
 
 
 def basic_open(grid: GridSpec, c: Cell) -> frozenset[Cell]:
@@ -232,19 +220,11 @@ def basic_open(grid: GridSpec, c: Cell) -> frozenset[Cell]:
 
 
 def closure(cells: Iterable[Cell]) -> frozenset[Cell]:
-    out = set()
-    for c in cells:
-        out.add(c)
-        out.update(faces(c))
-    return frozenset(out)
+    return frozenset().union(*((c, *faces(c)) for c in cells))
 
 
 def star(grid: GridSpec, cells: Iterable[Cell]) -> frozenset[Cell]:
-    out = set()
-    for c in cells:
-        out.add(c)
-        out.update(cofaces(grid, c))
-    return frozenset(out)
+    return frozenset().union(*(basic_open(grid, c) for c in cells))
 
 
 def thicken(grid: GridSpec, cells: frozenset[Cell], n: int) -> frozenset[Cell]:

@@ -135,11 +135,7 @@ def fit_grid(graphs: Sequence[GeometricGraph], delta: float) -> GridSpec:
     if not 0 < delta < float("inf"):
         raise IngestError("delta must be positive and finite")
     dfrac = _as_fraction(delta)
-    peak = Fraction(0)
-    for g in graphs:
-        for val in g.vertices.values():
-            for x in val:
-                peak = max(peak, abs(x))
+    peak = max(abs(x) for g in graphs for val in g.vertices.values() for x in val)
     L = int(peak / dfrac) + 1
     return GridSpec(d=dims.pop(), delta=float(delta), L=max(1, L))
 
@@ -152,8 +148,8 @@ class MapperBuild:
     source: GeometricGraph
     grid: GridSpec
     # per occupied cell: its union-find forest over the classes lying over it
-    # (non-root to parent) and each root's node id; a root is its least piece
-    _forests: dict[Cell, tuple[dict[int, int], dict[int, str]]] = field(repr=False)
+    # (non-root to parent) and each root's node index; a root is its least piece
+    _forests: dict[Cell, tuple[dict[int, int], dict[int, int]]] = field(repr=False)
     _class: list[int] = field(repr=False)  # per piece, its class's least piece
     _vertex_piece: dict[str, int] = field(repr=False)
     # per edge either way round: (P, spans), span (k0, k1, piece) covering t in [k0/P, k1/P]
@@ -162,7 +158,8 @@ class MapperBuild:
     def _node(self, c: Cell, p: int) -> str | None:
         """The node over basic_open(c) holding piece p, None if p is not over it."""
         up, node_of = self._forests.get(c, ({}, {}))
-        return node_of.get(_root(up, self._class[p]))
+        i = node_of.get(_root(up, self._class[p]))
+        return None if i is None else self.graph.ids[i]
 
     def node_of_vertex(self, c: Cell, vertex_id: str) -> str:
         """The element over basic_open(c) whose component contains the vertex."""
@@ -293,22 +290,25 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
             if js:
                 pairs.setdefault(f, []).extend(js)
 
-    # faces sort before their cofaces, so each cell's faces are numbered first
-    nodes: list[tuple[str, Cell]] = []
-    links: list[tuple[str, str]] = []
-    forests: dict[Cell, tuple[dict[int, int], dict[int, str]]] = {}
+    # faces sort before their cofaces, so each cell's faces are numbered first;
+    # the graph numbers nodes cell by cell, each cell's ids "token#k" in string
+    # order ("c#10" before "c#2"), so links go to it as index pairs
+    blocks: dict[Cell, list[str]] = {}
+    links: list[tuple[int, int]] = []
+    forests: dict[Cell, tuple[dict[int, int], dict[int, int]]] = {}
+    count = 0
     for c in sorted(members, key=cell_sort_key):
         up: dict[int, int] = {}
         for a, b in pairs.get(c, ()):
             a, b = _root(up, a), _root(up, b)
             if a != b:
                 up[max(a, b)] = min(a, b)  # a component's root stays its least piece
+        roots = [r for r in sorted(members[c]) if r not in up]
+        order = sorted(range(len(roots)), key=str)
         token = _cell_token(c)
-        node_of: dict[int, str] = {}
-        for r in sorted(members[c]):
-            if r not in up:
-                node_of[r] = nid = f"{token}#{len(node_of)}"
-                nodes.append((nid, c))
+        blocks[c] = [f"{token}#{k}" for k in order]
+        node_of = dict(zip([roots[k] for k in order], range(count, count + len(roots))))
+        count += len(roots)
         forests[c] = up, node_of
         # every piece of a node lies over each face too: its root finds the image
         co = c.coords
@@ -316,11 +316,11 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
             if m % 2:
                 for e in (m - 1, m + 1):
                     fup, fnode = forests[Cell(co[:a] + (e,) + co[a + 1:])]
-                    links += ((nid, fnode[_root(fup, r)]) for r, nid in node_of.items())
+                    links += ((node_of[r], fnode[_root(fup, r)]) for r in roots)
 
-    return MapperBuild(graph=CosheafGraph(grid, nodes, links), source=g, grid=grid,
-                       _forests=forests, _class=cls, _vertex_piece=vertex_piece,
-                       _edge_chain=edge_chain)
+    return MapperBuild(graph=CosheafGraph._from_blocks(grid, blocks, links, named=False),
+                       source=g, grid=grid, _forests=forests, _class=cls,
+                       _vertex_piece=vertex_piece, _edge_chain=edge_chain)
 
 
 def build_cosheaf(g: GeometricGraph, grid: GridSpec) -> CosheafGraph:

@@ -180,6 +180,41 @@ def test_invalid_cosheaf_exits_2_with_violations(argv, bound_bundle, doubled_lin
     assert got["violations"][0].startswith(f"duplicate face image: node {child} ")
 
 
+def test_bound_refuses_a_strand_node_with_two_links_at_one_vertex_cell(workdir, capsys):
+    # the benchmark's invalid file: full-height strands, one edge node given a
+    # second link at a vertex cell that holds other nodes.  Its row keeps the
+    # first listed link, so the rows hold one link fewer than the file and
+    # validate checks the links one by one
+    from fractions import Fraction
+
+    from mapperbound import Assignment, GeometricGraph, cosheaf, fit_grid
+    from mapperbound.grid import Cell
+    from mapperbound.ingest import build
+
+    g = GeometricGraph(d=1, vertices={
+        f"s{k}{end}": (Fraction(sign * (35 - k), 10),) for k in range(3)
+        for end, sign in (("a", -1), ("b", 1))}, edges=[(f"s{k}a", f"s{k}b") for k in range(3)])
+    F = build(g, fit_grid([g], 1.0)).graph
+    edge, vertex = Cell((1,)), Cell((0,))
+    child = F.nodes_at[edge][0]
+    parent = next(p for c, p in F._raw_links if c == child and F.cells[p] == vertex)
+    other = next(j for j in F.nodes_at[vertex] if j != parent)
+    obj = cosheaf.to_json_obj(F)
+    obj["links"].append([F.ids[child], F.ids[other]])
+    bad = write(workdir / "bad.json", json.dumps(obj, sort_keys=True) + "\n")
+    ok = write(workdir / "ok.json", cosheaf.to_json(F))
+    ids = {i: i for i in F.ids}
+    a = write(workdir / "a.json", assignment_to_json(Assignment(n=0, phi=ids, psi=ids)))
+    loaded = cosheaf.from_json_obj(obj)
+    assert loaded.face_image(F.ids[child], vertex) == F.ids[parent]
+    assert loaded.link_count() == F.link_count() + 1
+    rc, stdout, err = run(capsys, ["bound", "--f", bad, "--g", ok, "--assignment", a])
+    assert (rc, err) == (2, "")
+    assert json.loads(stdout) == {"error": f"invalid cosheaf {bad}", "violations": [
+        f"duplicate face image: node {F.ids[child]} has several links at {vertex!r}"]}
+    assert run(capsys, ["bound", "--f", ok, "--g", ok, "--assignment", a])[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["bound", "--f", "E", "--g", "E", "--assignment", "A"],
     ["check", "--f", "E", "--g", "E", "--assignment", "A", "--k", "0"],
@@ -484,7 +519,8 @@ def _first_without(key, field):
     return edit
 
 
-# (file edited, edit, fragment the stderr message must hold)
+# (file edited, edit, fragment the stderr message must hold); an edit that
+# returns a str gives the file's text itself
 MALFORMED = {
     "n-float": ("A", _edit("n", 1.7), "assignment n must be int, not float"),
     "n-string": ("A", _edit("n", "1"), "assignment n must be int, not str"),
@@ -503,6 +539,16 @@ MALFORMED = {
     "cell-deg-float": ("F", _first("nodes", "cell", [{"deg": 0.25}]),
                        "cell deg must be int, not float"),
     "cell-not-list": ("F", _first("nodes", "cell", 3), "a cell must be list, not int"),
+    "cell-interval-bad": ("F", _first("nodes", "cell", [{"half": 0}]),
+                          "bad cell interval {'half': 0}"),
+    "cell-off-grid": ("F", _first("nodes", "cell", [{"deg": 99}]),
+                      "cell Cell([99]) is not a cell of this grid"),
+    "g-cell-off-grid": ("G", _first("nodes", "cell", [{"nondeg": -99}]),
+                        "cell Cell((-99,-98)) is not a cell of this grid"),
+    "g-link-unknown": ("G", _first("links", 1, "ghost"), "names unknown node"),
+    "json-syntax": ("F", lambda obj: json.dumps(obj)[:-1], "Expecting"),
+    "g-json-syntax": ("G", lambda obj: "", "Expecting value"),
+    "assignment-json-syntax": ("A", lambda obj: "{'n': 0}", "Expecting property name"),
     "node-id-list": ("F", _first("nodes", "id", ["a"]), "a node id must be str, not list"),
     "node-not-dict": ("F", lambda obj: {**obj, "nodes": [["a"]]}, "a node must be dict, not list"),
     "link-end-list": ("F", _first("links", 1, ["a"]), "links must be pairs of str"),
@@ -529,16 +575,17 @@ MALFORMED = {
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 @pytest.mark.parametrize("command", [["bound"], ["check", "--k", "0"]], ids=["bound", "check"])
 def test_malformed_bound_and_check_inputs_exit_2(name, command, bound_bundle, workdir, capsys):
-    # refused by the readers with a message naming what is wrong: exit 2, no
-    # traceback, nothing on stdout
+    # refused by the readers with a message naming the file and what is wrong
+    # in it: exit 2, no traceback, nothing on stdout
     which, edit, fragment = MALFORMED[name]
     files = dict(zip("FGA", bound_bundle))
-    files[which] = write(workdir / "bad.json",
-                         json.dumps(edit(json.loads(Path(files[which]).read_text()))))
+    text = edit(json.loads(Path(files[which]).read_text()))
+    files[which] = write(workdir / "bad.json", text if isinstance(text, str) else json.dumps(text))
     rc, stdout, err = run(capsys, [command[0], "--f", files["F"], "--g", files["G"],
                                    "--assignment", files["A"], *command[1:]])
     assert (rc, stdout) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+    assert err.startswith(f"error: {files[which]}: ") and err.count("\n") == 1
+    assert fragment in err
 
 
 _VERTEX = '{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": []}'
@@ -612,6 +659,20 @@ def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, ca
         assert (rc, stdout) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
     assert not (workdir / "out.json").exists()
+
+
+def test_ingest_and_pi0_refusals_name_the_file(workdir, capsys):
+    bad = write(workdir / "in.json", '{"d": 1, "vertices": [{"id": "v", "f": [0.5]}]')
+    good = write(workdir / "ok.json", _VERTEX)
+    grid = write(workdir / "grid.json", '{"d": 1, "delta": 1.0, "L": 2.5}')
+    out = str(workdir / "out.json")
+    for argv, path in (
+            (["ingest", "--input", bad, "--delta", "1.0", "--output", out], bad),
+            (["ingest", "--input", good, "--delta", "1.0", "--grid", grid, "--output", out], grid),
+            (["oracle", "--mode", "pi0", "--f", good, "--g", bad], bad)):
+        rc, stdout, err = run(capsys, argv)
+        assert (rc, stdout) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 # -- the cyclic collector -------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,13 +24,23 @@ from mapperbound import (
 )
 from mapperbound import cosheaf
 from mapperbound.assignment import AssignmentError
-from mapperbound.cosheaf import CosheafError, from_json, to_dot, to_json
-from mapperbound.grid import Cell, basic_open, cell, cell_sort_key, faces, is_face, thicken
+from mapperbound.cosheaf import CosheafError, from_json, from_json_obj, to_dot, to_json
+from mapperbound.grid import (
+    Cell,
+    basic_open,
+    cell,
+    cell_sort_key,
+    cell_to_wire,
+    faces,
+    is_face,
+    thicken,
+)
 from mapperbound.ingest import build
 from mapperbound.oracle import _CellIndex, _components
 
 import sweep_reference
 from conftest import random_geometric
+from cosheaf_reference import reference_graph, state
 
 V = vertex_cell
 E = edge_cell
@@ -134,6 +145,120 @@ def test_duplicate_node_ids_are_named():
         CosheafGraph(grid, nodes, [])
     with pytest.raises(CosheafError, match="^duplicate node ids: 'a' occurs 3 times$"):
         CosheafGraph(grid, [n for n in nodes if n != ("z", V(0))], [])
+
+
+def _wire(grid, nodes, links) -> dict:
+    return {"grid": grid.to_wire(),
+            "nodes": [{"id": nid, "cell": cell_to_wire(c)} for nid, c in nodes],
+            "links": [list(x) for x in links]}
+
+
+def _refusal(make):
+    with pytest.raises(CosheafError) as info:
+        make()
+    return str(info.value)
+
+
+def test_refusals_come_in_one_order():
+    # a repeated id first, then a cell off the grid, then a link to an unknown
+    # node, whichever way the graph is built; the reference agrees
+    grid = GridSpec(1, 1.0, 1)
+    nodes = [("e", E(0)), ("far", V(5)), ("p", V(0)), ("e", E(-1)), ("q", V(1))]
+    links = [("e", "p"), ("e", "ghost"), ("e", "q"), ("spook", "q")]
+    want = ["duplicate node ids: 'e' occurs 2 times",
+            "cell Cell([5]) is not a cell of this grid",
+            "link ('e', 'ghost') names unknown node"]
+    fixes = [lambda ns, ls: (ns[:3] + ns[4:], ls),
+             lambda ns, ls: ([n for n in ns if n[0] != "far"], ls),
+             lambda ns, ls: (ns, ls[:1] + ls[2:3])]
+    for step, message in enumerate(want):
+        for make in (CosheafGraph, reference_graph,
+                     lambda g, ns, ls: from_json_obj(_wire(g, ns, ls))):
+            assert _refusal(lambda: make(grid, nodes, links)) == message, (step, make)
+        nodes, links = fixes[step](nodes, links)
+    assert state(CosheafGraph(grid, nodes, links)) == state(reference_graph(grid, nodes, links))
+
+
+def test_wire_refusals_come_in_file_order():
+    grid = GridSpec(1, 1.0, 2)
+    nodes = [(f"n{k}", V(k % 3)) for k in range(12)]
+    for first, second, message in ((5, 10, "a node id must be str, not int"),
+                                   (10, 5, "a cell must be list, not int")):
+        obj = _wire(grid, nodes, [])
+        obj["nodes"][first]["id"] = 7
+        obj["nodes"][second]["cell"] = 3
+        # a repeated id and an off-grid cell elsewhere wait for the wire checks
+        obj["nodes"][11] = {"id": "n0", "cell": cell_to_wire(V(9))}
+        assert _refusal(lambda: from_json_obj(obj)) == message
+    # a malformed cell is refused as the file's fault, with the reader's text
+    obj = _wire(grid, nodes, [])
+    obj["nodes"][3]["cell"] = [{"half": 0}]
+    assert _refusal(lambda: from_json_obj(obj)) == "bad cell interval {'half': 0}"
+    obj["nodes"][3]["cell"] = [{"deg": 0.5}]
+    assert _refusal(lambda: from_json_obj(obj)) == "cell deg must be int, not float"
+
+
+def _ingest_links(F: CosheafGraph) -> list[tuple[str, str]]:
+    """F's links as ingest.build lists them: cell by cell, each codimension-1
+    face below then above the cell axis by axis, the nodes "c#k" of the cell
+    by k; each (node, face cell) has one link."""
+    parent = {(ci, F.cells[pi]): pi for ci, pi in F._raw_links}
+    out = []
+    for c, block in F.nodes_at.items():
+        by_k = sorted(block, key=lambda i: int(F.ids[i].rsplit("#", 1)[1]))
+        co = c.coords
+        for a, m in enumerate(co):
+            if m % 2:
+                for e in (m - 1, m + 1):
+                    f = Cell(co[:a] + (e,) + co[a + 1:])
+                    out += [(F.ids[i], F.ids[parent[i, f]]) for i in by_k]
+    return out
+
+
+def test_block_build_matches_the_per_node_reference():
+    rng = random.Random(59)
+    split_runs = repeated = 0
+    for trial in range(60):
+        d = 1 + trial % 3
+        g = random_geometric(rng, "b", rng.randint(2, (9, 6, 4)[d - 1]), d=d,
+                             denom=rng.choice([2, 10]), spread=rng.choice([6, 17][:4 - d]),
+                             extra_edges=rng.randint(0, 2))
+        if trial % 10 == 0:
+            # a dozen disjoint strands: a cell holds "c#10" and "c#11", which
+            # sort before "c#2"
+            g = GeometricGraph(d=1, vertices={
+                f"s{k}{end}": (Fraction(rng.randint(-19, 19), 10),) for k in range(12)
+                for end in "ab"}, edges=[(f"s{k}a", f"s{k}b") for k in range(12)])
+        grid = fit_grid([g], rng.choice([1.0, 0.5]))
+        F = build(g, grid).graph
+        # ingest hands its blocks and index pairs over directly
+        nodes = list(zip(F.ids, F.cells))
+        listed = _ingest_links(F)
+        assert len(listed) == F.link_count(), trial
+        want = reference_graph(grid, nodes, listed)
+        assert state(F) == state(want), trial
+        assert to_json(F) == to_json(want), trial
+        # shuffled nodes (so one cell's nodes come in several runs), shuffled
+        # links, repeated (node, face cell) pairs and links that go anywhere
+        links = list(listed)
+        for _ in range(rng.randint(0, 4)):
+            ci, pi = rng.choice(F._raw_links)
+            links.append((F.ids[ci], rng.choice(F.elements_of(F.cells[pi]))))
+        for _ in range(rng.randint(0, 2)):
+            links.append((rng.choice(F.ids), rng.choice(F.ids)))
+        rng.shuffle(nodes)
+        rng.shuffle(links)
+        runs = sum(k == 0 or nodes[k][1] != nodes[k - 1][1] for k in range(len(nodes)))
+        split_runs += runs > len(F.nodes_at)
+        want = reference_graph(grid, nodes, links)
+        problems = validate(want)
+        repeated += any("duplicate face image" in m for m in problems)
+        for got in (CosheafGraph(grid, nodes, links),
+                    from_json_obj(_wire(grid, nodes, links))):
+            assert state(got) == state(want), trial
+            assert validate(got) == problems, trial
+            assert to_json(got) == to_json(want), trial
+    assert split_runs > 40 and repeated > 20, (split_runs, repeated)
 
 
 # -- slices and components ---------------------------------------------------------

@@ -463,6 +463,18 @@ def _coincident_cuts(rng: random.Random, d: int, n: int) -> GeometricGraph:
     return GeometricGraph(d=d, vertices=verts, edges=edges + [tuple(rng.sample(sorted(verts), 2))])
 
 
+def _parallel_strands(rng: random.Random, d: int) -> GeometricGraph:
+    """A dozen disjoint edges across the box along axis 0, all in one row of
+    cells on the other axes: a cell holds a dozen nodes, and the ids "c#10"
+    and "c#11" sort before "c#2"."""
+    verts = {}
+    for k in range(12):
+        rest = tuple(Fraction(rng.randint(1, 9), 10) for _ in range(d - 1))
+        verts[f"s{k:02}a"] = (Fraction(-rng.randint(11, 29), 10),) + rest
+        verts[f"s{k:02}b"] = (Fraction(rng.randint(11, 29), 10),) + rest
+    return GeometricGraph(d=d, vertices=verts, edges=[(f"s{k:02}a", f"s{k:02}b") for k in range(12)])
+
+
 def _walk_trials(rng: random.Random):
     """(d, kind, graph) per trial of the walk test; kind is the denominator
     of the random trials."""
@@ -478,6 +490,8 @@ def _walk_trials(rng: random.Random):
         yield d, "coincident", _coincident_cuts(rng, d, rng.randint(2, 6 if d < 3 else 4))
     for d in [1] * 6 + [2] * 10 + [3] * 6:
         yield d, "shared", _shared_carriers(rng, d)
+    for d in (1, 1, 2, 3):
+        yield d, "strands", _parallel_strands(rng, d)
 
 
 def test_walk_matches_midpoint_subdivision():
