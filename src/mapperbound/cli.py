@@ -45,11 +45,12 @@ def _emit(obj: dict) -> None:
 
 def _read(path: str, parse, parse_float=None):
     """parse(the JSON value in the file at `path`); a refusal of the file's
-    content is raised again with the path in front of its message."""
+    content, or JSON nested too deep to parse, is raised again with the path
+    in front of its message."""
     try:
         with open(path) as fh:
             return parse(json.load(fh, parse_float=parse_float))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 

@@ -5,11 +5,11 @@ cell sigma as nodes (each node carries its cell), plus links (x, y) meaning
 that y is the image of x under the map induced by S_{cell(x)} inside
 S_{cell(y)}, where cell(y) is a codimension-1 face of cell(x).  Face images
 are rows, one per (cell, face cell) pair.  A codimension-1 row is stored: each
-node's first listed link there.  A deeper row composes, for each axis where
-the two cells differ in axis order, the row to the codimension-1 face between
-them with that face's row, and keeps each node's first image found.
-Path-independence of that composition is a validated invariant rather than
-duplicated data.  There is one build, block by block (the ids of each cell
+node's first listed link there.  Every image comes from one descent, _descend:
+through each facet (grid.facets order) that holds the face, the stored row
+composed with the facet's own images.  The loss keeps each node's first image;
+validate reads every image and requires them to agree, so it certifies exactly
+what the loss reads.  There is one build, block by block (the ids of each cell
 in, nodes numbered cell by cell, links as index pairs): the constructor groups
 (id, cell) pairs, from_json_obj takes a block per run of equal cells in a
 file, and ingest.build hands over its blocks and index pairs.
@@ -50,6 +50,7 @@ from .grid import (
     cell_sort_key,
     cell_to_wire,
     faces,
+    facets,
     is_face,
     saturation_steps,
     shell_cells,
@@ -161,8 +162,13 @@ class CosheafGraph:
         """Ids of the elements carried by cell c (empty when the cell is unoccupied)."""
         return [self.ids[i] for i in self.nodes_at.get(c, ())]
 
+    def _index_of(self, node_id: str) -> int:
+        if (i := self.index.get(node_id)) is None:
+            raise CosheafError(f"unknown node {node_id!r}")
+        return i
+
     def cell_of(self, node_id: str) -> Cell:
-        return self.cells[self.index[node_id]]
+        return self.cells[self._index_of(node_id)]
 
     def occupied_cells(self) -> list[Cell]:
         return sorted(self.nodes_at, key=cell_sort_key)
@@ -176,7 +182,7 @@ class CosheafGraph:
     def face_image(self, node_id: str, face: Cell) -> str:
         """The element at `face` that the given node maps to: its entry in the
         face-image row of its cell (composites agree by the validated invariant)."""
-        i = self.index[node_id]
+        i = self._index_of(node_id)
         c = self.cells[i]
         j = i if face == c else self._face_images(c, face)[i - self.nodes_at[c][0]]
         if j is None:
@@ -185,28 +191,27 @@ class CosheafGraph:
 
     def _face_images(self, c: Cell, face: Cell) -> list[int | None]:
         """The face image at `face`, a proper face of c, of each node over c
-        by position in c's block; None where a node has none.  A codimension-1
-        face reads its stored row.  A deeper face composes, for each axis where
-        c and `face` differ in axis order, the row to the codimension-1 face mid
-        taking face's coordinate there with _face_images(mid, face); each node
-        keeps the first image found."""
-        row = self._links.get((c, face))
-        if row is not None and face.dim == c.dim - 1:
-            return row
-        out: list[int | None] = [None] * len(self.nodes_at[c])
-        co = c.coords
-        for a, (m, e) in enumerate(zip(co, face.coords)):
-            if m == e:
+        by position in c's block, None where it has none: the first image
+        _descend gives it (a facet's image is its stored row)."""
+        out = None
+        for row in self._descend(c, face):
+            out = row if out is None else [k if j is None else j for j, k in zip(out, row)]
+        return [None] * len(self.nodes_at[c]) if out is None else out
+
+    def _descend(self, c: Cell, face: Cell) -> Iterator[list[int | None]]:
+        """The one descent to `face`, a proper face of c: for each facet mid of
+        c that holds `face` and has a stored row, in grid.facets order, each
+        node's image at `face` through mid by position in c's block, None for
+        none: the row if mid is `face`, else it composed with _face_images."""
+        for mid in (face,) if face in facets(c) else facets(c):  # a facet holds no other facet
+            row = self._links.get((c, mid))
+            if row is None:
                 continue
-            mid = Cell(co[:a] + (e,) + co[a + 1:])
-            down = self._links.get((c, mid))
-            if down is None:
-                continue
-            img, m0 = self._face_images(mid, face), self.nodes_at[mid][0]
-            for s, j in enumerate(down):
-                if out[s] is None and j is not None:
-                    out[s] = img[j - m0]
-        return out
+            if mid == face:
+                yield row
+            elif is_face(face, mid):
+                img, m0 = self._face_images(mid, face), self.nodes_at[mid][0]
+                yield [None if j is None else img[j - m0] for j in row]
 
     def saturation(self, center: Cell) -> int:
         return star_saturation(self.grid, self.grid.check_cell(center))
@@ -350,43 +355,25 @@ def validate(F: CosheafGraph) -> list[str]:
     deeper face; derived images along different descent orders must agree.
     Link violations are reported alone.
 
-    The checks run per block of nodes sharing a cell, on whole face rows
-    from _links.  Links are checked one by one only when the rows of proper
-    codimension-1 faces do not hold every link, i.e. some link goes
+    The checks run per block of nodes sharing a cell, on the whole rows that
+    _descend yields for each facet and each occupied deeper face: the images
+    the loss reads.  Links are checked one by one only when the rows of
+    proper codimension-1 faces do not hold every link, i.e. some link goes
     elsewhere or repeats a (node, face cell) pair.  Messages come in link
     order, then node order, as a per-node pass would give them.
     """
     out: list[str] = []
-    filled = 0  # slots of proper codimension-1 rows that hold a link
     for c, block in F.nodes_at.items():
-        co = c.coords
-        # codimension-1 faces: one open interval closed down to either end
-        mids = [Cell(co[:a] + (m + e,) + co[a + 1:])
-                for a, m in enumerate(co) if m % 2 for e in (-1, 1)]
+        mids = facets(c)
         failed: dict[Cell, list[set[int]]] = {}
-        for f in mids:
-            row = F._links.get((c, f))
-            if row is None:
-                failed[f] = [set() for _ in block]
-                continue
-            missing = row.count(None)
-            filled += len(row) - missing
-            if missing:
-                failed[f] = [set() if j is None else {j} for j in row]
-        # deeper faces, from cells of dimension 2 up
-        for f in faces(c).difference(mids) if len(mids) > 2 else ():
-            if f not in F.nodes_at:
-                continue
-            images: list[set[int]] = [set() for _ in block]
-            for mid in mids:
-                row = F._links.get((c, mid))
-                if row is None or not is_face(f, mid):
-                    continue
-                img = F._face_images(mid, f)
-                m0 = F.nodes_at[mid][0]
-                for s, j in enumerate(row):
-                    if j is not None and img[j - m0] is not None:
-                        images[s].add(img[j - m0])
+        # every facet, occupied or not, and every occupied deeper face (dimension 2 up)
+        deeper = [f for f in faces(c).difference(mids) if f in F.nodes_at] if len(mids) > 2 else []
+        for f in (*mids, *deeper):
+            rows = list(F._descend(c, f))
+            if rows and None not in rows[0] and rows.count(rows[0]) == len(rows):
+                continue  # one image per node, the same along every facet
+            images = ([{j for j in col if j is not None} for col in zip(*rows)] if rows
+                      else [set() for _ in block])
             if any(len(x) != 1 for x in images):
                 failed[f] = images
         if not failed:
@@ -400,8 +387,9 @@ def validate(F: CosheafGraph) -> list[str]:
                 elif len(images[s]) > 1:
                     names = sorted(F.ids[k] for k in images[s])
                     out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")
-    if filled == len(F._raw_links):
-        return out
+    if sum(len(r) - r.count(None) for (c, f), r in F._links.items()
+           if f in facets(c)) == len(F._raw_links):
+        return out  # each link fills a slot of a facet row
 
     # some link is not to a proper codimension-1 face, or repeats a (node, face cell) pair
     out = []
@@ -505,11 +493,13 @@ def _cell_token(c: Cell) -> str:
 
 def to_dot(F: CosheafGraph) -> str:
     """One graph node per cosheaf node labeled id@cell, one undirected edge
-    per link.  Output is stable under re-runs."""
+    per link.  Output is stable under re-runs.  Quoted strings escape each
+    '"' as '\\"', DOT's one escape."""
+    ids = [nid.replace('"', '\\"') for nid in F.ids]
     lines = ["graph cosheaf {"]
-    for nid, c in zip(F.ids, F.cells):
+    for nid, c in zip(ids, F.cells):
         lines.append(f'  "{nid}" [label="{nid}@{_cell_token(c)}"];')
     for ci, pi in F._raw_links:
-        lines.append(f'  "{F.ids[ci]}" -- "{F.ids[pi]}";')
+        lines.append(f'  "{ids[ci]}" -- "{ids[pi]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

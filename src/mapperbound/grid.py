@@ -16,7 +16,9 @@ A thickened star is a box (star_box), so the hot paths use closed forms:
 star_ring for membership (the least thickening of a star that holds a cell),
 ring_cells for the cells of one ring (the shell between two boxes), and
 star_saturation; the set algebra is their tested reference, still imported
-where the benchmark's tracer wraps it.
+where the benchmark's tracer wraps it.  facets is the one listing of a cell's
+codimension-1 faces (axis order, lower end first): ingest's links and the
+cosheaf's one descent to deeper faces follow it.
 
 Interval encoding: each axis entry of a cell is a single integer m, where
 m = 2l encodes the grid point l*delta and m = 2l+1 encodes the open interval
@@ -26,6 +28,7 @@ between an even and an odd entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
@@ -205,6 +208,16 @@ def faces(c: Cell) -> frozenset[Cell]:
     """All proper faces of c.  |faces(c)| + 1 == 3^dim(c)."""
     prod = itertools.product(*(_axis_faces(m) for m in c.coords))
     return frozenset(Cell(t) for t in prod) - {c}
+
+
+@functools.cache
+def facets(c: Cell) -> tuple[Cell, ...]:
+    """The codimension-1 faces of c: per open axis in axis order, the interval
+    closed down to its lower end point, then to its upper one.  Cached: the
+    cosheaf's descent asks for the facets of a cell once per face it reads."""
+    co = c.coords
+    return tuple(Cell(co[:a] + (e,) + co[a + 1:]) for a, m in enumerate(co) if m % 2
+                 for e in (m - 1, m + 1))
 
 
 def cofaces(grid: GridSpec, c: Cell) -> frozenset[Cell]:

@@ -11,7 +11,7 @@ direction, and cuts on several axes at one parameter are one point.  Adjacent
 pieces with one carrier join once, into a class; for each cell sigma a
 union-find over the classes inside the star of sigma, joined by the other
 chain adjacencies bucketed under sigma, yields the elements and is kept to
-locate points.  The inclusion-induced maps fall out of component containment.
+locate points.  Links (per grid.facets) fall out of component containment.
 
 Generic position is not assumed.  Values sitting exactly on grid hyperplanes
 get degenerate carrier coordinates, and an edge lying inside a hyperplane is
@@ -24,7 +24,6 @@ as ints, carriers are bit-stable, and spans are integers over P.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 import json
@@ -34,7 +33,7 @@ from typing import Sequence
 
 from .cosheaf import CosheafGraph, _cell_token
 # star is unused here but stays importable: the benchmark's tracer wraps it
-from .grid import Cell, GridSpec, cell_sort_key, star, wire, wire_pairs  # noqa: F401
+from .grid import Cell, GridSpec, cell_sort_key, faces, facets, star, wire, wire_pairs  # noqa: F401
 
 
 class IngestError(ValueError):
@@ -284,8 +283,7 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
     pairs: dict[Cell, list[tuple[int, int]]] = {}
     for c, ps in by_carrier.items():
         js = [(cls[a], cls[b]) for a, b in joins.get(c, ())]
-        for f in itertools.product(*((m,) if m % 2 == 0 else (m - 1, m, m + 1) for m in c)):
-            f = Cell(f)
+        for f in (Cell(c), *faces(Cell(c))):
             members.setdefault(f, []).extend(ps)
             if js:
                 pairs.setdefault(f, []).extend(js)
@@ -310,13 +308,10 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
         node_of = dict(zip([roots[k] for k in order], range(count, count + len(roots))))
         count += len(roots)
         forests[c] = up, node_of
-        # every piece of a node lies over each face too: its root finds the image
-        co = c.coords
-        for a, m in enumerate(co):
-            if m % 2:
-                for e in (m - 1, m + 1):
-                    fup, fnode = forests[Cell(co[:a] + (e,) + co[a + 1:])]
-                    links += ((node_of[r], fnode[_root(fup, r)]) for r in roots)
+        # every piece of a node lies over each facet too: its root finds the image
+        for f in facets(c):
+            fup, fnode = forests[f]
+            links += ((node_of[r], fnode[_root(fup, r)]) for r in roots)
 
     return MapperBuild(graph=CosheafGraph._from_blocks(grid, blocks, links, named=False),
                        source=g, grid=grid, _forests=forests, _class=cls,

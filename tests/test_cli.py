@@ -675,6 +675,23 @@ def test_ingest_and_pi0_refusals_name_the_file(workdir, capsys):
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+def test_json_nested_too_deep_to_parse_is_refused_naming_the_file(bound_bundle, workdir,
+                                                                  capsys):
+    f, g, m = bound_bundle
+    deep = write(workdir / "deep.json", "[" * 100_000 + "]")
+    good = write(workdir / "ok.json", _VERTEX)
+    out = str(workdir / "out.json")
+    for argv in (["bound", "--f", deep, "--g", g, "--assignment", m],
+                 ["check", "--f", f, "--g", deep, "--assignment", m, "--k", "0"],
+                 ["bound", "--f", f, "--g", g, "--assignment", deep],
+                 ["ingest", "--input", deep, "--delta", "1.0", "--output", out],
+                 ["ingest", "--input", good, "--delta", "1.0", "--grid", deep, "--output", out]):
+        rc, stdout, err = run(capsys, argv)
+        assert (rc, stdout) == (2, ""), argv
+        assert err.startswith(f"error: {deep}: ") and err.count("\n") == 1, argv
+    assert not (workdir / "out.json").exists()
+
+
 # -- the cyclic collector -------------------------------------------------------------
 
 

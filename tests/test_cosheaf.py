@@ -130,6 +130,33 @@ def test_face_images_follow_the_first_listed_link():
         loss_report(F, F, a, 0)
 
 
+def test_unknown_node_ids_are_refused_by_name():
+    F = tiny_path_cosheaf()
+    for call in (lambda: F.cell_of("nope"), lambda: F.face_image("nope", V(0))):
+        with pytest.raises(CosheafError, match="unknown node 'nope'"):
+            call()
+
+
+def test_validate_reads_every_face_image_through_the_one_descent(monkeypatch):
+    # validate asks _descend, the descent _face_images keeps the first image
+    # of, for every facet and every occupied deeper face of every cell
+    rng = random.Random(59)
+    g = random_geometric(rng, "r", 5, d=2, denom=2, spread=6, extra_edges=1)
+    F = build(g, fit_grid([g], 1.0)).graph
+    asked, descend = set(), CosheafGraph._descend
+
+    def spy(self, c, f):
+        asked.add((c, f))
+        return descend(self, c, f)
+
+    monkeypatch.setattr(CosheafGraph, "_descend", spy)
+    assert validate(F) == []
+    want = {(c, f) for c in F.nodes_at for f in faces(c)
+            if f.dim == c.dim - 1 or f in F.nodes_at}
+    assert asked == want
+    assert any(c.dim - f.dim == 2 for c, f in want)
+
+
 def test_unknown_link_target_rejected():
     grid = GridSpec(1, 1.0, 2)
     with pytest.raises(CosheafError):
@@ -534,6 +561,40 @@ def test_dot_export_stable(listing):
     assert dot == to_dot(F)
     assert dot.count(" -- ") == F.link_count()
     assert dot.count("label=") == F.node_count()
+
+
+def _dot_strings(text: str) -> list[str]:
+    """The quoted strings of DOT text, read by DOT's rule: a backslash before
+    a quote makes it part of the string, any other backslash is itself."""
+    out, cur, i = [], None, 0
+    while i < len(text):
+        if cur is None:
+            cur = [] if text[i] == '"' else None
+        elif text.startswith('\\"', i):
+            cur.append('"')
+            i += 1
+        elif text[i] == '"':
+            out.append("".join(cur))
+            cur = None
+        else:
+            cur.append(text[i])
+        i += 1
+    return out
+
+
+def test_dot_export_escapes_quotes():
+    ids = ['a"b', '"', 'x\\"y', 'q""']
+    F = CosheafGraph(GridSpec(1, 1.0, 2), [(ids[0], V(0)), (ids[1], V(1)), (ids[2], E(0)),
+                                           (ids[3], E(1))],
+                     [(ids[2], ids[0]), (ids[2], ids[1]), (ids[3], ids[1])])
+    want = [s for nid, c in zip(F.ids, F.cells)
+            for s in (nid, f"{nid}@{cosheaf._cell_token(c)}")]
+    want += [F.ids[k] for link in F._raw_links for k in link]
+    assert _dot_strings(to_dot(F)) == want
+    # ids without a quote are written as they are
+    assert to_dot(tiny_path_cosheaf()) == (
+        'graph cosheaf {\n  "p0" [label="p0@0"];\n  "p1" [label="p1@1"];\n'
+        '  "e0" [label="e0@0+"];\n  "e0" -- "p0";\n  "e0" -- "p1";\n}\n')
 
 
 def test_elements_by_dim(listing):

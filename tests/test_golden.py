@@ -268,3 +268,10 @@ def test_every_demo_is_pinned():
 def test_demo_stdout_bytes(name, capsys):
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert _sha(capsys.readouterr().out) == DEMO_SHA256[name]
+
+
+def test_readme_quickstart_prints_what_it_says(capsys):
+    readme = (DEMOS.parent / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out == "0 1.0\n"

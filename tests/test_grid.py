@@ -26,6 +26,7 @@ from mapperbound.grid import (
     cofaces,
     edge_cell,
     faces,
+    facets,
     is_open,
     ring_cells,
     saturation_steps,
@@ -54,6 +55,19 @@ def test_gridspec_invariants():
 
 def test_faces_of_an_edge():
     assert faces(edge_cell(3)) == {vertex_cell(3), vertex_cell(4)}
+
+
+def test_facets_are_the_codimension_1_faces_in_axis_order():
+    sq = cell(("nondeg", 0), ("nondeg", 2))
+    assert facets(sq) == (cell(("deg", 0), ("nondeg", 2)), cell(("deg", 1), ("nondeg", 2)),
+                          cell(("nondeg", 0), ("deg", 2)), cell(("nondeg", 0), ("deg", 3)))
+    assert facets(vertex_cell(1, 2)) == ()
+    for c in all_cells(GridSpec(3, 1.0, 1)):
+        want = {f for f in faces(c) if f.dim == c.dim - 1}
+        assert len(facets(c)) == len(want) == 2 * c.dim and set(facets(c)) == want
+        # by the axis where the facet closes c, then the lower end point first
+        assert list(facets(c)) == sorted(want, key=lambda f: next(
+            (a, e) for a, (m, e) in enumerate(zip(c.coords, f.coords)) if m != e))
 
 
 def test_cofaces_of_interior_vertex_d1():
