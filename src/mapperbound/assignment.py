@@ -25,10 +25,14 @@ phrased as "do these two nodes share a component of a given slice":
 Each diagram passes from some least slack on: slice components only merge as
 the radius grows, so it is read off the merge radius r of its two chased nodes,
 r - n for a parallelogram and ceil((r - 2n) / 2) for a triangle, floored at 0.
-One pass, _slacks, lists every diagram with a positive slack, making one
-merge_radii sweep per center and target graph, and every entry point reads
-that list: a diagram fails at slack k iff its slack exceeds k, and the basis
-loss L_B is the largest slack, the least one making every family pass.  The
+One pass, _slacks, lists every diagram with a positive slack, and every entry
+point reads that list: a diagram fails at slack k iff its slack exceeds k, and
+the basis loss L_B is the largest slack, the least one making every family
+pass.  _chains covers the centers with chains, each center a facet of the one
+before; the thickened stars of a face and its coface nest (star_box(tau, r)
+lies in star_box(sigma, r), which lies in star_box(tau, r + 1)), so _slacks
+makes one merge_radii sweep per chain and target graph, exact for every
+center of the chain.  The
 certified bound is n + L_B, and for d = 1 the scaled quantity
 delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
 """
@@ -38,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .cosheaf import CosheafGraph, _slack, fmt_extended
-from .grid import (Cell, InvalidInput, cell_sort_key, cell_to_wire, closure, faces, ring_cells,
+from .grid import (Cell, InvalidInput, cell_sort_key, cell_to_wire, faces, facets, ring_cells,
                    star_ring, thicken, wire)
 
 KIND_ORDER = ("parallelogram_left", "parallelogram_right", "triangle_down", "triangle_up")
@@ -245,57 +249,83 @@ def _check(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
     F.grid.check_cell(sigma)
     if tau is not None and sigma not in faces(F.grid.check_cell(tau)):
         raise AssignmentError("sigma must be a proper face of tau")
-    bad = [w for w in _failing(F, G, a, k, [sigma]) if w.kind == kind and w.tau == tau]
+    bad = [w for w in _failing(F, G, a, k, [[sigma]]) if w.kind == kind and w.tau == tau]
     return (not bad, bad)
 
 
 # -- the basis loss -------------------------------------------------------------
 
 
-def _centers(F: CosheafGraph, G: CosheafGraph) -> list[Cell]:
-    """Every cell a diagram is centered at: the faces of both graphs' occupied
-    cells, in cell order."""
-    return sorted(closure([*F.nodes_at, *G.nodes_at]), key=cell_sort_key)
+def _chains(F: CosheafGraph, G: CosheafGraph) -> list[list[Cell]]:
+    """Every cell a diagram is centered at, the faces of both graphs' occupied
+    cells, covered once by chains in which each cell is a facet of the one
+    before.  One walk down grid.facets, a dimension at a time from the top:
+    each chain that reached the dimension above takes the first facet of its
+    last cell that no chain holds yet, and every cell of the dimension still
+    free starts a chain, in coordinate order."""
+    levels: list[list[Cell]] = [[] for _ in range(F.grid.d + 1)]
+    for c in {*F.nodes_at, *G.nodes_at}:
+        levels[len(facets(c)) // 2].append(c)  # a cell of dimension k has 2k facets
+    chains: list[list[Cell]] = []
+    tails: list[list[Cell]] = []  # the chains that reached the dimension above
+    for cells in reversed(levels):
+        free = {*cells, *(f for chain in tails for f in facets(chain[-1]))}
+        grown = []
+        for chain in tails:
+            for f in facets(chain[-1]):
+                if f in free:
+                    free.remove(f)
+                    chain.append(f)
+                    grown.append(chain)
+                    break
+        new = [[c] for c in sorted(free)]
+        chains += new
+        tails = grown + new
+    return chains
 
 
 def _slacks(F: CosheafGraph, G: CosheafGraph, n: int, phi: list[int], psi: list[int],
-            centers: list[Cell] | None = None) -> list[tuple[Witness, float | int]]:
+            chains: list[list[Cell]] | None = None) -> list[tuple[Witness, float | int]]:
     """(diagram, slack) for every basis diagram whose slack is positive,
-    center by center (every center by default).  The diagrams centered at
-    sigma are read off the face poset: a parallelogram for each proper coface
-    tau of sigma that src occupies (ring 0 around sigma is its star), a
-    triangle when src occupies sigma.
+    chain by chain (_chains by default; a chain lists centers, each a face
+    of the one before).  The diagrams centered at sigma are read off the face
+    poset: a parallelogram for each proper coface tau of sigma that src
+    occupies (ring 0 around sigma is its star), a triangle when src occupies
+    sigma.
 
-    One merge_radii sweep per target graph takes its parallelograms (step 1)
-    then its triangle (step 2): G's are parallelogram_left and triangle_up,
-    F's parallelogram_right and triangle_down.  The diagram of element x with
-    merge radius r has slack _slack(r, step, n); a group whose largest radius
-    gives slack 0 is skipped whole."""
+    One merge_radii sweep per chain and target graph takes, center by
+    center, its parallelograms (step 1) then its triangle (step 2): G's are
+    parallelogram_left and triangle_up, F's parallelogram_right and
+    triangle_down.  The diagram of element x with merge radius r has slack
+    _slack(r, step, n); a group whose largest radius gives slack 0 is
+    skipped whole."""
     out: list[tuple[Witness, float | int]] = []
-    for sigma in centers or _centers(F, G):
-        up = [tau for tau in ring_cells(F.grid, sigma, 0) if tau != sigma]
+    for chain in chains or _chains(F, G):
+        ups = [[tau for tau in ring_cells(F.grid, sigma, 0) if tau != sigma] for sigma in chain]
         for dst, src, ptr, back, kinds in ((G, F, phi, psi, ("parallelogram_left", "triangle_up")),
                                            (F, G, psi, phi, ("parallelogram_right", "triangle_down"))):
-            groups, us, vs = [], [], []
-            for tau in up:
-                xs = src.nodes_at.get(tau)
-                if xs is None:
-                    continue
-                fs = src._face_images(tau, sigma)
-                if None in fs:
-                    raise AssignmentError(f"cosheaf is missing the face image of "
-                                          f"{src.ids[xs[fs.index(None)]]!r} at {sigma!r}")
-                groups.append((kinds[0], 1, tau, src, xs))
-                us += [ptr[x] for x in xs]
-                vs += [ptr[f] for f in fs]
-            ys = dst.nodes_at.get(sigma)
-            if ys is not None:
-                groups.append((kinds[1], 2, None, dst, ys))
-                us += ys
-                vs += [ptr[back[y]] for y in ys]
-            radii = dst.merge_radii(sigma, us, vs)
+            groups, us, vs, ends = [], [], [], []
+            for sigma, up in zip(chain, ups):
+                for tau in up:
+                    xs = src.nodes_at.get(tau)
+                    if xs is None:
+                        continue
+                    fs = src._face_images(tau, sigma)
+                    if None in fs:
+                        raise AssignmentError(f"cosheaf is missing the face image of "
+                                              f"{src.ids[xs[fs.index(None)]]!r} at {sigma!r}")
+                    groups.append((kinds[0], 1, sigma, tau, src, xs))
+                    us += [ptr[x] for x in xs]
+                    vs += [ptr[f] for f in fs]
+                ys = dst.nodes_at.get(sigma)
+                if ys is not None:
+                    groups.append((kinds[1], 2, sigma, None, dst, ys))
+                    us += ys
+                    vs += [ptr[back[y]] for y in ys]
+                ends.append(len(us))
+            radii = dst.merge_radii(chain, us, vs, ends)
             end = 0
-            for kind, step, tau, graph, xs in groups:
+            for kind, step, sigma, tau, graph, xs in groups:
                 rs = radii[end:end + len(xs)]
                 end += len(xs)
                 if _slack(max(rs), step, n):
@@ -305,13 +335,13 @@ def _slacks(F: CosheafGraph, G: CosheafGraph, n: int, phi: list[int], psi: list[
 
 
 def _failing(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int,
-             centers: list[Cell] | None = None) -> list[Witness]:
-    """The diagrams failing at slack k, center by center (every center by
-    default): those whose slack exceeds k."""
+             chains: list[list[Cell]] | None = None) -> list[Witness]:
+    """The diagrams failing at slack k, chain by chain (_chains by default):
+    those whose slack exceeds k."""
     phi, psi = _prepare(F, G, a)
     if k < 0:
         raise AssignmentError("slack k must be a natural number")
-    return [w for w, s in _slacks(F, G, a.n, phi, psi, centers) if s > k]
+    return [w for w, s in _slacks(F, G, a.n, phi, psi, chains) if s > k]
 
 
 def loss_at(F: CosheafGraph, G: CosheafGraph, a: Assignment, k: int) -> bool:

@@ -23,9 +23,14 @@ of the thickened set.
 
 Components only merge as the radius grows, so two nodes have a least radius
 at which they share a component: their merge radius, an ultrametric.  One
-merge_radii sweep gives it for many pairs; every diagram check, distance and
-diameter read it.  slice takes its nodes from the same rings and labels them
-with the same union-find step.
+merge_radii sweep, an insertion-only union-find, gives it for many pairs and
+a chain of centers, each a face of the one before.  For a face s of t (per
+axis the same coordinate, or s's even and t's one off; clipping keeps both
+inclusions) star_box(t, r) lies in star_box(s, r), which lies in
+star_box(t, r + 1); so the boxes at checkpoints (r, k), r major and cofaces
+first, nest, and after (r, k) the union-find holds exactly the slice of the
+k-th center at radius r.  Every diagram check, distance and diameter read
+it; slice labels the same rings, for a chain of one center.
 
 Extended naturals (merge radii, slacks, L_B) are ints with INFINITE =
 float("inf") as the top element, so arithmetic saturates; fmt_extended writes
@@ -237,52 +242,82 @@ class CosheafGraph:
         self.grid.check_cell(center)
         if radius < 0:
             raise ValueError("radius must be a natural number")
-        return self._labeling(i for ring in itertools.islice(self._rings(center), radius + 1)
+        # a chain of one center has one checkpoint per radius
+        return self._labeling(i for _, _, ring in itertools.islice(self._rings([center]),
+                                                                   radius + 1)
                               for i in ring)
 
-    def _rings(self, center: Cell) -> Iterator[list[int]]:
-        """The node indices of each ring around `center`, ring r holding the
-        nodes whose cell has star_ring r, for r = 0 up to saturation.  While
-        the r-box holds no more grid cells than the graph occupies, ring r
-        looks up in nodes_at the cells of the shell between the r-box and the
-        (r-1)-box, as grid.ring_cells lists them; from there on, one
-        star_ring scan of the occupied cells gives every remaining ring."""
-        top, get, inner = self.saturation(center), self.nodes_at.get, None
-        for r in range(top + 1):
-            box = star_box(self.grid, center, r)
-            if math.prod(map(len, box)) > len(self.nodes_at):
-                rest: list[list[int]] = [[] for _ in range(r, top + 1)]
-                for c, block in self.nodes_at.items():
-                    if (s := star_ring(center, c) - r) >= 0:
-                        rest[s] += block
-                yield from rest
-                return
-            yield [i for t in shell_cells(box, inner) for i in get(t, ())]
-            inner = box
+    def _rings(self, chain: Sequence[Cell]) -> Iterator[tuple[int, int, list[int]]]:
+        """(r, k, nodes) per checkpoint of a chain of centers, each a face of
+        the one before: r major, and within r, k from the top center down,
+        each center up to its own saturation.  `nodes` lie in
+        star_box(chain[k], r) and in no earlier checkpoint's box; the boxes
+        nest (module docstring), so the nodes up to (r, k) are the slice of
+        chain[k] at radius r.  While a box holds no more grid cells than the
+        graph occupies, they are looked up on the shell between it and the
+        previous box; from there on, one star_ring scan of the occupied
+        cells files each cell under its first checkpoint."""
+        m, get, inner = len(chain), self.nodes_at.get, None
+        tops = [self.saturation(c) for c in chain]  # non-increasing down a chain
+        for r in range(tops[0] + 1):
+            for k, center in enumerate(chain):
+                if r > tops[k]:
+                    break
+                box = star_box(self.grid, center, r)
+                if math.prod(map(len, box)) > len(self.nodes_at):
+                    q = r * m + k
+                    rest: list[list[int]] = [[] for _ in range(q, (tops[0] + 1) * m)]
+                    for c, block in self.nodes_at.items():
+                        # by the nesting, its ring is s around chain[0], s - 1 from some j on
+                        s = star_ring(chain[0], c)
+                        first = s * m
+                        for j in range(1, m):
+                            if star_ring(chain[j], c) < s:
+                                first += j - m
+                                break
+                        if first >= q:
+                            rest[first - q] += block
+                    for i, ring in enumerate(rest, q):
+                        yield i // m, i % m, ring
+                    return
+                yield r, k, [i for t in shell_cells(box, inner) for i in get(t, ())]
+                inner = box
 
-    def merge_radii(self, center: Cell, us: list[int], vs: list[int]) -> list:
+    def merge_radii(self, chain: Sequence[Cell], us: list[int], vs: list[int],
+                    ends: Sequence[int] | None = None) -> list:
         """For each pair of node indices (us[p], vs[p]): the least radius at
-        which both lie in one component of the slice at `center`, INFINITE if
-        they are still apart at saturation.  A node paired with itself merges
-        at 0.
+        which both lie in one component of the slice at its center, INFINITE
+        if they are still apart at saturation; a node paired with itself
+        merges at 0.  chain[k], each center a face of the one before, is the
+        center of the pairs from ends[k-1] (or 0) to ends[k]; ends may be
+        left out for a chain of one.
 
-        One sweep adds the slice's nodes ring by ring (ring r holds the nodes
-        whose cell has star_ring r around the center) to a union-find, and
-        stops once every pair has merged or the slice saturates.  A ring is
-        read from the shell of the box around the center while that box is
-        smaller than the occupied set, so a sweep that stops early costs the
-        cells it reached, not the whole graph."""
+        One sweep adds each of _rings' checkpoints to a union-find and checks
+        member k's pending pairs at (r, k) if a node came in since its last
+        check.  A member with nothing pending takes no part, and the sweep
+        stops once every pair has merged or the checkpoints run out, so a
+        sweep that stops early costs the cells it reached."""
+        ends = [len(us)] if ends is None else ends
         out: list = [0 if u == v else INFINITE for u, v in zip(us, vs)]
-        pending = [p for p, r in enumerate(out) if r]
-        if not pending:
+        members, pending = [], []
+        for c, a, b in zip(chain, [0, *ends], ends):
+            if todo := [p for p in range(a, b) if out[p]]:
+                members.append(c)  # a sub-chain still nests
+                pending.append(todo)
+        if not members:
             return out
-        parent = [-1] * len(self.ids)
-        for r, ring in enumerate(self._rings(center)):
-            if not ring:
+        parent, adj = [-1] * len(self.ids), self.adj
+        added, seen, left = 0, [0] * len(members), len(members)
+        for r, k, ring in self._rings(members):
+            if ring:
+                _join(parent, adj, ring)
+                added += len(ring)
+            todo = pending[k]
+            if not todo or seen[k] == added:
                 continue
-            _join(parent, self.adj, ring)
+            seen[k] = added
             still = []
-            for p in pending:
+            for p in todo:
                 a, b = us[p], vs[p]
                 if parent[a] >= 0 <= parent[b]:
                     while parent[a] != a:
@@ -293,9 +328,11 @@ class CosheafGraph:
                         out[p] = r
                         continue
                 still.append(p)
+            pending[k] = still
             if not still:
-                break
-            pending = still
+                left -= 1
+                if not left:
+                    break
         return out
 
 
@@ -419,7 +456,7 @@ def distance(F: CosheafGraph, center: Cell, m: int, x: str, y: str):
     idx = [F.index.get(x), F.index.get(y)]
     if None in idx or max(star_ring(center, F.cells[i]) for i in idx) > m:
         raise CosheafError(f"{x!r} and {y!r} are not both members of this slice")
-    return _slack(F.merge_radii(center, idx[:1], idx[1:])[0], 1, m)
+    return _slack(F.merge_radii([center], idx[:1], idx[1:])[0], 1, m)
 
 
 def diameter(F: CosheafGraph, center: Cell, m: int):
@@ -427,7 +464,7 @@ def diameter(F: CosheafGraph, center: Cell, m: int):
     zero for an empty or singleton slice.  Merge radii are an ultrametric, so
     the largest is the one from the first component to the farthest."""
     reps = [F.index[nid] for nid in F.slice(center, m).representatives()]
-    return _slack(max(F.merge_radii(center, reps[:1] * len(reps), reps), default=0), 1, m)
+    return _slack(max(F.merge_radii([center], reps[:1] * len(reps), reps), default=0), 1, m)
 
 
 # -- file format and DOT export -----------------------------------------------
@@ -491,15 +528,24 @@ def _cell_token(c: Cell) -> str:
     )
 
 
+def _dot_id(s: str) -> str:
+    """s quoted, each '"' escaped as '\\"', DOT's one escape; or, if s ends in a
+    backslash, which would escape the closing quote, an HTML-like <s> with &, <
+    and > as entities."""
+    if s.endswith("\\"):
+        return "<" + s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;") + ">"
+    return '"' + s.replace('"', '\\"') + '"'
+
+
 def to_dot(F: CosheafGraph) -> str:
     """One graph node per cosheaf node labeled id@cell, one undirected edge
-    per link.  Output is stable under re-runs.  Quoted strings escape each
-    '"' as '\\"', DOT's one escape."""
-    ids = [nid.replace('"', '\\"') for nid in F.ids]
+    per link, each id and label written by _dot_id.  Output is stable under
+    re-runs."""
+    ids = list(map(_dot_id, F.ids))
     lines = ["graph cosheaf {"]
-    for nid, c in zip(ids, F.cells):
-        lines.append(f'  "{nid}" [label="{nid}@{_cell_token(c)}"];')
+    for nid, name, c in zip(ids, F.ids, F.cells):
+        lines.append(f"  {nid} [label={_dot_id(f'{name}@{_cell_token(c)}')}];")
     for ci, pi in F._raw_links:
-        lines.append(f'  "{ids[ci]}" -- "{ids[pi]}";')
+        lines.append(f"  {ids[ci]} -- {ids[pi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -25,8 +25,10 @@ from mapperbound import (
     validate_assignment,
     vertex_cell,
 )
+from mapperbound import assignment, cosheaf
 from mapperbound.assignment import AssignmentError, assignment_to_json, result_to_json
-from mapperbound.grid import Cell, basic_open, faces, thicken
+from mapperbound.cosheaf import CosheafGraph
+from mapperbound.grid import Cell, basic_open, closure, faces, facets, thicken
 from mapperbound.ingest import build
 from mapperbound.oracle import TinyCaps, full_loss
 
@@ -38,6 +40,7 @@ from conftest import (
     random_geometric,
     split_pair,
 )
+import sweep_reference
 from slack_reference import reference_loss
 
 V = vertex_cell
@@ -573,3 +576,57 @@ def test_scaled_fixture_keeps_its_combinatorics():
         res = basis_loss(bF.graph, bG.graph, a)
         assert res.L_B == 1
         assert res.reeb_bound == delta * (1 + 1 + 1)
+
+
+def test_chains_cover_the_closure_once_down_facets():
+    # the facet walk lists exactly the faces of both graphs' occupied cells,
+    # each once, and each chain steps down one facet at a time
+    rng = random.Random(131)
+    for d, nv, denom, spread in [(1, 5, 2, 8), (2, 5, 2, 6), (3, 3, 2, 4)] * 3:
+        gA, gB = (random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
+                                   extra_edges=1) for tag in "ab")
+        grid = fit_grid([gA, gB], 1.0)
+        F, G = build(gA, grid).graph, build(gB, grid).graph
+        chains = assignment._chains(F, G)
+        cells = [c for chain in chains for c in chain]
+        assert len(cells) == len(set(cells))
+        assert set(cells) == closure([*F.nodes_at, *G.nodes_at])
+        assert all(t in facets(c) for chain in chains for c, t in zip(chain, chain[1:]))
+        assert max(map(len, chains)) == d + 1
+
+
+def test_chain_sweeps_join_fewer_nodes_than_one_sweep_per_center(monkeypatch):
+    # a count, not a time: the nodes _join adds during basis_loss on a seeded
+    # 2-D pair, against one reference sweep per center with the same pairs,
+    # which also gives each member's radii
+    rng = random.Random(137)
+    gA, gB = (random_geometric(rng, tag, 12, d=2, denom=2, spread=4, extra_edges=2)
+              for tag in "ab")
+    grid = fit_grid([gA, gB], 1.0)
+    F, G = build(gA, grid).graph, build(gB, grid).graph
+    a = random_assignment(F, G, feasible_level(F, G), rng)
+    joined, sweeps = [0], []
+    join, merge_radii = cosheaf._join, CosheafGraph.merge_radii
+
+    def counted(parent, adj, nodes):
+        joined[0] += len(nodes)
+        join(parent, adj, nodes)
+
+    def recorded(self, chain, us, vs, ends=None):
+        out = merge_radii(self, chain, us, vs, ends)
+        sweeps.append((self, chain, us, vs, ends, out))
+        return out
+
+    monkeypatch.setattr(cosheaf, "_join", counted)
+    monkeypatch.setattr(CosheafGraph, "merge_radii", recorded)
+    res = basis_loss(F, G, a)
+    chained = joined[0]
+    monkeypatch.setattr(sweep_reference, "_join", counted)
+    joined[0] = 0
+    for graph, chain, us, vs, ends, out in sweeps:
+        for c, lo, hi in zip(chain, [0, *ends], ends):
+            assert sweep_reference.merge_radii(graph, c, us[lo:hi], vs[lo:hi]) == out[lo:hi]
+    per_center = joined[0]
+    assert res.L_B > 0 and len(sweeps) < sum(len(s[1]) for s in sweeps)
+    # 17,847 of 34,245 when this was written: a ratio of 0.52
+    assert chained <= 0.6 * per_center, (chained, per_center)

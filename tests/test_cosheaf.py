@@ -32,7 +32,9 @@ from mapperbound.grid import (
     cell_sort_key,
     cell_to_wire,
     faces,
+    facets,
     is_face,
+    star_ring,
     thicken,
 )
 from mapperbound.ingest import build
@@ -383,7 +385,7 @@ def test_merge_radii_and_slice_match_the_scan_sweep(monkeypatch):
                 near = rng.randrange(len(F.ids))
                 for pairs in ((us, vs), ([near] * len(F.adj[near]), list(F.adj[near]))):
                     before = dict(calls)
-                    got = F.merge_radii(c, *pairs)
+                    got = F.merge_radii([c], *pairs)
                     assert got == sweep_reference.merge_radii(F, c, *pairs), (d, c)
                     infinite += got.count(math.inf)
                     if calls["scan"] > before["scan"]:
@@ -396,6 +398,72 @@ def test_merge_radii_and_slice_match_the_scan_sweep(monkeypatch):
                         (want.component_count, list(want._lab.items())), (d, c, r)
     assert sweeps["shell only"] >= 20 and sweeps["switched"] >= 20 and infinite >= 10, \
         (sweeps, infinite)
+
+
+def test_chain_sweeps_match_the_per_center_sweep(monkeypatch):
+    # one sweep per chain of nested centers against one scan sweep per center:
+    # seeded random chains down random facets in d = 1, 2 and 3, L = 1 grids
+    # among them, half the graphs two disjoint paths so that some pairs never
+    # merge.  Some members get only pairs of a node with itself, so the sweep
+    # drops them.  A coface member whose pair merges only once a face's box
+    # has filled the grid is checked at its next radius, and counted.
+    calls = {"shell": 0, "scan": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(cosheaf, "shell_cells", spy("shell", cosheaf.shell_cells))
+    monkeypatch.setattr(cosheaf, "star_ring", spy("scan", cosheaf.star_ring))
+    rng = random.Random(127)
+    sweeps = {"shell only": 0, "switched": 0}
+    infinite = late = longest = 0
+    for d, nv, denom, spread in ((1, 4, 1, 6), (1, 8, 4, 10), (1, 3, 2, 2), (2, 6, 2, 6),
+                                 (2, 3, 1, 2), (2, 8, 4, 12), (3, 3, 2, 4), (3, 2, 1, 3)):
+        for two in (False, True):
+            paths = [random_geometric(rng, tag, nv, d=d, denom=denom, spread=spread,
+                                      extra_edges=1) for tag in "ab"[:1 + two]]
+            g = GeometricGraph(d=d, vertices={k: v for p in paths for k, v in p.vertices.items()},
+                               edges=[e for p in paths for e in p.edges])
+            # the least grid holding g, so that a vertex may lie on its boundary
+            peak = max(abs(x) for v in g.vertices.values() for x in v)
+            F = build(g, GridSpec(d, 1.0, max(1, math.ceil(peak)))).graph
+            L = F.grid.L
+            for _ in range(10):
+                chain = [Cell(tuple(rng.randint(-2 * L, 2 * L) for _ in range(d)))]
+                while chain[-1].dim and rng.random() < 0.8:
+                    chain.append(rng.choice(facets(chain[-1])))
+                longest = max(longest, len(chain))
+                us, vs, ends, far = [], [], [], rng.random() < 0.3
+                for c in chain:
+                    k = rng.choice((0, 1, 6))
+                    if rng.random() < 0.25:  # a member with nothing pending
+                        pairs = [(u, u) for u in [rng.randrange(len(F.ids))]]
+                    else:
+                        pairs = [(rng.randrange(len(F.ids)), rng.randrange(len(F.ids)))
+                                 for _ in range(k)]
+                    if far:  # a node farthest from c and its neighbour
+                        x = max(range(len(F.ids)), key=lambda i: star_ring(c, F.cells[i]))
+                        pairs += [(x, w) for w in F.adj[x][:1]]
+                    us += [u for u, _ in pairs]
+                    vs += [v for _, v in pairs]
+                    ends.append(len(us))
+                before = dict(calls)
+                got = F.merge_radii(chain, us, vs, ends)
+                if calls["scan"] > before["scan"]:
+                    sweeps["switched"] += 1
+                elif calls["shell"] > before["shell"]:
+                    sweeps["shell only"] += 1
+                for c, a, b in zip(chain, [0, *ends], ends):
+                    want = sweep_reference.merge_radii(F, c, us[a:b], vs[a:b])
+                    assert got[a:b] == want, (d, chain, c)
+                    infinite += want.count(math.inf)
+                    # merged at saturation while a face of c in the chain had filled the grid
+                    late += sum(r == F.saturation(c) > F.saturation(chain[-1]) for r in want)
+    assert sweeps["shell only"] >= 20 and sweeps["switched"] >= 20, sweeps
+    assert infinite >= 10 and late >= 3 and longest == 4, (infinite, late, longest)
 
 
 # -- slices of basic opens and their thickenings --------------------------------------
@@ -564,11 +632,18 @@ def test_dot_export_stable(listing):
 
 
 def _dot_strings(text: str) -> list[str]:
-    """The quoted strings of DOT text, read by DOT's rule: a backslash before
-    a quote makes it part of the string, any other backslash is itself."""
+    """The quoted and HTML-like strings of DOT text, read by DOT's rules: in a
+    quoted string a backslash before a quote makes it part of the string and
+    any other backslash is itself; an HTML-like string runs from < to its
+    matching > and spells &, < and > as entities."""
     out, cur, i = [], None, 0
     while i < len(text):
         if cur is None:
+            if text[i] == "<":
+                end = text.index(">", i)
+                out.append(text[i + 1:end].replace("&lt;", "<").replace("&gt;", ">")
+                           .replace("&amp;", "&"))
+                i = end
             cur = [] if text[i] == '"' else None
         elif text.startswith('\\"', i):
             cur.append('"')
@@ -583,14 +658,19 @@ def _dot_strings(text: str) -> list[str]:
 
 
 def test_dot_export_escapes_quotes():
-    ids = ['a"b', '"', 'x\\"y', 'q""']
-    F = CosheafGraph(GridSpec(1, 1.0, 2), [(ids[0], V(0)), (ids[1], V(1)), (ids[2], E(0)),
-                                           (ids[3], E(1))],
-                     [(ids[2], ids[0]), (ids[2], ids[1]), (ids[3], ids[1])])
+    # an id ending in a backslash cannot be a quoted string, whose closing
+    # quote the backslash would escape, so it is written as an HTML-like one
+    ids = ['a"b', '"', 'x\\"y', 'q""', 'a\\', 'x\\"y\\', '<&amp;>\\']
+    cells = [V(0), V(1), E(0), E(1), V(-1), E(-1), V(2)]
+    F = CosheafGraph(GridSpec(1, 1.0, 2), list(zip(ids, cells)),
+                     [(ids[2], ids[0]), (ids[2], ids[1]), (ids[3], ids[1]), (ids[5], ids[4]),
+                      (ids[5], ids[0])])
     want = [s for nid, c in zip(F.ids, F.cells)
             for s in (nid, f"{nid}@{cosheaf._cell_token(c)}")]
     want += [F.ids[k] for link in F._raw_links for k in link]
-    assert _dot_strings(to_dot(F)) == want
+    dot = to_dot(F)
+    assert _dot_strings(dot) == want
+    assert '  <a\\> [label="a\\@-1"];\n' in dot and "<&lt;&amp;amp;&gt;\\>" in dot
     # ids without a quote are written as they are
     assert to_dot(tiny_path_cosheaf()) == (
         'graph cosheaf {\n  "p0" [label="p0@0"];\n  "p1" [label="p1@1"];\n'
