@@ -31,8 +31,8 @@ the basis loss L_B is the largest slack, the least one making every family
 pass.  _chains covers the centers with chains, each center a facet of the one
 before; the thickened stars of a face and its coface nest (star_box(tau, r)
 lies in star_box(sigma, r), which lies in star_box(tau, r + 1)), so _slacks
-makes one merge_radii sweep per chain and target graph, exact for every
-center of the chain.  The
+makes one sweep (CosheafGraph._chain_radii) per chain and target graph,
+exact for every center of the chain.  The
 certified bound is n + L_B, and for d = 1 the scaled quantity
 delta * (n + L_B + 1) bounds the Reeb-graph interleaving distance.
 """
@@ -293,7 +293,7 @@ def _slacks(F: CosheafGraph, G: CosheafGraph, n: int, phi: list[int], psi: list[
     occupies (ring 0 around sigma is its star), a triangle when src occupies
     sigma.
 
-    One merge_radii sweep per chain and target graph takes, center by
+    One _chain_radii sweep per chain and target graph takes, center by
     center, its parallelograms (step 1) then its triangle (step 2): G's are
     parallelogram_left and triangle_up, F's parallelogram_right and
     triangle_down.  The diagram of element x with merge radius r has slack
@@ -323,7 +323,7 @@ def _slacks(F: CosheafGraph, G: CosheafGraph, n: int, phi: list[int], psi: list[
                     us += ys
                     vs += [ptr[back[y]] for y in ys]
                 ends.append(len(us))
-            radii = dst.merge_radii(chain, us, vs, ends)
+            radii = dst._chain_radii(chain, us, vs, ends)
             end = 0
             for kind, step, sigma, tau, graph, xs in groups:
                 rs = radii[end:end + len(xs)]

@@ -31,7 +31,6 @@ import gc
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import assignment as asg
@@ -67,7 +66,7 @@ def _grid_of(obj) -> GridSpec:  # a GridSpec object, or any object with a grid k
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    g = _read(args.input, ingest.GeometricGraph.from_json_obj, Fraction)
+    g = _read(args.input, ingest.GeometricGraph.from_json_obj, ingest.parse_decimal)
     if args.grid and not 0 < args.delta < math.inf:
         raise ingest.IngestError("delta must be positive and finite")
     grid = _read(args.grid, _grid_of) if args.grid else ingest.fit_grid([g], args.delta)
@@ -135,7 +134,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     # pi0: geometric graphs in, slice counts cross-checked against direct
     # segment arithmetic over every occupied cell at radii 0..2
-    graphs = [_read(path, ingest.GeometricGraph.from_json_obj, Fraction)
+    graphs = [_read(path, ingest.GeometricGraph.from_json_obj, ingest.parse_decimal)
               for path in (args.f, args.g) if path]
     grid = ingest.fit_grid(graphs, args.delta)
     samples = 0

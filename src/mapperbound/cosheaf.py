@@ -23,14 +23,15 @@ of the thickened set.
 
 Components only merge as the radius grows, so two nodes have a least radius
 at which they share a component: their merge radius, an ultrametric.  One
-merge_radii sweep, an insertion-only union-find, gives it for many pairs and
-a chain of centers, each a face of the one before.  For a face s of t (per
-axis the same coordinate, or s's even and t's one off; clipping keeps both
-inclusions) star_box(t, r) lies in star_box(s, r), which lies in
-star_box(t, r + 1); so the boxes at checkpoints (r, k), r major and cofaces
-first, nest, and after (r, k) the union-find holds exactly the slice of the
-k-th center at radius r.  Every diagram check, distance and diameter read
-it; slice labels the same rings, for a chain of one center.
+sweep, an insertion-only union-find, gives it for many pairs: merge_radii at
+one center, and the private _chain_radii for a chain of centers, each a face
+of the one before.  For a face s of t (per axis the same coordinate, or s's
+even and t's one off; clipping keeps both inclusions) star_box(t, r) lies in
+star_box(s, r), which lies in star_box(t, r + 1); so the boxes at
+checkpoints (r, k), r major and cofaces first, nest, and after (r, k) the
+union-find holds exactly the slice of the k-th center at radius r.  Every
+diagram check, distance and diameter read it; slice labels the same rings,
+for a chain of one center.
 
 Extended naturals (merge radii, slacks, L_B) are ints with INFINITE =
 float("inf") as the top element, so arithmetic saturates; fmt_extended writes
@@ -283,21 +284,25 @@ class CosheafGraph:
                 yield r, k, [i for t in shell_cells(box, inner) for i in get(t, ())]
                 inner = box
 
-    def merge_radii(self, chain: Sequence[Cell], us: list[int], vs: list[int],
-                    ends: Sequence[int] | None = None) -> list:
+    def merge_radii(self, center: Cell, us: list[int], vs: list[int]) -> list:
         """For each pair of node indices (us[p], vs[p]): the least radius at
-        which both lie in one component of the slice at its center, INFINITE
+        which both lie in one component of the slice at `center`, INFINITE
         if they are still apart at saturation; a node paired with itself
-        merges at 0.  chain[k], each center a face of the one before, is the
-        center of the pairs from ends[k-1] (or 0) to ends[k]; ends may be
-        left out for a chain of one.
+        merges at 0."""
+        return self._chain_radii([center], us, vs, [len(us)])
+
+    def _chain_radii(self, chain: Sequence[Cell], us: list[int], vs: list[int],
+                     ends: Sequence[int]) -> list:
+        """merge_radii for a chain of centers: chain[k] is the center of the
+        pairs from ends[k-1] (or 0) to ends[k].  Each center must be a face
+        of the one before: nothing checks it, and a chain that does not nest
+        gives wrong radii.
 
         One sweep adds each of _rings' checkpoints to a union-find and checks
         member k's pending pairs at (r, k) if a node came in since its last
         check.  A member with nothing pending takes no part, and the sweep
         stops once every pair has merged or the checkpoints run out, so a
         sweep that stops early costs the cells it reached."""
-        ends = [len(us)] if ends is None else ends
         out: list = [0 if u == v else INFINITE for u, v in zip(us, vs)]
         members, pending = [], []
         for c, a, b in zip(chain, [0, *ends], ends):
@@ -456,7 +461,7 @@ def distance(F: CosheafGraph, center: Cell, m: int, x: str, y: str):
     idx = [F.index.get(x), F.index.get(y)]
     if None in idx or max(star_ring(center, F.cells[i]) for i in idx) > m:
         raise CosheafError(f"{x!r} and {y!r} are not both members of this slice")
-    return _slack(F.merge_radii([center], idx[:1], idx[1:])[0], 1, m)
+    return _slack(F.merge_radii(center, idx[:1], idx[1:])[0], 1, m)
 
 
 def diameter(F: CosheafGraph, center: Cell, m: int):
@@ -464,7 +469,7 @@ def diameter(F: CosheafGraph, center: Cell, m: int):
     zero for an empty or singleton slice.  Merge radii are an ultrametric, so
     the largest is the one from the first component to the farthest."""
     reps = [F.index[nid] for nid in F.slice(center, m).representatives()]
-    return _slack(max(F.merge_radii([center], reps[:1] * len(reps), reps), default=0), 1, m)
+    return _slack(max(F.merge_radii(center, reps[:1] * len(reps), reps), default=0), 1, m)
 
 
 # -- file format and DOT export -----------------------------------------------

@@ -13,6 +13,10 @@ union-find over the classes inside the star of sigma, joined by the other
 chain adjacencies bucketed under sigma, yields the elements and is kept to
 locate points.  Links (per grid.facets) fall out of component containment.
 
+Values are read as the exact decimal written, an integer mantissa over a
+power of ten (parse_decimal; a float through its shortest repr), and
+fit_grid and build take each as an integer pair, comparing no Fractions.
+
 Generic position is not assumed.  Values sitting exactly on grid hyperplanes
 get degenerate carrier coordinates, and an edge lying inside a hyperplane is
 carried by a lower-dimensional cell.  The walk runs in exact integers: each
@@ -40,14 +44,23 @@ class IngestError(ValueError):
     pass
 
 
+def parse_decimal(literal: str) -> Fraction:
+    """The exact value of a decimal literal such as "-12.50e-3", without a regex."""
+    mant, _, exp = literal.lower().partition("e")
+    whole, _, frac = mant.partition(".")
+    k = len(frac) - int(exp or 0)
+    n = int(whole + frac)
+    return Fraction(n, 10 ** k) if k > 0 else Fraction(n * 10 ** -k)
+
+
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, float):
-        # str() round-trips the shortest decimal repr, so 0.1 means 1/10
-        return Fraction(str(v))
+        # the shortest repr round-trips, so 0.1 means 1/10; inf and nan raise
+        return parse_decimal(repr(v))
     raise IngestError(f"unsupported value type {type(v).__name__}")
 
 
@@ -66,10 +79,13 @@ class GeometricGraph:
         self.edges = sorted(map(tuple, self.edges))
         norm = {}
         for vid, val in self.vertices.items():
-            for x in val:
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise IngestError(f"vertex {vid!r} has value {x}, which is not finite")
-            vec = tuple(map(_as_fraction, val))
+            try:
+                vec = tuple(map(_as_fraction, val))
+            except ValueError:  # a non-finite value is named before an unsupported type
+                x = next((x for x in val if isinstance(x, float) and not math.isfinite(x)), None)
+                if x is None:
+                    raise
+                raise IngestError(f"vertex {vid!r} has value {x}, which is not finite") from None
             if len(vec) != self.d:
                 raise IngestError(f"vertex {vid!r} has {len(vec)} coordinates, expected {self.d}")
             norm[vid] = vec
@@ -113,7 +129,7 @@ class GeometricGraph:
 
     @classmethod
     def from_json(cls, text: str) -> "GeometricGraph":
-        return cls.from_json_obj(json.loads(text, parse_float=Fraction))
+        return cls.from_json_obj(json.loads(text, parse_float=parse_decimal))
 
 
 def graph_to_json(g: GeometricGraph) -> str:
@@ -133,10 +149,11 @@ def fit_grid(graphs: Sequence[GeometricGraph], delta: float) -> GridSpec:
         raise IngestError(f"delta must be a number, not {type(delta).__name__}")
     if not 0 < delta < float("inf"):
         raise IngestError("delta must be positive and finite")
-    dfrac = _as_fraction(delta)
-    peak = max(abs(x) for g in graphs for val in g.vertices.values() for x in val)
-    L = int(peak / dfrac) + 1
-    return GridSpec(d=dims.pop(), delta=float(delta), L=max(1, L))
+    # |x| / delta for x = n / d and delta = p / q is |n| * q / (d * p)
+    p, q = _as_fraction(delta).as_integer_ratio()
+    L = 1 + max(abs(n) * q // (d * p) for g in graphs for val in g.vertices.values()
+                for n, d in map(Fraction.as_integer_ratio, val))
+    return GridSpec(d=dims.pop(), delta=float(delta), L=L)
 
 
 @dataclass
@@ -212,7 +229,7 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
     steps: dict[str, tuple[tuple[int, int], ...]] = {}
     vertex_piece: dict[str, int] = {}
     for vid, val in sorted(g.vertices.items()):
-        nd = steps[vid] = tuple((x.numerator * q, x.denominator * p) for x in val)
+        nd = steps[vid] = tuple((n * q, d * p) for n, d in map(Fraction.as_integer_ratio, val))
         if any(abs(n) > grid.L * d for n, d in nd):
             raise IngestError(f"vertex {vid!r} has a value outside the grid box")
         vertex_piece[vid] = len(carrier)

@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 
 from .assignment import Assignment, AssignmentError
 from .cosheaf import INFINITE, CosheafError, CosheafGraph
-from .grid import Cell, GridSpec, all_cells, cell_sort_key, cofaces, faces, is_open, thicken
+from .grid import Cell, GridSpec, all_cells, cell_sort_key, cofaces, faces, facets, is_open, thicken
 from .ingest import GeometricGraph
 
 MAX_OPENS = 50_000  # full_loss's cap on the open sets it enumerates
@@ -212,17 +212,19 @@ def enumerate_opens(grid: GridSpec, cap: int = 1_000_000) -> list[frozenset[Cell
 def _open_masks(ix: _CellIndex, cap: int) -> list[int]:
     """Every open set of the index's grid as a mask, in no useful order.
     Cells are decided in the index's order, decreasing dimension, so a cell
-    may join only when all its cofaces did.  Each pop follows the skips to a
-    leaf and stacks each branch that takes a cell instead, deepest on top."""
-    cof, count = ix.cof, len(ix.cells)
+    may join only when all its cofaces did: it is a top cell or a facet of a
+    chosen cell, and only those candidates are tested.  Each pop follows the
+    skips to a leaf and stacks each branch that takes a cell instead, deepest
+    on top."""
+    cof, fac = ix.cof, [ix.mask(facets(c)) for c in ix.cells]
     out: list[int] = []
-    todo = [(0, 0)]  # (first undecided cell, chosen mask)
-    while todo:
-        i, chosen = todo.pop()
+    todo = [(0, 0, ix.mask(c for c, m in zip(ix.cells, cof) if not m))]
+    while todo:  # (first undecided cell, chosen mask, candidates)
+        i, chosen, cand = todo.pop()
         left = ~chosen
-        for j in range(i, count):
+        for j in _bits(cand >> i << i):
             if not cof[j] & left:
-                todo.append((j + 1, chosen | 1 << j))
+                todo.append((j + 1, chosen | 1 << j, cand | fac[j]))
         out.append(chosen)
         if len(out) > cap:
             raise OracleCapError(f"open-set enumeration exceeded the cap of {cap}")

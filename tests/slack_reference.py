@@ -1,6 +1,6 @@
 """The slow reference for the slack of every basis diagram.
 
-assignment._slacks reads each diagram's slack off one merge_radii sweep per
+assignment._slacks reads each diagram's slack off one _chain_radii sweep per
 chain of nested centers and target graph.  This reference grows each diagram's slice one
 thickening step at a time instead, on the oracle's own cell bitmasks and
 component labels, and takes face images from those labels too.  It lists

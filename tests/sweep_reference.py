@@ -4,8 +4,8 @@ Both take one center, not a chain, and classify every occupied cell of the
 graph by grid.star_ring around it, on every call, instead of reading rings off
 the box shell.  Their cost is the whole graph per sweep, whatever radius the
 sweep stops at; the differential tests compare the fast paths' whole results
-with them, and each member of a chain sweep with merge_radii at that member's
-center.
+with them, and each member of a _chain_radii sweep with merge_radii at that
+member's center.
 """
 
 from __future__ import annotations

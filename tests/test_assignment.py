@@ -606,19 +606,19 @@ def test_chain_sweeps_join_fewer_nodes_than_one_sweep_per_center(monkeypatch):
     F, G = build(gA, grid).graph, build(gB, grid).graph
     a = random_assignment(F, G, feasible_level(F, G), rng)
     joined, sweeps = [0], []
-    join, merge_radii = cosheaf._join, CosheafGraph.merge_radii
+    join, chain_radii = cosheaf._join, CosheafGraph._chain_radii
 
     def counted(parent, adj, nodes):
         joined[0] += len(nodes)
         join(parent, adj, nodes)
 
-    def recorded(self, chain, us, vs, ends=None):
-        out = merge_radii(self, chain, us, vs, ends)
+    def recorded(self, chain, us, vs, ends):
+        out = chain_radii(self, chain, us, vs, ends)
         sweeps.append((self, chain, us, vs, ends, out))
         return out
 
     monkeypatch.setattr(cosheaf, "_join", counted)
-    monkeypatch.setattr(CosheafGraph, "merge_radii", recorded)
+    monkeypatch.setattr(CosheafGraph, "_chain_radii", recorded)
     res = basis_loss(F, G, a)
     chained = joined[0]
     monkeypatch.setattr(sweep_reference, "_join", counted)

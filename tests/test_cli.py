@@ -85,6 +85,27 @@ def test_ingest_grid_reuse(workdir, capsys):
     assert ga == gb
 
 
+def test_ingest_builds_no_fraction_from_a_string(workdir, capsys, monkeypatch):
+    # values are read as integer mantissas over powers of ten, and delta from
+    # its repr the same way, so no Fraction goes through the string parser
+    from fractions import Fraction
+
+    src = write(workdir / "in.json", graph_to_json(listing_graph()))
+    parsed, new = [], Fraction.__new__
+
+    def counting(cls, numerator=0, *args, **kwargs):
+        if isinstance(numerator, str):
+            parsed.append(numerator)
+        return new(cls, numerator, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for grid in ([], ["--grid", str(workdir / "F.json")]):
+        rc, stdout, _ = run(capsys, ["ingest", "--input", src, "--delta", "1.0", *grid,
+                                     "--output", str(workdir / "F.json")])
+        assert rc == 0 and json.loads(stdout)["nodes"] == 28
+    assert parsed == []
+
+
 def test_ingest_out_of_box_exits_2(workdir, capsys):
     src = write(workdir / "bad.json", json.dumps(
         {"d": 1, "vertices": [{"id": "far", "f": [99.0]}], "edges": []}) + "\n")

@@ -385,7 +385,7 @@ def test_merge_radii_and_slice_match_the_scan_sweep(monkeypatch):
                 near = rng.randrange(len(F.ids))
                 for pairs in ((us, vs), ([near] * len(F.adj[near]), list(F.adj[near]))):
                     before = dict(calls)
-                    got = F.merge_radii([c], *pairs)
+                    got = F.merge_radii(c, *pairs)
                     assert got == sweep_reference.merge_radii(F, c, *pairs), (d, c)
                     infinite += got.count(math.inf)
                     if calls["scan"] > before["scan"]:
@@ -451,7 +451,7 @@ def test_chain_sweeps_match_the_per_center_sweep(monkeypatch):
                     vs += [v for _, v in pairs]
                     ends.append(len(us))
                 before = dict(calls)
-                got = F.merge_radii(chain, us, vs, ends)
+                got = F._chain_radii(chain, us, vs, ends)
                 if calls["scan"] > before["scan"]:
                     sweeps["switched"] += 1
                 elif calls["shell"] > before["shell"]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from mapperbound import (
     CosheafGraph, GeometricGraph, GridSpec, fit_grid, validate, vertex_cell, edge_cell)
 from mapperbound.cosheaf import _cell_token, to_json
 from mapperbound.grid import Cell, basic_open, cell_sort_key, closure, faces, is_face, thicken
-from mapperbound.ingest import IngestError, build, build_cosheaf, graph_to_json
+from mapperbound.ingest import IngestError, build, build_cosheaf, graph_to_json, parse_decimal
 from mapperbound.oracle import geometric_pi0
 
 from conftest import LISTING_EDGES, LISTING_HEIGHTS, listing_graph, random_geometric
@@ -26,7 +27,78 @@ def one_vertex(val) -> GeometricGraph:
     return GeometricGraph(d=1, vertices={"p": (val,)}, edges=[])
 
 
+# -- exact decimals -------------------------------------------------------------------
+
+
+def _digits(rng, k):
+    return "".join(rng.choices("0123456789", k=k))
+
+
+def _number_literal(rng, integer=False):
+    """A seeded JSON number literal: a sign, 0 or a long mantissa, a fraction
+    that may end in zeros, and an exponent with e or E and +, - or no sign."""
+    out = rng.choice(("", "-"))
+    out += rng.choice(("0", str(rng.randint(1, 9)) + _digits(rng, rng.randrange(25))))
+    if integer:
+        return out
+    frac = rng.random() < 0.7
+    if frac:
+        out += "." + _digits(rng, rng.randint(1, 20)) + "0" * rng.randrange(4)
+    if not frac or rng.random() < 0.5:
+        out += rng.choice("eE") + rng.choice(("", "+", "-")) + _digits(rng, rng.randint(1, 2))
+    return out
+
+
+def test_parse_decimal_reads_the_exact_value_of_every_literal():
+    rng = random.Random(151)
+    literals = [_number_literal(rng, integer=i % 10 == 0) for i in range(3000)]
+    literals += ["0.0", "-0.0", "0e0", "-0E-0", "1E+2", "1e-2", "10.500e1", "0.000"]
+    for lit in literals:
+        got = parse_decimal(lit)
+        assert type(got) is Fraction and got == Fraction(lit), lit
+    text = '{"f": [' + ", ".join(literals) + "]}"
+    got = json.loads(text, parse_float=parse_decimal)
+    assert got == json.loads(text, parse_float=Fraction)
+    assert sum(type(x) is Fraction for x in got["f"]) == 2700 + 8
+
+
+def test_parse_decimal_reads_a_float_repr_as_its_shortest_decimal():
+    rng = random.Random(157)
+    xs = [rng.uniform(-1e3, 1e3) for _ in range(500)]
+    xs += [rng.randint(-99, 99) / 10 for _ in range(200)]
+    xs += [1e-300, -2.5e-7, 1.5e300, 1e16, 5e-324, 0.1, -0.0]
+    for x in xs:
+        assert parse_decimal(repr(x)) == Fraction(repr(x)), x
+
+
+def test_graph_reads_floats_and_json_as_written_decimals():
+    g = GeometricGraph(d=2, vertices={"p": (0.1, -2.5e-7), "q": (3, Fraction(1, 3))}, edges=[])
+    assert g.vertices == {"p": (Fraction(1, 10), Fraction(-25, 10 ** 8)),
+                          "q": (Fraction(3), Fraction(1, 3))}
+    text = '{"d": 1, "vertices": [{"id": "p", "f": [1.10E-1]}], "edges": []}'
+    assert GeometricGraph.from_json(text).vertices == {"p": (Fraction(11, 100),)}
+
+
 # -- fit_grid -----------------------------------------------------------------------
+
+
+def test_fit_grid_matches_the_fraction_formula():
+    # L = int(max |x| / delta) + 1, at least 1, with delta read as its decimal;
+    # values include exact multiples of delta, negatives and 0
+    rng = random.Random(163)
+    for delta in (1.0, 0.5, 0.3, 0.25, 2.0):
+        step = Fraction(repr(delta))
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            vals = [rng.choice((Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 10, 7))),
+                                step * rng.randint(-12, 12), Fraction(0)))
+                    for _ in range(n)]
+            g = GeometricGraph(d=1, vertices={f"v{i}": (x,) for i, x in enumerate(vals)},
+                               edges=[])
+            want = max(1, int(max(map(abs, vals)) / step) + 1)
+            assert fit_grid([g], delta) == GridSpec(1, delta, want), (delta, vals)
+
+
 
 
 def test_fit_grid_single_vertex_at_origin():

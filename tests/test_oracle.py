@@ -266,6 +266,23 @@ def test_enumerate_opens_matches_subset_filter():
         assert set(got) == brute
 
 
+def test_open_masks_test_the_candidates_a_scan_would_take():
+    # the reference decides every later cell of each open; the enumeration
+    # tests only top cells and facets of chosen cells, in the same order
+    def scan(ix):
+        out, todo = [], [(0, 0)]
+        while todo:
+            i, chosen = todo.pop()
+            todo += [(j + 1, chosen | 1 << j) for j in range(i, len(ix.cells))
+                     if not ix.cof[j] & ~chosen]
+            out.append(chosen)
+        return out
+
+    for d, L in ((1, 1), (1, 2), (1, 4), (2, 1)):
+        ix = _CellIndex(GridSpec(d, 1.0, L))
+        assert _open_masks(ix, 100_000) == scan(ix), (d, L)
+
+
 def test_enumerate_opens_contains_empty_and_basic():
     grid = GridSpec(1, 1.0, 2)
     got = set(enumerate_opens(grid))
@@ -743,7 +760,7 @@ def test_oracles_answer_with_library_labelling_disabled(hook_lam, hook_lam_asg, 
         raise AssertionError("the oracles must not use the library's labelling")
 
     # neither the library's labelling nor its face-image rows
-    for name in ("slice", "merge_radii", "_face_images", "face_image"):
+    for name in ("slice", "merge_radii", "_chain_radii", "_face_images", "face_image"):
         monkeypatch.setattr(CosheafGraph, name, refuse)
     # nor the closed forms of thickened stars that the library's paths use
     for module in (grid_module, cosheaf_module, assignment_module, oracle_module):
@@ -779,7 +796,8 @@ def test_oracle_source_names_no_library_labelling():
         if path.name != "cosheaf.py":
             assert not names & {"_lab", "_members"}, path.name
         if path.name == "oracle.py":
-            assert not names & {"slice", "merge_radii", "_face_images", "face_image"}
+            assert not names & {"slice", "merge_radii", "_chain_radii", "_face_images",
+                                "face_image"}
             names |= {node.id for node in nodes if isinstance(node, ast.Name)}
             names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
                       for alias in node.names}
