@@ -27,11 +27,13 @@ sweep, an insertion-only union-find, gives it for many pairs: merge_radii at
 one center, and the private _chain_radii for a chain of centers, each a face
 of the one before.  For a face s of t (per axis the same coordinate, or s's
 even and t's one off; clipping keeps both inclusions) star_box(t, r) lies in
-star_box(s, r), which lies in star_box(t, r + 1); so the boxes at
-checkpoints (r, k), r major and cofaces first, nest, and after (r, k) the
-union-find holds exactly the slice of the k-th center at radius r.  Every
-diagram check, distance and diameter read it; slice labels the same rings,
-for a chain of one center.
+star_box(s, r), which lies in star_box(t, r + 1); so the boxes at the
+checkpoints q = r * m + k of an m-center chain, r major and cofaces first,
+nest.  A cell enters at its first checkpoint, the least
+star_ring(chain[k], cell) * m + k, and after (r, k) the union-find holds
+exactly the slice of the k-th center at radius r.  Every diagram check,
+distance and diameter read it; slice labels the same rings, for a chain of
+one center.
 
 Extended naturals (merge radii, slacks, L_B) are ints with INFINITE =
 float("inf") as the top element, so arithmetic saturates; fmt_extended writes
@@ -40,7 +42,6 @@ INFINITE as "inf", its one JSON form.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -197,12 +198,10 @@ class CosheafGraph:
 
     def _face_images(self, c: Cell, face: Cell) -> list[int | None]:
         """The face image at `face`, a proper face of c, of each node over c
-        by position in c's block, None where it has none: the first image
-        _descend gives it (a facet's image is its stored row)."""
-        out = None
-        for row in self._descend(c, face):
-            out = row if out is None else [k if j is None else j for j, k in zip(out, row)]
-        return [None] * len(self.nodes_at[c]) if out is None else out
+        by position in c's block: the first row _descend yields (a facet's
+        image is its stored row), or all None if it yields none.  validate
+        requires every row to be complete and equal to this one."""
+        return next(self._descend(c, face), None) or [None] * len(self.nodes_at[c])
 
     def _descend(self, c: Cell, face: Cell) -> Iterator[list[int | None]]:
         """The one descent to `face`, a proper face of c: for each facet mid of
@@ -224,71 +223,66 @@ class CosheafGraph:
 
     # -- connectivity labelings ----------------------------------------------
 
-    def _labeling(self, nodes: Iterable[int]) -> "SliceLabeling":
-        members = sorted(nodes)
+    def slice(self, center: Cell, radius: int) -> "SliceLabeling":
+        """Label the connected components of the portion of the graph carried
+        by the radius-thickened basic open of `center`: the rings of a chain
+        of one center up to `radius`, numbered by least member."""
+        self.grid.check_cell(center)
+        if radius < 0:
+            raise ValueError("radius must be a natural number")
+        members: list[int] = []
+        for r, _, ring in self._rings([center]):
+            if r <= radius:
+                members += ring
+            if r >= radius:  # no box beyond the radius is read
+                break
+        members.sort()
         parent = [-1] * len(self.ids)
         _join(parent, self.adj, members)
         lab: dict[int, int] = {}
         ids: dict[int, int] = {}  # component id of each root, in order of least member
         for i in members:
-            r = i
-            while parent[r] != r:
-                parent[r] = r = parent[parent[r]]
-            lab[i] = ids.setdefault(r, len(ids))
+            root = i
+            while parent[root] != root:
+                parent[root] = root = parent[parent[root]]
+            lab[i] = ids.setdefault(root, len(ids))
         return SliceLabeling(graph=self, component_count=len(ids), _lab=lab)
 
-    def slice(self, center: Cell, radius: int) -> "SliceLabeling":
-        """Label the connected components of the portion of the graph carried
-        by the radius-thickened basic open of `center`."""
-        self.grid.check_cell(center)
-        if radius < 0:
-            raise ValueError("radius must be a natural number")
-        # a chain of one center has one checkpoint per radius
-        return self._labeling(i for _, _, ring in itertools.islice(self._rings([center]),
-                                                                   radius + 1)
-                              for i in ring)
-
     def _rings(self, chain: Sequence[Cell]) -> Iterator[tuple[int, int, list[int]]]:
-        """(r, k, nodes) per checkpoint of a chain of centers, each a face of
-        the one before: r major, and within r, k from the top center down,
-        each center up to its own saturation.  `nodes` lie in
-        star_box(chain[k], r) and in no earlier checkpoint's box; the boxes
-        nest (module docstring), so the nodes up to (r, k) are the slice of
-        chain[k] at radius r.  While a box holds no more grid cells than the
-        graph occupies, they are looked up on the shell between it and the
-        previous box; from there on, one star_ring scan of the occupied
-        cells files each cell under its first checkpoint."""
+        """(r, k, nodes) per checkpoint q = r * m + k of an m-center chain,
+        each center a face of the one before, up to the top center's
+        saturation.  A cell is filed under its first checkpoint, the least
+        star_ring(chain[k], cell) * m + k; the boxes nest (module docstring),
+        so the nodes up to (r, k) are the slice of chain[k] at radius r.
+        While a box holds no more grid cells than the graph occupies, every
+        checkpoint is read off the shell between it and the previous box.
+        From there on the occupied cells are filed in one scan, and only the
+        switch checkpoint and each one that adds nodes are yielded, each with
+        the m - 1 after it, so that every center sees each addition."""
         m, get, inner = len(chain), self.nodes_at.get, None
-        tops = [self.saturation(c) for c in chain]  # non-increasing down a chain
-        for r in range(tops[0] + 1):
-            for k, center in enumerate(chain):
-                if r > tops[k]:
-                    break
-                box = star_box(self.grid, center, r)
-                if math.prod(map(len, box)) > len(self.nodes_at):
-                    q = r * m + k
-                    rest: list[list[int]] = [[] for _ in range(q, (tops[0] + 1) * m)]
-                    for c, block in self.nodes_at.items():
-                        # by the nesting, its ring is s around chain[0], s - 1 from some j on
-                        s = star_ring(chain[0], c)
-                        first = s * m
-                        for j in range(1, m):
-                            if star_ring(chain[j], c) < s:
-                                first += j - m
-                                break
-                        if first >= q:
-                            rest[first - q] += block
-                    for i, ring in enumerate(rest, q):
-                        yield i // m, i % m, ring
-                    return
-                yield r, k, [i for t in shell_cells(box, inner) for i in get(t, ())]
-                inner = box
+        for q in range((self.saturation(chain[0]) + 1) * m):
+            box = star_box(self.grid, chain[q % m], q // m)
+            if math.prod(map(len, box)) > len(self.nodes_at):
+                break
+            yield q // m, q % m, [i for t in shell_cells(box, inner) for i in get(t, ())]
+            inner = box
+        else:  # no box outgrew the graph: the shells gave every checkpoint
+            return
+        rings: dict[int, list[int]] = {q: []}
+        for c, block in self.nodes_at.items():
+            first = min(star_ring(t, c) * m + k for k, t in enumerate(chain))
+            if first >= q:
+                rings.setdefault(first, []).extend(block)
+        for q in sorted({f + k for f in rings for k in range(m)}):
+            yield q // m, q % m, rings.get(q, [])
 
     def merge_radii(self, center: Cell, us: list[int], vs: list[int]) -> list:
         """For each pair of node indices (us[p], vs[p]): the least radius at
         which both lie in one component of the slice at `center`, INFINITE
         if they are still apart at saturation; a node paired with itself
         merges at 0."""
+        if len(us) != len(vs):
+            raise ValueError(f"merge_radii takes pairs: {len(us)} nodes in us, {len(vs)} in vs")
         return self._chain_radii([center], us, vs, [len(us)])
 
     def _chain_radii(self, chain: Sequence[Cell], us: list[int], vs: list[int],

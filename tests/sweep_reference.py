@@ -5,13 +5,30 @@ graph by grid.star_ring around it, on every call, instead of reading rings off
 the box shell.  Their cost is the whole graph per sweep, whatever radius the
 sweep stops at; the differential tests compare the fast paths' whole results
 with them, and each member of a _chain_radii sweep with merge_radii at that
-member's center.
+member's center.  The union-find and the labelling are their own, plain
+ones: nothing of the library's sweep runs here.
 """
 
 from __future__ import annotations
 
-from mapperbound.cosheaf import INFINITE, CosheafGraph, SliceLabeling, _join
+from mapperbound.cosheaf import INFINITE, CosheafGraph, SliceLabeling
 from mapperbound.grid import Cell, star_ring
+
+
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        i = parent[i]
+    return i
+
+
+def _join(parent: list[int], adj, nodes: list[int]) -> None:
+    """Add `nodes` to the forest `parent` (-1 marks a node outside it), then
+    hang the root of each neighbour already in under the node's root."""
+    for i in nodes:
+        parent[i] = i
+        for w in adj[i]:
+            if parent[w] >= 0:
+                parent[_find(parent, w)] = _find(parent, i)
 
 
 def merge_radii(F: CosheafGraph, center: Cell, us: list[int], vs: list[int]) -> list:
@@ -32,15 +49,10 @@ def merge_radii(F: CosheafGraph, center: Cell, us: list[int], vs: list[int]) -> 
         still = []
         for p in pending:
             a, b = us[p], vs[p]
-            if parent[a] >= 0 <= parent[b]:
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a == b:
-                    out[p] = r
-                    continue
-            still.append(p)
+            if parent[a] >= 0 <= parent[b] and _find(parent, a) == _find(parent, b):
+                out[p] = r
+            else:
+                still.append(p)
         if not still:
             break
         pending = still
@@ -49,7 +61,12 @@ def merge_radii(F: CosheafGraph, center: Cell, us: list[int], vs: list[int]) -> 
 
 def slice_labeling(F: CosheafGraph, center: Cell, radius: int) -> SliceLabeling:
     """CosheafGraph.slice, with its members found by a star_ring scan of the
-    occupied cells."""
+    occupied cells and numbered by the least member of their component."""
     F.grid.check_cell(center)
-    return F._labeling(i for c, block in F.nodes_at.items()
-                       if star_ring(center, c) <= radius for i in block)
+    members = sorted(i for c, block in F.nodes_at.items()
+                     if star_ring(center, c) <= radius for i in block)
+    parent = [-1] * len(F.ids)
+    _join(parent, F.adj, members)
+    ids: dict[int, int] = {}
+    lab = {i: ids.setdefault(_find(parent, i), len(ids)) for i in members}
+    return SliceLabeling(graph=F, component_count=len(ids), _lab=lab)

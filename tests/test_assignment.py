@@ -606,22 +606,24 @@ def test_chain_sweeps_join_fewer_nodes_than_one_sweep_per_center(monkeypatch):
     F, G = build(gA, grid).graph, build(gB, grid).graph
     a = random_assignment(F, G, feasible_level(F, G), rng)
     joined, sweeps = [0], []
-    join, chain_radii = cosheaf._join, CosheafGraph._chain_radii
+    chain_radii = CosheafGraph._chain_radii
 
-    def counted(parent, adj, nodes):
-        joined[0] += len(nodes)
-        join(parent, adj, nodes)
+    def counting(join):
+        def counted(parent, adj, nodes):
+            joined[0] += len(nodes)
+            join(parent, adj, nodes)
+        return counted
 
     def recorded(self, chain, us, vs, ends):
         out = chain_radii(self, chain, us, vs, ends)
         sweeps.append((self, chain, us, vs, ends, out))
         return out
 
-    monkeypatch.setattr(cosheaf, "_join", counted)
+    monkeypatch.setattr(cosheaf, "_join", counting(cosheaf._join))
     monkeypatch.setattr(CosheafGraph, "_chain_radii", recorded)
     res = basis_loss(F, G, a)
     chained = joined[0]
-    monkeypatch.setattr(sweep_reference, "_join", counted)
+    monkeypatch.setattr(sweep_reference, "_join", counting(sweep_reference._join))
     joined[0] = 0
     for graph, chain, us, vs, ends, out in sweeps:
         for c, lo, hi in zip(chain, [0, *ends], ends):

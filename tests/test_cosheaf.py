@@ -14,6 +14,7 @@ from mapperbound import (
     CosheafGraph,
     GeometricGraph,
     GridSpec,
+    basis_loss,
     diameter,
     distance,
     edge_cell,
@@ -466,6 +467,106 @@ def test_chain_sweeps_match_the_per_center_sweep(monkeypatch):
     assert infinite >= 10 and late >= 3 and longest == 4, (infinite, late, longest)
 
 
+def test_chain_sweeps_check_every_member_after_the_scan_switch():
+    # full chains down to a vertex in d = 2 and 3 on small grids, where most
+    # sweeps switch to the scan within a few checkpoints of nodes coming in
+    # from a shell: a member whose checkpoint falls between the switch and
+    # the next addition must still be checked there.  Each member gets the
+    # pairs of three nodes with their neighbours, which merge as soon as
+    # both ends are in.
+    rng = random.Random(151)
+    for _ in range(60):
+        d, nv = rng.choice((2, 2, 3)), rng.randint(2, 5)
+        paths = [random_geometric(rng, tag, nv, d=d, denom=rng.choice((1, 2)),
+                                  spread=rng.randint(2, 4), extra_edges=1) for tag in "ab"]
+        g = GeometricGraph(d=d, vertices={k: v for p in paths for k, v in p.vertices.items()},
+                           edges=[e for p in paths for e in p.edges])
+        peak = max(abs(x) for v in g.vertices.values() for x in v)
+        F = build(g, GridSpec(d, 1.0, max(1, math.ceil(peak)))).graph
+        L = F.grid.L
+        for _ in range(30):
+            chain = [Cell(tuple(rng.randint(-2 * L, 2 * L) for _ in range(d)))]
+            while chain[-1].dim:
+                chain.append(rng.choice(facets(chain[-1])))
+            us, vs, ends = [], [], []
+            for c in chain:
+                for x in rng.sample(range(len(F.ids)), 3):
+                    us += [x] * len(F.adj[x])
+                    vs += F.adj[x]
+                ends.append(len(us))
+            got = F._chain_radii(chain, us, vs, ends)
+            for c, a, b in zip(chain, [0, *ends], ends):
+                assert got[a:b] == sweep_reference.merge_radii(F, c, us[a:b], vs[a:b]), chain
+
+
+def _two_segments_and_a_far_vertex(L: int) -> CosheafGraph:
+    # two disjoint segments inside the edge (0, 1), three nodes each, and a
+    # vertex inside the last edge of the grid it fits: nine nodes over 4L + 1 cells
+    g = GeometricGraph(d=1, vertices={"a0": (Fraction(1, 10),), "a1": (Fraction(4, 10),),
+                                      "b0": (Fraction(6, 10),), "b1": (Fraction(9, 10),),
+                                      "z": (Fraction(2 * L - 1, 2),)},
+                       edges=[("a0", "a1"), ("b0", "b1")])
+    F = build(g, fit_grid([g], 1.0)).graph
+    assert F.grid.L == L and F.node_count() == 9
+    return F
+
+
+def test_ring_sweeps_cost_the_occupied_cells_not_the_grid(monkeypatch):
+    # a count, not a time: basis_loss swaps the two segments' nodes over the
+    # edge only, so its parallelogram pairs never merge and every sweep runs
+    # to saturation, about L checkpoints per center.  After the switch to the
+    # scan, a sweep yields only the checkpoints that add nodes and the ones
+    # right after them.
+    F = _two_segments_and_a_far_vertex(10 ** 6)
+    phi = {i: i for i in F.ids}
+    phi["0+#0"], phi["0+#1"] = "0+#1", "0+#0"
+    a = Assignment(n=0, phi=phi, psi={i: i for i in F.ids})
+    sweeps, rings = [], CosheafGraph._rings
+
+    def counted(self, chain):
+        sweeps.append([len(chain), 0])
+        for ring in rings(self, chain):
+            sweeps[-1][1] += 1
+            yield ring
+
+    monkeypatch.setattr(CosheafGraph, "_rings", counted)
+    assert basis_loss(F, F, a).L_B == math.inf
+    assert any(m == 2 for m, _ in sweeps), sweeps
+    # a walk over every checkpoint up to saturation would yield about
+    # 2 * 10**6 per two-center sweep
+    assert all(n <= 2 * (len(F.nodes_at) + 1) * m for m, n in sweeps), sweeps
+
+
+def test_slice_matches_the_scan_where_the_sweep_skips_radii():
+    # slice at every radius where its members may change, and on either side
+    # of it, on the L = 10**6 graph, and at every radius on a sparse 3-D
+    # graph at L = 3; the scan sweep yields only the radii that add nodes
+    rng = random.Random(139)
+    F = _two_segments_and_a_far_vertex(10 ** 6)
+    top = 2 * F.grid.L
+    for c in [*F.nodes_at, *(Cell((x,)) for x in (0, top, -top, rng.randint(-top, top)))]:
+        edges = {star_ring(c, t) for t in F.nodes_at} | {0, F.saturation(c)}
+        for r in sorted({max(0, e + k) for e in edges for k in (-1, 0, 1)}):
+            got, want = F.slice(c, r), sweep_reference.slice_labeling(F, c, r)
+            assert (got.component_count, list(got._lab.items())) == \
+                (want.component_count, list(want._lab.items())), (c, r)
+    g = random_geometric(rng, "s", 4, d=3, denom=1, spread=3, extra_edges=1)
+    F = build(g, GridSpec(3, 1.0, 3)).graph
+    assert len(F.nodes_at) < 0.1 * F.grid.cell_count()
+    for c in [*F.nodes_at, *(Cell(tuple(rng.randint(-6, 6) for _ in range(3))) for _ in range(4))]:
+        for r in range(F.saturation(c) + 2):
+            got, want = F.slice(c, r), sweep_reference.slice_labeling(F, c, r)
+            assert (got.component_count, list(got._lab.items())) == \
+                (want.component_count, list(want._lab.items())), (c, r)
+
+
+def test_merge_radii_refuses_pair_lists_of_different_lengths():
+    F = tiny_path_cosheaf()
+    for us, vs in (([0, 1], [1]), ([0], [1, 0])):
+        with pytest.raises(ValueError, match=f"{len(us)} nodes in us, {len(vs)} in vs"):
+            F.merge_radii(V(0), us, vs)
+
+
 # -- slices of basic opens and their thickenings --------------------------------------
 
 
@@ -783,8 +884,11 @@ def _per_node_validate(F: CosheafGraph) -> list[str]:
 
 
 def test_face_image_rows_match_the_per_node_descent():
+    # on a validated cosheaf every row of the descent is complete and equal,
+    # so _face_images keeping the first one drops nothing
     rng = random.Random(59)
     depths = {1: 0, 2: 0, 3: 0}
+    several = 0
     for trial in range(12):
         d = 2 if trial % 2 else 3
         g = random_geometric(rng, "r", rng.randint(3, 5), d=d, denom=2, spread=6,
@@ -798,9 +902,12 @@ def test_face_image_rows_match_the_per_node_descent():
                     continue
                 want = [_descend(up, F.cells, i, f) for i in block]
                 assert F._face_images(c, f) == want, (trial, c, f)
+                rows = list(F._descend(c, f))
+                assert all(row == want for row in rows), (trial, c, f)
+                several += len(rows) > 1
                 assert [F.face_image(F.ids[i], f) for i in block] == [F.ids[j] for j in want]
                 depths[c.dim - f.dim] += 1
-    assert all(depths.values()), depths
+    assert all(depths.values()) and several, (depths, several)
 
 
 def test_validate_matches_the_per_node_formulation_on_corrupted_cosheaves():
