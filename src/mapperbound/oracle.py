@@ -4,14 +4,16 @@ The geometric recomputation (segment arithmetic over realized open sets)
 shares no code with the cosheaf module or with ingest: it reads only the PL
 input, a GeometricGraph.  A vertex is a member when one hash probe finds its
 carrier cell (2*floor(x/delta) on a grid line, plus 1 off it) in the set.
-An edge whose endpoint carriers miss the set's box on some axis is skipped;
-any other edge is cut at the hyperplanes within one step of the box, in order
-of an exact integer key, and its points and open segments are walked with
-their carrier cells tracked in integers.  A cut at edge parameter t has key
-t*P, P the common denominator of the edge's cut parameters; only a
-component's midpoint becomes a Fraction.  Maximal runs of member pieces are
-the edge's pieces.  The per-cell interval arithmetic it replaced is the
-reference in tests/pi0_reference.py.  The full loss over every open set of
+One pass over an edge's axes skips it when its endpoint carriers miss the
+set's box on some axis, and otherwise finds the hyperplanes within one step
+of the box; the edge is cut there, in order of an exact integer key.  A cut
+at edge parameter t has key t*P, P the common denominator of the edge's cut
+parameters.  One pass over its points and open segments, with their carrier
+cells tracked in integers, yields the maximal runs of member pieces: the
+edge's pieces.  Runs and member vertices are keyed by integers in a
+list-based union-find, and midpoints are reduced with gcd, so delta's is
+the only Fraction a call builds.  tests/pi0_reference.py holds the per-cell
+interval arithmetic it replaced.  The full loss over every open set of
 the Alexandroff topology and the exhaustive search over component-level
 basis assignments label components themselves, on cell sets held as int
 bitmasks: each call numbers the grid's cells once, in decreasing dimension
@@ -59,7 +61,12 @@ def geometric_pi0(
 ) -> tuple[int, list[tuple]]:
     """Path components of the preimage of the realized open set, computed
     directly from segment arithmetic.  Returns the count and one
-    representative point per component."""
+    representative point per component.
+
+    Runs and member vertices are keyed by integers, runs in edge order and
+    then vertices in id order; a component is represented by its least key."""
+    if g.d != grid.d:
+        raise ValueError(f"graph dimension {g.d} does not match grid dimension {grid.d}")
     if not is_open(grid, cells):
         raise ValueError("geometric_pi0 requires an open cell set")
     dn, dd = Fraction(str(grid.delta)).as_integer_ratio()
@@ -67,96 +74,97 @@ def geometric_pi0(
     if not members:
         return 0, []
     box = [(min(ms), max(ms)) for ms in zip(*members)]  # per axis, doubled coords
-    parent: dict[tuple, tuple] = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
 
     # each vertex's carrier cell in doubled coordinates: 2l on the grid line
     # l*delta, 2l+1 inside (l*delta, (l+1)*delta)
-    carrier = {}
+    carrier, inside = {}, []
     for vid, val in g.vertices.items():
         m = []
         for x in val:
-            fl, rem = divmod(x.numerator * dd, x.denominator * dn)
+            xn, xd = x.as_integer_ratio()
+            fl, rem = divmod(xn * dd, xd * dn)
             m.append(2 * fl + (rem != 0))
         carrier[vid] = m = tuple(m)
         if m in members:
-            parent["v", vid] = ("v", vid)
+            inside.append(vid)
 
-    midpoint: dict[tuple, tuple[int, int]] = {}  # per edge piece, as (n, d)
-    for eidx, (u, v) in enumerate(g.edges):
+    runs: list[tuple[str, str, int, int]] = []  # per run: its edge, lo + hi and 2P
+    ends: list[tuple[int, str]] = []  # (run, member vertex it starts or ends on)
+    for u, v in g.edges:
         mu, mv = carrier[u], carrier[v]
-        if any(max(p, q) < lo or min(p, q) > hi for p, q, (lo, hi) in zip(mu, mv, box)):
-            continue
         # the cuts strictly inside the edge at the hyperplanes 2l within one
         # step of the box.  On an axis where the edge runs from x = xn/xd to
         # y = yn/yd it meets l*delta at t = (l*A - B) / C.  A cut is keyed by
         # the integer t*P, P the lcm of C over the axes with cuts (P // C is
         # exact whatever C's sign), so the edge runs from key 0 to key P
-        axes = []
-        for a, (x, y, p, q, (lo, hi)) in enumerate(zip(g.vertices[u], g.vertices[v], mu, mv, box)):
-            first, last = max(min(p, q) + 1, lo - 1), min(max(p, q) - 1, hi + 1)
-            levels = range((first + 1) // 2, last // 2 + 1)
+        axes, missed = [], False
+        for a, (p, q, (lo, hi)) in enumerate(zip(mu, mv, box)):
+            low, high = (p, q) if p < q else (q, p)
+            if high < lo or low > hi:
+                missed = True
+                break
+            levels = range((max(low + 1, lo - 1) + 1) // 2, min(high - 1, hi + 1) // 2 + 1)
             if levels:
+                x, y = g.vertices[u][a], g.vertices[v][a]
                 (xn, xd), (yn, yd) = x.as_integer_ratio(), y.as_integer_ratio()
                 axes.append((a, levels, dn * xd * yd, xn * dd * yd, dd * (yn * xd - xn * yd)))
-        P = math.lcm(*(C for *_, C in axes))
-        # at key P the end point takes v's carrier
-        cuts: dict[int, list[tuple[int, int]]] = {P: list(enumerate(mv))}
-        for a, levels, A, B, C in axes:
-            for l in levels:
-                cuts.setdefault((l * A - B) * (P // C), []).append((a, 2 * l))
-        # pieces in order: point 0, then an (open segment, point) pair per cut;
-        # m is the carrier cell, moved off each point along the edge (where
-        # the carriers of u and v differ on an axis, so do its values)
+        if missed:
+            continue
+        P, cuts = 1, {}
+        if axes:
+            P = math.lcm(*(C for *_, C in axes))
+            for a, levels, A, B, C in axes:
+                for l in levels:
+                    cuts.setdefault((l * A - B) * (P // C), []).append((a, 2 * l))
+        # the pieces in order: point 0, then an (open segment, point) pair
+        # per cut and one at key P.  m is the carrier cell, moved off each
+        # point along the edge; a run opens or closes where membership flips
         step = [(q > p) - (q < p) for p, q in zip(mu, mv)]
-        m, prev = list(mu), 0
-        pieces = [(0, 0, True, mu in members)]
-        for t in sorted(cuts):
-            m = [c if c % 2 else c + s for c, s in zip(m, step)]
-            pieces.append((prev, t, False, tuple(m) in members))
-            for a, c in cuts[t]:
+        m, prev, start = mu, 0, -1  # start: the key where the open run began
+        if mu in members:  # the first run starts at point 0
+            ends.append((len(runs), u))
+            start = 0
+        for t in (*sorted(cuts), P):
+            seg = tuple([c if c % 2 else c + s for c, s in zip(m, step)])
+            m = list(seg)
+            for a, c in cuts[t] if t < P else enumerate(mv):
                 m[a] = c
-            pieces.append((t, t, True, tuple(m) in members))
+            m = tuple(m)
+            for key, piece in ((prev, seg), (t, m)):
+                if (piece in members) != (start >= 0):
+                    if start < 0:
+                        start = key
+                    else:
+                        runs.append((u, v, start + key, 2 * P))
+                        start = -1
             prev = t
-        # maximal runs of member pieces are the edge's pieces in the set
-        runs, in_run = [], False
-        for lo, hi, point, inside in pieces:
-            if inside and in_run:
-                runs[-1] = (runs[-1][0], hi, runs[-1][2], point)
-            elif inside:
-                runs.append((lo, hi, point, point))
-            in_run = inside
-        for j, (lo, hi, lc, hc) in enumerate(runs):
-            key = ("e", eidx, j)
-            parent[key] = key
-            midpoint[key] = (lo + hi, 2 * P)
-            if lo == 0 and lc and ("v", u) in parent:
-                union(key, ("v", u))
-            if hi == P and hc and ("v", v) in parent:
-                union(key, ("v", v))
+        if start >= 0:  # the last run ends at point P
+            runs.append((u, v, start + P, 2 * P))
+            ends.append((len(runs) - 1, v))
 
-    # union keeps the least key as root, so each component's root is its least key
-    roots = sorted({find(key) for key in parent})
-    reps = []
-    for key in roots:
-        if key[0] == "v":
-            reps.append(("vertex", key[1]))
-        else:
-            u, v = g.edges[key[1]]
-            reps.append(("edge", u, v, str(Fraction(*midpoint[key]))))
-    return len(roots), reps
+    # runs, then member vertices in id order; union keeps the least as root
+    inside.sort()
+    vkey = {vid: len(runs) + i for i, vid in enumerate(inside)}
+    root = list(range(len(runs) + len(inside)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for r, vid in ends:
+        a, b = find(r), find(vkey[vid])
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    reps = []  # a midpoint n/d in lowest terms, written as str(Fraction) writes it
+    for i, r in enumerate(root):
+        if i == r and i >= len(runs):
+            reps.append(("vertex", inside[i - len(runs)]))
+        elif i == r:
+            u, v, n, d = runs[i]
+            k = math.gcd(n, d)
+            reps.append(("edge", u, v, f"{n // k}/{d // k}" if d > k else str(n // k)))
+    return len(reps), reps
 
 
 # -- cell sets as bitmasks -------------------------------------------------------
