@@ -6,11 +6,11 @@ carrier, and psi symmetrically.  The pointer's slice component realizes the
 component-level map, and composites chase the concrete representative.
 
 The loss is defined for assignments only.  Every entry point that scores one
-(basis_loss, loss_at, loss_report and the four check_*) starts by resolving
-each pointer map once and validating the pair; on any violation it raises an
-AssignmentError carrying validate_assignment's messages.  A target lies in
-the n-thickened star of a carrier iff its star_ring around the carrier is at
-most n.
+(basis_loss, loss_at, loss_report and the four check_*) starts with _resolve,
+one pass over each pointer map that both resolves and validates it; on any
+violation it raises an AssignmentError carrying validate_assignment's messages.
+A target lies in the n-thickened star of a carrier iff its star_ring around the
+carrier is at most n.
 
 Four diagram families measure how far the pair is from an interleaving, all
 phrased as "do these two nodes share a component of a given slice":
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from .cosheaf import CosheafGraph, _slack, fmt_extended
+from .cosheaf import INFINITE, CosheafGraph, _slack, fmt_extended
 from .grid import (Cell, InvalidInput, cell_sort_key, cell_to_wire, faces, facets, ring_cells,
                    star_ring, thicken, wire)
 
@@ -145,58 +145,46 @@ def result_to_json(r: LossResult) -> str:
 # -- validation ----------------------------------------------------------------
 
 
-def _ptr_idx(src: CosheafGraph, dst: CosheafGraph, ptr: dict[str, str]) -> list[int | None]:
-    """The node index in dst of each source node's pointer target, in node
-    order; None where the pointer is missing or names no node of dst."""
-    get = dst.index.get
-    return [get(ptr.get(nid)) for nid in src.ids]
-
-
-def _violations(F: CosheafGraph, G: CosheafGraph, a: Assignment,
-                phi: list[int | None], psi: list[int | None]) -> list[str]:
-    """validate_assignment's messages, from phi and psi resolved by _ptr_idx."""
+def _resolve(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> tuple[list, list, list[str]]:
+    """phi and psi, one pass over each: per source node in node order, the index
+    of its target node, None for a missing or unknown one; validate_assignment's
+    messages."""
     if F.grid != G.grid:
         raise AssignmentError("both cosheaves must live on the same grid")
-    out: list[str] = []
+    phi, psi, out = [], [], []
     for side, src, dst, ptr, idx in (("phi", F, G, a.phi, phi), ("psi", G, F, a.psi, psi)):
-        missing = 0
+        get, ids, missing = dst.index.get, src.ids, 0
         for c, block in src.nodes_at.items():
             fits: dict[Cell, bool] = {}  # one membership test per target cell
             for i in block:
-                j = idx[i]
+                j = get(tgt := ptr.get(ids[i]))
+                idx.append(j)
                 if j is None:
-                    nid = src.ids[i]
-                    tgt = ptr.get(nid)
                     missing += tgt is None
-                    out.append(f"{side} is missing node {nid}" if tgt is None
-                               else f"{side}({nid}) = {tgt} is not a node of the target")
+                    out.append(f"{side} is missing node {ids[i]}" if tgt is None
+                               else f"{side}({ids[i]}) = {tgt} is not a node of the target")
                     continue
-                t = dst.cells[j]
-                ok = fits.get(t)
-                if ok is None:
+                if (ok := fits.get(t := dst.cells[j])) is None:
                     ok = fits[t] = star_ring(c, t) <= a.n
                 if not ok:
-                    nid = src.ids[i]
-                    out.append(
-                        f"{side}({nid}) = {ptr[nid]} lies outside the level-{a.n} radius")
+                    out.append(f"{side}({ids[i]}) = {tgt} lies outside the level-{a.n} radius")
         # a key naming no node of src is possible only with more keys than pointing nodes
-        if len(ptr) > len(src.ids) - missing:
+        if len(ptr) > len(ids) - missing:
             out += sorted(f"{side} has unknown node {k}" for k in ptr if k not in src.index)
-    return out
+    return phi, psi, out
 
 
 def validate_assignment(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> list[str]:
     """Empty iff the keys of phi and psi are exactly the nodes of F and of G
     and every pointer names a node of the other graph within the level-n
     radius.  Raises on grid mismatch."""
-    return _violations(F, G, a, _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi))
+    return _resolve(F, G, a)[2]
 
 
 def _prepare(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> tuple[list[int], list[int]]:
-    """phi and psi resolved by _ptr_idx, once each.  Raises an AssignmentError
+    """phi and psi resolved by _resolve, once each.  Raises an AssignmentError
     carrying validate_assignment's messages, if there are any."""
-    phi, psi = _ptr_idx(F, G, a.phi), _ptr_idx(G, F, a.psi)
-    problems = _violations(F, G, a, phi, psi)
+    phi, psi, problems = _resolve(F, G, a)
     if problems:
         raise AssignmentError("invalid assignment", problems)
     return phi, psi
@@ -367,18 +355,25 @@ def basis_loss(F: CosheafGraph, G: CosheafGraph, a: Assignment) -> LossResult:
     slacks = _slacks(F, G, a.n, phi, psi)
     L_B = max((s for _, s in slacks), default=0)
     worst = sorted((w for w, s in slacks if s == L_B), key=Witness.sort_key)
-    res = LossResult(n=a.n, L_B=L_B, bound=a.n + L_B, reeb_bound=None,
-                     witnesses=worst[:10], dim=F.grid.d)
+    bound = L_B if L_B == INFINITE else a.n + L_B  # no float conversion of a huge n
+    res = LossResult(n=a.n, L_B=L_B, bound=bound, reeb_bound=None, witnesses=worst[:10],
+                     dim=F.grid.d)
     if res.dim == 1:
         res.reeb_bound = reeb_bound(res, F.grid.delta)
     return res
 
 
 def reeb_bound(result: LossResult, delta: float) -> float:
-    """The Reeb-graph interleaving bound delta * (n + L_B + 1); only d = 1
-    discretizations induce one."""
+    """The Reeb-graph interleaving bound delta * (n + L_B + 1), read off the
+    bound n + L_B (INFINITE when L_B is); only d = 1 discretizations induce
+    one.  A finite bound too large for a float is refused."""
     if result.dim != 1:
         raise AssignmentError("the Reeb bound is defined for d = 1 only")
     if not delta > 0:
         raise AssignmentError("delta must be positive")
-    return delta * (result.n + result.L_B + 1)
+    try:  # a finite bound may overflow on its conversion to float, or on the product
+        if (scaled := delta * (result.bound + 1)) < INFINITE or result.bound == INFINITE:
+            return scaled
+    except OverflowError:
+        pass
+    raise AssignmentError("assignment level n is too large: delta * (n + L_B + 1) exceeds a float")

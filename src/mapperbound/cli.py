@@ -13,7 +13,8 @@ assignment itself, with the core's messages but without the core's code.
 
 Exit codes: 0 success or passing check, 1 failing check or oracle
 disagreement, 2 invalid input, 3 infinite bound.  Every cosheaf file is
-validated on load.  main reports all invalid input: an InvalidInput carrying
+validated on load; bound, check and full-loss read F, G, then the assignment
+through _load.  main reports all invalid input: an InvalidInput carrying
 violations prints one stdout JSON line {"error": subject, "violations": [...]},
 any other refusal one "error: " line on stderr, led by a refused file's path.
 
@@ -61,6 +62,12 @@ def _load_cosheaf(path: str) -> cosheaf.CosheafGraph:
     return F
 
 
+def _load(args: argparse.Namespace) -> tuple:
+    """F, G and the assignment named by args, read and validated in that order."""
+    return (_load_cosheaf(args.f), _load_cosheaf(args.g),
+            _read(args.assignment, asg.Assignment.from_json_obj))
+
+
 def _grid_of(obj) -> GridSpec:  # a GridSpec object, or any object with a grid key
     return GridSpec.from_wire(obj.get("grid", obj) if isinstance(obj, dict) else obj)
 
@@ -86,19 +93,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    F = _load_cosheaf(args.f)
-    G = _load_cosheaf(args.g)
-    a = _read(args.assignment, asg.Assignment.from_json_obj)
-    result = asg.basis_loss(F, G, a)
+    result = asg.basis_loss(*_load(args))
     sys.stdout.write(asg.result_to_json(result))
     return 3 if math.isinf(result.L_B) else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    F = _load_cosheaf(args.f)
-    G = _load_cosheaf(args.g)
-    a = _read(args.assignment, asg.Assignment.from_json_obj)
-    ok, witnesses = asg.loss_report(F, G, a, args.k)
+    ok, witnesses = asg.loss_report(*_load(args), args.k)
     _emit({"k": args.k, "pass": ok, "witnesses": [w.to_json_obj() for w in witnesses]})
     return 0 if ok else 1
 
@@ -108,8 +109,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.mode in ("exact", "full-loss") and not args.g:
         raise ValueError(f"--g is required for {args.mode}")
     if args.mode == "exact":
-        F = _load_cosheaf(args.f)
-        G = _load_cosheaf(args.g)
+        F, G = _load_cosheaf(args.f), _load_cosheaf(args.g)
         n_max = args.n_max if args.n_max is not None else 2 * F.grid.L
         got = oracle.exhaustive_interleaving(F, G, n_max, caps)
         _emit({"oracle": {
@@ -121,10 +121,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.mode == "full-loss":
         if not args.assignment:
             raise asg.AssignmentError("--assignment is required for full-loss")
-        F = _load_cosheaf(args.f)
-        G = _load_cosheaf(args.g)
-        a = _read(args.assignment, asg.Assignment.from_json_obj)
-        rep = oracle.full_loss(F, G, a, caps)
+        rep = oracle.full_loss(*_load(args), caps)
         _emit({"oracle": {
             "mode": "full-loss",
             "L": cosheaf.fmt_extended(rep.value),

@@ -389,16 +389,32 @@ def validate(F: CosheafGraph) -> list[str]:
     link per (node, face cell); a node must have a face image at every
     codimension-1 face of its cell, occupied or not, and at every occupied
     deeper face; derived images along different descent orders must agree.
-    Link violations are reported alone.
 
-    The checks run per block of nodes sharing a cell, on the whole rows that
-    _descend yields for each facet and each occupied deeper face: the images
-    the loss reads.  Links are checked one by one only when the rows of
-    proper codimension-1 faces do not hold every link, i.e. some link goes
-    elsewhere or repeats a (node, face cell) pair.  Messages come in link
-    order, then node order, as a per-node pass would give them.
+    The link rules come first: they hold iff every link fills a slot of a row
+    at a proper codimension-1 face, else each link is checked in link order
+    and those violations are reported alone, with no face row built.  The
+    face-image checks run per block of nodes sharing a cell, on the whole
+    rows that _descend yields for each facet and each occupied deeper face:
+    the images the loss reads.  Messages come in node order, as a per-node
+    pass would give them.
     """
     out: list[str] = []
+    if sum(len(r) - r.count(None) for (c, f), r in F._links.items()
+           if f in facets(c)) != len(F._raw_links):
+        # some link is not to a proper codimension-1 face, or repeats a (node, face cell) pair
+        seen: set[tuple[int, Cell]] = set()
+        for ci, pi in F._raw_links:
+            child, parent = F.ids[ci], F.ids[pi]
+            cc, pc = F.cells[ci], F.cells[pi]
+            if not (is_face(pc, cc) and pc != cc):
+                out.append(f"wrong direction: link ({child}, {parent}) does not go to a proper face")
+            elif pc.dim != cc.dim - 1:
+                out.append(f"link skips dimensions: ({child}, {parent}) is not codimension-1")
+            elif (ci, pc) in seen:
+                out.append(f"duplicate face image: node {child} has several links at {pc!r}")
+            else:
+                seen.add((ci, pc))
+        return out
     for c, block in F.nodes_at.items():
         mids = facets(c)
         failed: dict[Cell, list[set[int]]] = {}
@@ -423,24 +439,6 @@ def validate(F: CosheafGraph) -> list[str]:
                 elif len(images[s]) > 1:
                     names = sorted(F.ids[k] for k in images[s])
                     out.append(f"incompatible face images: node {F.ids[i]} reaches {names} at {f!r}")
-    if sum(len(r) - r.count(None) for (c, f), r in F._links.items()
-           if f in facets(c)) == len(F._raw_links):
-        return out  # each link fills a slot of a facet row
-
-    # some link is not to a proper codimension-1 face, or repeats a (node, face cell) pair
-    out = []
-    seen: set[tuple[int, Cell]] = set()
-    for ci, pi in F._raw_links:
-        child, parent = F.ids[ci], F.ids[pi]
-        cc, pc = F.cells[ci], F.cells[pi]
-        if not (is_face(pc, cc) and pc != cc):
-            out.append(f"wrong direction: link ({child}, {parent}) does not go to a proper face")
-        elif pc.dim != cc.dim - 1:
-            out.append(f"link skips dimensions: ({child}, {parent}) is not codimension-1")
-        elif (ci, pc) in seen:
-            out.append(f"duplicate face image: node {child} has several links at {pc!r}")
-        else:
-            seen.add((ci, pc))
     return out
 
 

@@ -157,10 +157,10 @@ def cell_to_wire(c: Cell) -> list[dict]:
 
 def cell_from_wire(entries: list[dict], error: type[ValueError] = ValueError) -> Cell:
     coords = []
-    for e in wire(entries, list, "a cell", error):
-        if "deg" in wire(e, dict, "a cell interval", error):
+    for e in wire(entries, list, "a cell", error):  # each interval {"deg": l} or {"nondeg": l}
+        if len(wire(e, dict, "a cell interval", error)) == 1 and "deg" in e:
             coords.append(2 * wire(e["deg"], int, "cell deg", error))
-        elif "nondeg" in e:
+        elif len(e) == 1 and "nondeg" in e:
             coords.append(2 * wire(e["nondeg"], int, "cell nondeg", error) + 1)
         else:
             raise error(f"bad cell interval {e!r}")

@@ -47,3 +47,28 @@ def test_every_unread_import_is_a_tracing_target():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert imported - read <= targets.get(path.stem, set()), path.name
+
+
+def test_every_private_helper_is_named_outside_its_own_definition():
+    # a module-level _name function that no other statement in src/ names
+    # (by a read, an attribute or an import) is dead code a refactor left behind
+    src = Path(__file__).resolve().parent.parent / "src" / "mapperbound"
+    helpers, statements = [], []
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            statements.append((stmt, names))
+            if (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")):
+                helpers.append((path.name, stmt))
+    assert helpers
+    for module, helper in helpers:
+        assert any(helper.name in names for stmt, names in statements
+                   if stmt is not helper), (module, helper.name)

@@ -167,6 +167,58 @@ def test_bound_invalid_assignment_exits_2(bound_bundle, workdir, capsys):
     assert json.loads(stdout)["violations"]
 
 
+def _huge_level_bundle(workdir, bF, bG, a):
+    """Cosheaf files for a pair plus the assignment `a` at level n = 10**400,
+    where n + L_B + 1 is too large for a float."""
+    from mapperbound.cosheaf import to_json
+
+    a.n = 10 ** 400
+    return (write(workdir / "F.json", to_json(bF.graph)),
+            write(workdir / "G.json", to_json(bG.graph)),
+            write(workdir / "a.json", assignment_to_json(a)))
+
+
+def test_bound_refuses_a_finite_reeb_bound_too_large_for_a_float(workdir, capsys):
+    bF, bG = hook_lam_pair()
+    f, g, m = _huge_level_bundle(workdir, bF, bG, hook_lam_assignment(bF, bG))
+    rc, stdout, err = run(capsys, ["bound", "--f", f, "--g", g, "--assignment", m])
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: assignment level n is too large")
+    rc, stdout, _ = run(capsys, ["check", "--f", f, "--g", g, "--assignment", m, "--k", "0"])
+    assert rc == 0 and json.loads(stdout)["pass"]
+
+
+def test_bound_keeps_an_infinite_loss_infinite_at_a_huge_level(workdir, capsys):
+    import random
+
+    from mapperbound.ingest import build
+    from mapperbound import fit_grid
+
+    X, Y = split_graph(), strand_graph()
+    grid = fit_grid([X, Y], 1.0)
+    bF, bG = build(X, grid), build(Y, grid)
+    a = random_assignment(bF.graph, bG.graph, 1, random.Random(5))
+    f, g, m = _huge_level_bundle(workdir, bF, bG, a)
+    rc, stdout, _ = run(capsys, ["bound", "--f", f, "--g", g, "--assignment", m])
+    assert rc == 3
+    got = json.loads(stdout)
+    assert got["n"] == 10 ** 400
+    assert got["L_B"] == "inf" and got["bound"] == "inf" and got["reeb_bound"] == "inf"
+
+
+def test_ambiguous_cell_interval_exits_2_naming_it(bound_bundle, workdir, capsys):
+    # a node whose cell interval holds both deg and nondeg is refused on load
+    f, g, m = bound_bundle
+    obj = json.loads(Path(f).read_text())
+    node = next(n for n in obj["nodes"] if "deg" in n["cell"][0])
+    node["cell"] = [{**node["cell"][0], "nondeg": 99}]
+    bad = write(workdir / "bad.json", json.dumps(obj))
+    rc, stdout, err = run(capsys, ["bound", "--f", bad, "--g", g, "--assignment", m])
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"error: {bad}: bad cell interval ")
+    assert "'nondeg': 99" in err
+
+
 @pytest.fixture()
 def doubled_link(bound_bundle, workdir):
     """A copy of F.json in which one node has a second link at a face cell."""
@@ -292,25 +344,25 @@ def test_check_resolves_each_pointer_map_once(bound_bundle, workdir, capsys, mon
     from mapperbound.cosheaf import from_json
 
     calls = []
-    real = asg._ptr_idx
-    monkeypatch.setattr(asg, "_ptr_idx", lambda *args: calls.append(args) or real(*args))
+    real = asg._resolve
+    monkeypatch.setattr(asg, "_resolve", lambda *args: calls.append(args) or real(*args))
     f, g, m = bound_bundle
     rc, _, _ = run(capsys, ["check", "--f", f, "--g", g, "--assignment", m, "--k", "1"])
-    assert (rc, len(calls)) == (0, 2)
+    assert (rc, len(calls)) == (0, 1)
     # an invalid assignment stops after validation, with its messages on stdout
     broken = {"n": 1, "phi": {}, "psi": {}}
     m = write(workdir / "broken.json", json.dumps(broken))
     rc, stdout, _ = run(capsys, ["check", "--f", f, "--g", g, "--assignment", m, "--k", "1"])
-    assert (rc, len(calls)) == (2, 4)
+    assert (rc, len(calls)) == (2, 2)
     F, G = (from_json(Path(p).read_text()) for p in (f, g))
     problems = asg.validate_assignment(F, G, asg.Assignment.from_json_obj(broken))
     assert json.loads(stdout) == {"error": "invalid assignment", "violations": problems}
     # bound validates and scores from the same single resolution
     del calls[:]
     rc, _, _ = run(capsys, ["bound", "--f", f, "--g", g, "--assignment", bound_bundle[2]])
-    assert (rc, len(calls)) == (0, 2)
+    assert (rc, len(calls)) == (0, 1)
     rc, stdout, _ = run(capsys, ["bound", "--f", f, "--g", g, "--assignment", m])
-    assert (rc, len(calls)) == (2, 4)
+    assert (rc, len(calls)) == (2, 2)
     assert json.loads(stdout) == {"error": "invalid assignment", "violations": problems}
 
 

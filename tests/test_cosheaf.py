@@ -89,6 +89,25 @@ def test_validate_duplicate_link():
     assert any("duplicate face image" in m for m in validate(F))
 
 
+def test_validate_builds_no_face_row_when_a_link_is_bad(monkeypatch):
+    # the link rules are checked first, and their violations alone are reported
+    grid = GridSpec(1, 1.0, 2)
+    wrong = CosheafGraph(grid, [("p0", V(0)), ("e0", E(0))], [("p0", "e0")])
+    doubled = CosheafGraph(
+        grid, [("p0", V(0)), ("q0", V(0)), ("p1", V(1)), ("e0", E(0))],
+        [("e0", "p0"), ("e0", "q0"), ("e0", "p1")],
+    )
+    asked = []
+    descend = CosheafGraph._descend
+    monkeypatch.setattr(CosheafGraph, "_descend",
+                        lambda self, c, f: asked.append((c, f)) or descend(self, c, f))
+    assert validate(wrong) == ["wrong direction: link (p0, e0) does not go to a proper face"]
+    assert validate(doubled) == [
+        "duplicate face image: node e0 has several links at Cell([0])"]
+    assert asked == []
+    assert validate(tiny_path_cosheaf()) == [] and asked
+
+
 def test_validate_incompatible_square_routes():
     # two routes from a square element disagree at the shared corner
     grid = GridSpec(2, 1.0, 1)

@@ -360,6 +360,17 @@ def test_cell_wire_round_trip():
         G2.check_cell(cell_from_wire([{"deg": 99}, {"deg": 0}]))
 
 
+@pytest.mark.parametrize("interval", [
+    {"deg": -8, "nondeg": 99}, {"nondeg": 0, "deg": 1}, {"deg": 0, "bogus": 1},
+    {"nondeg": 0, "bogus": 1}, {},
+])
+def test_cell_interval_must_be_exactly_one_deg_or_nondeg_key(interval):
+    # an interval naming both kinds, or carrying any other key, is ambiguous
+    with pytest.raises(ValueError, match="bad cell interval"):
+        cell_from_wire([{"deg": 0}, interval])
+    assert cell_from_wire([{"deg": 0}, {"nondeg": -1}]) == cell(("deg", 0), ("nondeg", -1))
+
+
 def test_canonical_cell_order_puts_degenerate_first():
     assert cell_sort_key(vertex_cell(3)) < cell_sort_key(edge_cell(3))
     assert cell_sort_key(edge_cell(-1)) < cell_sort_key(edge_cell(0))
