@@ -13,6 +13,14 @@ union-find over the classes inside the star of sigma, joined by the other
 chain adjacencies bucketed under sigma, yields the elements and is kept to
 locate points.  Links (per grid.facets) fall out of component containment.
 
+Costs: the levels an edge crosses on an axis are the even doubled coordinates
+strictly between its ends' carriers, so an edge inside one cell (a cell is
+convex) costs one tuple comparison besides its pieces and spans, any other
+edge O(d) integer steps, and only an edge with cuts builds cut keys, at
+O(c log c) for c cuts.  Per cell, the glue is a union-find over the joins
+bucketed there, halving paths inline, and one pass that points every piece at
+its root, so a coface's link to the cell costs one lookup per node.
+
 Values are read as the exact decimal written, an integer mantissa over a
 power of ten (parse_decimal; a float through its shortest repr), and
 fit_grid and build take each as an integer pair, comparing no Fractions.
@@ -22,8 +30,9 @@ get degenerate carrier coordinates, and an edge lying inside a hyperplane is
 carried by a lower-dimensional cell.  The walk runs in exact integers: each
 coordinate is a pair (n, d) with n / d its value in grid steps, and on one
 edge every cut is keyed by the integer t * P, where P is the least common
-multiple of the crossing axes' parameter denominators, so cuts sort and merge
-as ints, carriers are bit-stable, and spans are integers over P.
+multiple of the crossing axes' parameter denominators (1 on an edge without a
+cut), so cuts sort and merge as ints, carriers are bit-stable, and spans are
+integers over P.
 """
 
 from __future__ import annotations
@@ -101,9 +110,14 @@ class GeometricGraph:
         # shortest repr of its float
         for vid, val in self.vertices.items():
             for x in val:
-                if _as_fraction(float(x)) != x:
+                try:
+                    f = float(x)
+                except OverflowError:
+                    raise IngestError(f"vertex {vid!r} has value {x}, which is beyond the "
+                                      f"range of a JSON float") from None
+                if _as_fraction(f) != x:
                     raise IngestError(f"vertex {vid!r} has value {x}, which JSON would "
-                                      f"write as {float(x)!r}, a different number")
+                                      f"write as {f!r}, a different number")
         return {
             "d": self.d,
             "vertices": [
@@ -224,16 +238,20 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
     p, q = _as_fraction(grid.delta).as_integer_ratio()
 
     # pieces are the vertices by id, then each edge's segments and cut points
-    # in order along it; carrier[p] is the doubled coordinates of p's cell
-    carrier: list[tuple[int, ...]] = []
-    steps: dict[str, tuple[tuple[int, int], ...]] = {}
-    vertex_piece: dict[str, int] = {}
-    for vid, val in sorted(g.vertices.items()):
-        nd = steps[vid] = tuple((n * q, d * p) for n, d in map(Fraction.as_integer_ratio, val))
-        if any(abs(n) > grid.L * d for n, d in nd):
-            raise IngestError(f"vertex {vid!r} has a value outside the grid box")
-        vertex_piece[vid] = len(carrier)
-        carrier.append(tuple(2 * (n // d) + (n % d != 0) for n, d in nd))
+    # in order along it; carrier[p] is the doubled coordinates of p's cell,
+    # which holds |x| <= L exactly when it lies in [-2L, 2L]
+    vids = sorted(g.vertices)
+    nd = [(n * q, d * p) for n, d in map(Fraction.as_integer_ratio,
+                                         [x for vid in vids for x in g.vertices[vid]])]
+    flat = [2 * (n // d) + (n % d != 0) for n, d in nd]
+    box = 2 * grid.L
+    if flat and (min(flat) < -box or max(flat) > box):
+        vid = vids[next(i for i, m in enumerate(flat) if not -box <= m <= box) // g.d]
+        raise IngestError(f"vertex {vid!r} has a value outside the grid box")
+    # d consecutive items per vertex, grouped by one zip over d copies of one iterator
+    steps = dict(zip(vids, zip(*[iter(nd)] * g.d)))
+    carrier = list(zip(*[iter(flat)] * g.d))
+    vertex_piece = dict(zip(vids, range(len(vids))))
 
     # each chain adjacency joins a segment and its end point.  If both have one
     # carrier (only at an edge's end vertex: a cut point's segments leave its
@@ -243,65 +261,84 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
     classes: dict[int, int] = {}
     joins: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     edge_chain: dict[tuple[str, str], tuple[int, list[tuple[int, int, int]]]] = {}
-    for u, v in g.edges:
+    for e in g.edges:
+        u, v = e
         pu, pv = vertex_piece[u], vertex_piece[v]
-        cur = list(carrier[pu])  # the carrier of the segment being walked
-        step = [0] * g.d
-        crossed = []
-        for a, ((nx, dx), (ny, dy)) in enumerate(zip(steps[u], steps[v])):
-            den = ny * dx - nx * dy  # the level l is crossed at t = (l*dx - nx)*dy / den
-            if den == 0:
-                continue
-            s = step[a] = 1 if den > 0 else -1
-            if cur[a] % 2 == 0:
-                cur[a] += s  # a vertex on a hyperplane steps off it at t = 0
-            if s > 0:
-                levels = range(nx // dx + 1, -(-ny // dy))
-            else:
-                levels = range(-(-nx // dx) - 1, ny // dy, -1)
-            crossed.append((a, nx, dx, dy, den, levels))
-        # each cut is keyed by the exact integer t * P, with P the lcm of the
-        # |den|; P // den is exact and carries the sign of den
-        P = math.lcm(*(c[4] for c in crossed))
-        cuts: dict[int, list[tuple[int, int]]] = {}
-        for a, nx, dx, dy, den, levels in crossed:
-            m = dy * (P // den)
-            for l in levels:
-                cuts.setdefault((l * dx - nx) * m, []).append((a, l))
-        seg, k0 = len(carrier), 0
+        cur = cu = carrier[pu]  # the carrier of the segment being walked
+        cv = carrier[pv]
+        crossed = []  # per axis with a level strictly inside the edge
+        if cu != cv:  # a cell is convex: an edge between two points of it has no cut
+            cur = list(cu)
+            # the levels crossed on an axis are the even doubled coordinates
+            # strictly between the ends' carriers
+            for a, (x, y) in enumerate(zip(cu, cv)):
+                if x < y:
+                    s, levels = 1, range(x // 2 + 1, (y + 1) // 2)
+                elif y < x:
+                    s, levels = -1, range((x + 1) // 2 - 1, y // 2, -1)
+                else:
+                    continue
+                if x % 2 == 0:
+                    cur[a] = x + s  # a vertex on a hyperplane steps off it at t = 0
+                if levels:
+                    (nx, dx), (ny, dy) = steps[u][a], steps[v][a]
+                    # the level l is crossed at t = (l*dx - nx)*dy / den
+                    crossed.append((a, s, nx, dx, dy, ny * dx - nx * dy, levels))
+        first = seg = len(carrier)
         carrier.append(tuple(cur))
-        spans = [(0, 0, pu)]
-        for key in sorted(cuts):
-            # cuts on several axes at one t are one point piece
-            point = cur[:]
-            for a, l in cuts[key]:
-                point[a] = 2 * l
-                cur[a] = 2 * l + step[a]
-            carrier += (tuple(point), tuple(cur))
-            spans += ((k0, key, seg), (key, key, seg + 1))
-            joins.setdefault(carrier[seg + 1], []).extend(((seg, seg + 1), (seg + 1, seg + 2)))
-            seg, k0 = seg + 2, key
+        spans, k0, P = [(0, 0, pu)], 0, 1
+        if crossed:
+            # each cut is keyed by the exact integer t * P, with P the lcm of
+            # the |den|; P // den is exact and carries the sign of den
+            P = math.lcm(*[c[5] for c in crossed])
+            cuts: dict[int, list[tuple[int, int, int]]] = {}
+            for a, s, nx, dx, dy, den, levels in crossed:
+                m = dy * (P // den)
+                for l in levels:
+                    cuts.setdefault((l * dx - nx) * m, []).append((a, l, s))
+            for key in sorted(cuts):
+                # cuts on several axes at one t are one point piece
+                point = cur[:]
+                for a, l, s in cuts[key]:
+                    point[a] = 2 * l
+                    cur[a] = 2 * l + s
+                carrier += (tuple(point), tuple(cur))
+                spans += ((k0, key, seg), (key, key, seg + 1))
+                joins.setdefault(carrier[seg + 1], []).extend(((seg, seg + 1), (seg + 1, seg + 2)))
+                seg, k0 = seg + 2, key
         spans += ((k0, P, seg), (P, P, pv))
-        for end, s in ((pu, spans[1][2]), (pv, seg)):  # each end vertex and its segment
-            if carrier[end] != carrier[s]:
-                joins.setdefault(carrier[end], []).append((end, s))
-            elif (a := _root(classes, end)) != (b := _root(classes, s)):
+        # an end vertex and its segment with one carrier are one class: the
+        # segment, a fresh piece, hangs below the vertex (every parent is less
+        # than its child), and an edge inside one cell joins its ends' classes
+        if cu == cv:
+            classes[seg] = pu
+            if (a := _root(classes, pu)) != (b := _root(classes, pv)):
                 classes[max(a, b)] = min(a, b)
-        edge_chain.setdefault((u, v), (P, spans))
+        else:
+            for end, c, x in ((pu, cu, first), (pv, cv, seg)):
+                if c == carrier[x]:
+                    classes[x] = end
+                else:
+                    joins.setdefault(c, []).append((end, x))
+        edge_chain.setdefault(e, (P, spans))
         edge_chain.setdefault((v, u), (P, spans))
 
+    # each piece's class, its least piece: only the pieces below another are
+    # visited, in increasing order, so each reads a parent already resolved
+    cls = list(range(len(carrier)))
+    for x in sorted(classes):
+        cls[x] = cls[classes[x]]
     # the members over basic_open(c) are the classes whose carrier has c as a face
-    cls = [_root(classes, p) if p in classes else p for p in range(len(carrier))]
     by_carrier: dict[tuple[int, ...], list[int]] = {}
-    for p, c in enumerate(carrier):
-        if cls[p] == p:
-            by_carrier.setdefault(c, []).append(p)
+    for x, c in enumerate(carrier):
+        if x not in classes:
+            by_carrier.setdefault(c, []).append(x)
     members: dict[Cell, list[int]] = {}
     pairs: dict[Cell, list[tuple[int, int]]] = {}
-    for c, ps in by_carrier.items():
+    for c, xs in by_carrier.items():
         js = [(cls[a], cls[b]) for a, b in joins.get(c, ())]
         for f in (Cell(c), *faces(Cell(c))):
-            members.setdefault(f, []).extend(ps)
+            members.setdefault(f, []).extend(xs)
             if js:
                 pairs.setdefault(f, []).extend(js)
 
@@ -313,11 +350,25 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
     forests: dict[Cell, tuple[dict[int, int], dict[int, int]]] = {}
     count = 0
     for c in sorted(members, key=cell_sort_key):
+        # union-find over the joins there, halving paths inline; a component's
+        # root stays its least piece
         up: dict[int, int] = {}
         for a, b in pairs.get(c, ()):
-            a, b = _root(up, a), _root(up, b)
-            if a != b:
-                up[max(a, b)] = min(a, b)  # a component's root stays its least piece
+            while a in up:
+                x = up[a]
+                up[a] = a = up.get(x, x)
+            while b in up:
+                x = up[b]
+                up[b] = b = up.get(x, x)
+            if a < b:
+                up[b] = a
+            elif b < a:
+                up[a] = b
+        # then every piece points at its root: a coface's links read it in one step
+        for x, y in up.items():
+            while y in up:
+                y = up[y]
+            up[x] = y
         roots = [r for r in sorted(members[c]) if r not in up]
         order = sorted(range(len(roots)), key=str)
         token = _cell_token(c)
@@ -328,7 +379,7 @@ def build(g: GeometricGraph, grid: GridSpec) -> MapperBuild:
         # every piece of a node lies over each facet too: its root finds the image
         for f in facets(c):
             fup, fnode = forests[f]
-            links += ((node_of[r], fnode[_root(fup, r)]) for r in roots)
+            links += [(node_of[r], fnode[fup.get(r, r)]) for r in roots]
 
     return MapperBuild(graph=CosheafGraph._from_blocks(grid, blocks, links, named=False),
                        source=g, grid=grid, _forests=forests, _class=cls,

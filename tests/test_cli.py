@@ -712,12 +712,16 @@ _DELTA = "delta must be positive and finite"
      "vertex 'v' has 1 coordinates, expected 2"),
     ('{"d": 1, "vertices": [{"id": "v", "f": [0.5]}], "edges": [["v", "w"]]}', None, "1.0",
      "edge ('v', 'w') names unknown vertex"),
+    # --grid parses the whole file, not just a leading grid object
+    (_VERTEX, '{"d": 1, "delta": 1.0, "L": 2} {"d": 1}', "1.0", "Extra data"),
+    (_VERTEX, '{"grid": {"L": 2, "d": 1, "delta": 1.0}', "1.0", "Expecting ',' delimiter"),
 ], ids=["list", "d-float", "d-string", "grid-L-float", "grid-list", "vertex-id-list",
         "edge-end-list", "value-bool", "vertex-id-repeated", "value-not-list", "grid-delta-null", "grid-delta-bool",
         "grid-delta-string", "grid-delta-huge", "delta-inf", "delta-nan", "delta-negative",
         "delta-differs-from-grid", "delta-inf-with-grid", "d-missing", "vertices-missing",
         "vertex-id-missing", "f-missing", "edges-missing", "grid-delta-missing", "value-nan",
-        "value-infinity", "d-zero", "d-negative", "vertex-coordinates", "edge-unknown-vertex"])
+        "value-infinity", "d-zero", "d-negative", "vertex-coordinates", "edge-unknown-vertex",
+        "grid-extra-bytes", "grid-cosheaf-cut-after-grid"])
 def test_malformed_ingest_inputs_exit_2(text, grid, delta, fragment, workdir, capsys):
     # without a grid file, `oracle --mode pi0` reads the graph and fits its
     # grid to --delta as `ingest` does, and must refuse the same inputs

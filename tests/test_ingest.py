@@ -353,6 +353,12 @@ def test_geometric_graph_json_refuses_values_it_cannot_carry():
     big = GeometricGraph(d=1, vertices={"r": (Fraction(2**53 + 1),)}, edges=[])
     with pytest.raises(IngestError, match=r"'r' has value 9007199254740993"):
         graph_to_json(big)
+    # read exactly, but beyond the range of a float
+    huge = GeometricGraph.from_json('{"d": 1, "vertices": [{"id": "h", "f": [1e400]}], '
+                                    '"edges": []}')
+    assert huge.vertices["h"] == (Fraction(10**400),)
+    with pytest.raises(IngestError, match=r"'h' has value 10{400}, which is beyond"):
+        graph_to_json(huge)
     exact = GeometricGraph(d=1, vertices={"p": (Fraction(-7, 10),), "q": (Fraction(5, 4),)},
                            edges=[("p", "q")])
     assert GeometricGraph.from_json(graph_to_json(exact)).vertices == exact.vertices
@@ -547,6 +553,28 @@ def _parallel_strands(rng: random.Random, d: int) -> GeometricGraph:
     return GeometricGraph(d=d, vertices=verts, edges=[(f"s{k:02}a", f"s{k:02}b") for k in range(12)])
 
 
+def _short_steps(rng: random.Random, d: int, n: int) -> GeometricGraph:
+    """A path of steps of at most 0.3 per axis through values in tenths, plus a
+    chord between two vertices at most 4 steps apart, as in the benchmark's
+    zigzags: most edges cross no hyperplane.  Some coordinates snap to a
+    whole number, so edges end on a hyperplane, and an axis held there keeps
+    the next edges inside it."""
+    pos = [rng.randint(-15, 15) for _ in range(d)]
+    verts = {}
+    for i in range(n):
+        verts[f"w{i:02}"] = tuple(Fraction(x, 10) for x in pos)
+        for a in range(d):
+            if pos[a] % 10 == 0 and rng.random() < 0.5:
+                continue  # stay on the hyperplane
+            pos[a] = max(-25, min(25, pos[a] + rng.randint(-3, 3)))
+            if rng.random() < 0.1:
+                pos[a] = 10 * round(pos[a] / 10)
+    edges = [(f"w{i - 1:02}", f"w{i:02}") for i in range(1, n)]
+    i = rng.randrange(n - 1)
+    edges.append((f"w{i:02}", f"w{rng.randint(i + 1, min(i + 4, n - 1)):02}"))
+    return GeometricGraph(d=d, vertices=verts, edges=edges)
+
+
 def _walk_trials(rng: random.Random):
     """(d, kind, graph) per trial of the walk test; kind is the denominator
     of the random trials."""
@@ -564,6 +592,8 @@ def _walk_trials(rng: random.Random):
         yield d, "shared", _shared_carriers(rng, d)
     for d in (1, 1, 2, 3):
         yield d, "strands", _parallel_strands(rng, d)
+    for d in [1] * 10 + [2] * 8 + [3] * 6:
+        yield d, "short", _short_steps(rng, d, rng.randint(6, 14 if d < 3 else 9))
 
 
 def test_walk_matches_midpoint_subdivision():
